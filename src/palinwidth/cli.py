@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Reports are deterministic for identical inputs and seed: JSON goes to
+Reports are deterministic for identical inputs: JSON goes to
 stdout with sorted keys, timing goes to stderr.  Exit codes: 0 success,
 1 verification or decomposition failure, 2 input error.
 """
@@ -12,13 +12,16 @@ import os
 import random
 import sys
 import time
-from typing import Any, Optional
+from functools import partial
+from typing import Any, Callable, Optional
 
 from . import presets
 from .decompose import (
     CommutatorData,
     CommutatorSite,
+    PalindromeFactorization,
     RelationWitness,
+    abelian_top_target,
     commutator_target,
     decompose_commutator_abelian_top,
     decompose_commutator_pair,
@@ -27,7 +30,6 @@ from .decompose import (
     decompose_shifted_commutators,
     find_reversal_asymmetric_relation,
 )
-from .commutators import commutator_word
 from .errors import (
     AlphabetMismatch,
     GroupDefinitionError,
@@ -37,17 +39,44 @@ from .errors import (
 from .groups import (
     AbelianProductGroup,
     AbelianizedFreeGroup,
-    BaumslagSolitar,
     FiniteGroup,
     FreeAbelianGroup,
     FreeGroup,
     Group,
 )
 from .oracle import exact_palindromic_width, oracle_for, verify_factorization
-from .words import Word, relabel, reverse
-from .wreath import WreathProduct
+from .words import Word, reverse
+from .wreath import WreathElement, WreathProduct
 
 _INPUT_ERRORS = (GroupDefinitionError, WordSyntaxError, AlphabetMismatch, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# JSON input checks
+
+_REQUIRED = object()
+
+
+def _field(block: Any, key: str, kind: type, default: Any = _REQUIRED) -> Any:
+    """block[key], checked to be a `kind`; malformed JSON is an input error."""
+    if not isinstance(block, dict):
+        raise GroupDefinitionError(f"expected a JSON object, got {type(block).__name__}")
+    if key not in block:
+        if default is _REQUIRED:
+            raise GroupDefinitionError(f"missing key {key!r}")
+        return default
+    value = block[key]
+    if value is None and default is None:
+        return None
+    if not isinstance(value, kind):
+        raise GroupDefinitionError(f"{key!r} has the wrong type ({type(value).__name__})")
+    return value
+
+
+def _list_of(value: list, kind: type, what: str) -> list:
+    if not all(isinstance(item, kind) for item in value):
+        raise GroupDefinitionError(f"{what} must hold only {kind.__name__} values")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -55,47 +84,60 @@ _INPUT_ERRORS = (GroupDefinitionError, WordSyntaxError, AlphabetMismatch, ValueE
 
 
 def group_from_def(definition: dict) -> Group:
+    if not isinstance(definition, dict):
+        raise GroupDefinitionError("a group definition is a JSON object")
     if "preset" in definition:
-        return presets.get(definition["preset"])
+        return presets.get(_field(definition, "preset", str))
     if "extra_generator" in definition:
-        inner = group_from_def(definition["base"])
-        if not isinstance(inner, FiniteGroup):
-            raise GroupDefinitionError("extra generators only extend finite groups")
-        extra = definition["extra_generator"]
-        value = inner.evaluate(Word.parse(inner.alphabet, extra["value_word"]))
-        return inner.with_extra_generator(extra["name"], value)
-    kind = definition.get("kind")
+        inner = group_from_def(_field(definition, "base", dict))
+        return _extend(inner, _field(definition, "extra_generator", dict))[0]
+    kind = _field(definition, "kind", str, None)
     if kind == "finite":
-        if "generators" in definition and "table" not in definition:
-            return FiniteGroup.from_permutations(
-                list(definition["generators"].items()), source_def=definition
-            )
-        if "table" in definition:
-            gens = definition["generators"]
-            return FiniteGroup.from_table(
-                list(gens.keys()), definition["table"], list(gens.values()),
-                source_def=definition,
-            )
-        raise GroupDefinitionError("finite group needs generators or a table")
-    if kind == "free":
-        return FreeGroup(definition.get("rank"), definition.get("names"), source_def=definition)
-    if kind == "free_abelian":
-        return FreeAbelianGroup(
-            definition.get("rank"), definition.get("names"), source_def=definition
+        gens = _field(definition, "generators", dict)
+        if "table" not in definition:
+            for name in gens:
+                _list_of(_field(gens, name, list), int, f"generator {name!r}")
+            return FiniteGroup.from_permutations(list(gens.items()), source_def=definition)
+        rows = _list_of(_field(definition, "table", list), list, "table")
+        for row in rows:
+            _list_of(row, int, "table row")
+        _list_of(list(gens.values()), int, "generators")
+        return FiniteGroup.from_table(
+            list(gens.keys()), rows, list(gens.values()), source_def=definition
         )
-    if kind == "abelianized_free":
-        return AbelianizedFreeGroup(
-            definition.get("rank"), definition.get("names"), source_def=definition
+    backends = {
+        "free": FreeGroup,
+        "free_abelian": FreeAbelianGroup,
+        "abelianized_free": AbelianizedFreeGroup,
+    }
+    if kind in backends:
+        return backends[kind](
+            _field(definition, "rank", int, None),
+            _names(definition, "names"),
+            source_def=definition,
         )
     if kind == "abelian_product":
-        finite = group_from_def(definition["finite"])
+        finite = group_from_def(_field(definition, "finite", dict))
         if not isinstance(finite, FiniteGroup):
             raise GroupDefinitionError("abelian product needs a finite part")
         return AbelianProductGroup(
-            definition["free_rank"], finite, definition.get("free_names"),
+            _field(definition, "free_rank", int), finite, _names(definition, "free_names"),
             source_def=definition,
         )
     raise GroupDefinitionError(f"unknown group kind {kind!r}")
+
+
+def _names(definition: dict, key: str) -> Optional[list]:
+    names = _field(definition, key, list, None)
+    return None if names is None else _list_of(names, str, key)
+
+
+def _extend(group: Group, extra: dict) -> tuple[FiniteGroup, int]:
+    """The group extended by an `extra_generator` block, and the new generator's value."""
+    if not isinstance(group, FiniteGroup):
+        raise GroupDefinitionError("extra generators only extend finite groups")
+    value = group.evaluate(Word.parse(group.alphabet, _field(extra, "value_word", str)))
+    return group.with_extra_generator(_field(extra, "name", str), value), value
 
 
 def load_group(source: str) -> Group:
@@ -120,30 +162,28 @@ def group_def(group: Group) -> dict:
     raise GroupDefinitionError(f"cannot serialise group {group!r}")
 
 
-def _witness_def(witness: RelationWitness, original: FiniteGroup) -> dict:
-    out: dict[str, Any] = {"relation": str(witness.relation)}
+def _witness_def(witness: RelationWitness, original: Group) -> dict:
+    out: dict[str, Any] = {"relation": str(witness.relation), "extra_generator": None}
     if witness.extra_generator is not None:
         name, value = witness.extra_generator
         out["extra_generator"] = {
             "name": name,
             "value_word": str(original.element_word(value)),
         }
-    else:
-        out["extra_generator"] = None
     return out
 
 
-def _witness_from_def(definition: Optional[dict], top: FiniteGroup) -> Optional[RelationWitness]:
+def _witness(definition: Optional[dict], top: Group) -> Optional[RelationWitness]:
+    """The witness a `relation_used` block describes, over the top it extends."""
     if definition is None:
         return None
     group = top
     extra = None
-    if definition.get("extra_generator"):
-        info = definition["extra_generator"]
-        value = top.evaluate(Word.parse(top.alphabet, info["value_word"]))
-        group = top.with_extra_generator(info["name"], value)
-        extra = (info["name"], value)
-    relation = Word.parse(group.alphabet, definition["relation"])
+    extra_def = _field(definition, "extra_generator", dict, None)
+    if extra_def:
+        group, value = _extend(top, extra_def)
+        extra = (extra_def["name"], value)
+    relation = Word.parse(group.alphabet, _field(definition, "relation", str))
     return RelationWitness(
         group=group,
         relation=relation,
@@ -172,22 +212,104 @@ def _parse_commutators(text: str, wreath: WreathProduct) -> CommutatorData:
             raw = json.load(handle)
     else:
         raw = json.loads(text)
+    if not isinstance(raw, list):
+        raise GroupDefinitionError("commutator data is a JSON list of sites")
     sites = []
     for entry in raw:
-        position = wreath.top.evaluate(Word.parse(wreath.top.alphabet, entry["position"]))
-        pairs = tuple(
-            (
-                Word.parse(wreath.base.alphabet, first),
-                Word.parse(wreath.base.alphabet, second),
+        position_word = Word.parse(wreath.top.alphabet, _field(entry, "position", str))
+        pairs = []
+        for pair in _field(entry, "pairs", list):
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise GroupDefinitionError("each commutator pair is a list [f, g]")
+            first, second = _list_of(pair, str, "a commutator pair")
+            pairs.append(
+                (Word.parse(wreath.base.alphabet, first), Word.parse(wreath.base.alphabet, second))
             )
-            for first, second in entry["pairs"]
-        )
-        sites.append(CommutatorSite(position, pairs))
+        sites.append(CommutatorSite(wreath.top.evaluate(position_word), tuple(pairs)))
     return CommutatorData(tuple(sites))
 
 
-def _factorization_report(fact, extra: Optional[dict] = None) -> dict:
-    report = {
+def _decompose_inputs(args, top: Group, wreath: WreathProduct) -> tuple[dict, Optional[dict]]:
+    """argv as the report's `inputs` and `relation_used` blocks.
+
+    A finite-top run with relation=auto leaves `relation_used` to the
+    construction, which finds the witness itself.
+    """
+    explicit = args.relation not in ("", "auto")
+    if args.mode == "abelian-top":
+        if args.exps is None:
+            raise GroupDefinitionError("--exps is required for abelian-top mode")
+        inputs: dict[str, Any] = {"exps": _parse_exponents(args.exps)}
+        inputs["word"] = str(Word.parse(wreath.alphabet, args.word or "1"))
+        if args.word_b is not None:
+            inputs["word_b"] = str(Word.parse(wreath.alphabet, args.word_b))
+        return inputs, None
+    if args.mode == "finite-top":
+        inputs = {"word": str(Word.parse(wreath.alphabet, args.word or "1"))}
+        return inputs, _explicit_relation(args.relation, top) if explicit else None
+    inputs = {"commutators": args.commutators or "[]", "a_top": args.a_top or "1"}
+    if args.mode != "derived":
+        return inputs, None
+    if not isinstance(top, FiniteGroup):
+        raise GroupDefinitionError("derived mode needs a finite top")
+    if explicit:
+        return inputs, _explicit_relation(args.relation, top)
+    return inputs, _witness_def(find_reversal_asymmetric_relation(top, args.budget), top)
+
+
+def _explicit_relation(text: str, top: Group) -> dict:
+    return {"relation": str(Word.parse(top.alphabet, text)), "extra_generator": None}
+
+
+def _mode_calls(
+    mode: str, inputs: dict, top: Group, base: Group, witness: Optional[RelationWitness]
+) -> tuple[Callable[[], PalindromeFactorization], Callable[[], WreathElement]]:
+    """The construction and the target for one mode, on a report's inputs.
+
+    `decompose` runs the first, `verify` checks stored factors against the
+    second, so both read the inputs and compute the target the same way.
+    The target is computed on demand: decompose never needs it, and working
+    it out first would report some bad inputs with the target's error
+    rather than the construction's.
+    """
+    if mode == "abelian-top":
+        wreath = WreathProduct(top, base)
+        exponents = _list_of(_field(inputs, "exps", list), int, "exps")
+        a_word = Word.parse(wreath.alphabet, _field(inputs, "word", str))
+        b_text = _field(inputs, "word_b", str, None)
+        if b_text is None:
+            return (
+                partial(decompose_commutator_abelian_top, wreath, a_word, exponents),
+                partial(abelian_top_target, wreath, a_word, exponents),
+            )
+        b_word = Word.parse(wreath.alphabet, b_text)
+        return (
+            partial(decompose_commutator_pair, wreath, a_word, b_word, exponents),
+            partial(abelian_top_target, wreath, a_word, exponents, b_word),
+        )
+    if mode in ("shifted", "derived"):
+        if mode == "derived" and witness is None:
+            raise GroupDefinitionError("derived mode needs a relation")
+        wreath = WreathProduct(witness.group if mode == "derived" else top, base)
+        data = _parse_commutators(_field(inputs, "commutators", str), wreath)
+        a_top = top.evaluate(Word.parse(top.alphabet, _field(inputs, "a_top", str)))
+        if mode == "shifted":
+            run = partial(decompose_shifted_commutators, wreath, data, a_top)
+        else:
+            run = partial(decompose_derived_wreath, wreath, data, a_top, witness)
+        return run, partial(commutator_target, wreath, data, a_top)
+    if mode == "finite-top":
+        wreath = WreathProduct(top, base)
+        word = Word.parse(wreath.alphabet, _field(inputs, "word", str))
+        return (
+            partial(decompose_full_finite_top, wreath, word, witness=witness),
+            partial(wreath.evaluate, word),
+        )
+    raise GroupDefinitionError(f"unknown mode {mode!r}")
+
+
+def _factorization_report(fact) -> dict:
+    return {
         "factors": [str(w) for w in fact.factors],
         "count": fact.count,
         "bound": fact.bound_claimed,
@@ -195,9 +317,6 @@ def _factorization_report(fact, extra: Optional[dict] = None) -> dict:
         "verified": fact.verified,
         "certificate": fact.certificate.to_dict(),
     }
-    if extra:
-        report.update(extra)
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +332,9 @@ def cmd_pw_exact(args) -> tuple[dict, bool]:
         name, _, word_text = args.extend_gens.partition("=")
         if not word_text:
             raise GroupDefinitionError("--extend-gens wants name=word")
-        value = group.evaluate(Word.parse(group.alphabet, word_text))
-        group = group.with_extra_generator(name.strip(), value)
-        definition = {
-            "base": definition,
-            "extra_generator": {"name": name.strip(), "value_word": word_text.strip()},
-        }
+        extra = {"name": name.strip(), "value_word": word_text.strip()}
+        group = _extend(group, extra)[0]
+        definition = {"base": definition, "extra_generator": extra}
     report = exact_palindromic_width(group)
     witness_factors = oracle_for(group).decompose(report.witness)
     return (
@@ -240,145 +356,56 @@ def cmd_pw_exact(args) -> tuple[dict, bool]:
 def cmd_find_relation(args) -> tuple[dict, bool]:
     group = load_group(args.group)
     witness = find_reversal_asymmetric_relation(group, args.budget)
-    if isinstance(group, BaumslagSolitar):
-        reverse_display = str(witness.reverse_value)
-        extra = None
-    else:
-        reverse_display = str(witness.group.element_word(witness.reverse_value))
-        extra = witness.extra_generator
     return (
         {
             "command": "find-relation",
             "group": group_def(group),
             "budget": args.budget,
-            "relation": str(witness.relation),
-            "reverse_value": reverse_display,
-            "extra_generator": (
-                None
-                if extra is None
-                else {"name": extra[0], "value_word": str(group.element_word(extra[1]))}
-            ),
+            "reverse_value": str(witness.group.element_word(witness.reverse_value)),
+            **_witness_def(witness, group),
         },
         True,
     )
 
 
-def _decompose_abelian_top(args, wreath: WreathProduct) -> tuple[dict, Any]:
-    if args.exps is None:
-        raise GroupDefinitionError("--exps is required for abelian-top mode")
-    exponents = _parse_exponents(args.exps)
-    a_word = Word.parse(wreath.alphabet, args.word or "1")
-    inputs = {"word": str(a_word), "exps": exponents}
-    if args.word_b is not None:
-        b_word = Word.parse(wreath.alphabet, args.word_b)
-        inputs["word_b"] = str(b_word)
-        fact = decompose_commutator_pair(wreath, a_word, b_word, exponents)
-    else:
-        fact = decompose_commutator_abelian_top(wreath, a_word, exponents)
-    return inputs, fact
-
-
 def cmd_decompose(args) -> tuple[dict, bool]:
     top = load_group(args.top)
     base = load_group(args.base)
-    wreath = WreathProduct(top, base)
+    inputs, relation_used = _decompose_inputs(args, top, WreathProduct(top, base))
+    run, _ = _mode_calls(args.mode, inputs, top, base, _witness(relation_used, top))
+    fact = run()
     report: dict[str, Any] = {
         "command": "decompose",
         "mode": args.mode,
         "top": group_def(top),
         "base": group_def(base),
-        "seed": args.seed,
+        "inputs": inputs,
     }
-
-    if args.mode == "abelian-top":
-        inputs, fact = _decompose_abelian_top(args, wreath)
-        report["inputs"] = inputs
-    elif args.mode == "shifted":
-        data = _parse_commutators(args.commutators or "[]", wreath)
-        a_top = top.evaluate(Word.parse(top.alphabet, args.a_top or "1"))
-        fact = decompose_shifted_commutators(wreath, data, a_top)
-        report["inputs"] = {
-            "commutators": args.commutators or "[]",
-            "a_top": args.a_top or "1",
-        }
+    if args.mode == "shifted":
         report["shift_used"] = list(fact.meta["shift"])
         report["retries"] = fact.meta["retries"]
     elif args.mode == "derived":
-        if not isinstance(top, FiniteGroup):
-            raise GroupDefinitionError("derived mode needs a finite top")
-        witness = _relation_witness(args, top)
-        wide = WreathProduct(witness.group, base)
-        data = _parse_commutators(args.commutators or "[]", wide)
-        a_top = top.evaluate(Word.parse(top.alphabet, args.a_top or "1"))
-        fact = decompose_derived_wreath(wide, data, a_top, witness)
-        report["inputs"] = {
-            "commutators": args.commutators or "[]",
-            "a_top": args.a_top or "1",
-        }
-        report["relation_used"] = _witness_def(witness, top)
+        report["relation_used"] = relation_used
     elif args.mode == "finite-top":
-        word = Word.parse(wreath.alphabet, args.word or "1")
-        witness = _relation_witness(args, top) if args.relation != "auto" else None
-        fact = decompose_full_finite_top(wreath, word, witness=witness)
-        report["inputs"] = {"word": str(word)}
         report["relation_used"] = _witness_def(fact.meta["witness"], top)
-    else:
-        raise GroupDefinitionError(f"unknown mode {args.mode!r}")
-
     report.update(_factorization_report(fact))
     return report, fact.verified
-
-
-def _relation_witness(args, top: FiniteGroup) -> RelationWitness:
-    if args.relation and args.relation != "auto":
-        relation = Word.parse(top.alphabet, args.relation)
-        witness = RelationWitness(
-            group=top,
-            relation=relation,
-            reverse_value=top.evaluate(reverse(relation)),
-        )
-        return witness
-    return find_reversal_asymmetric_relation(top, args.budget)
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
     with open(args.report) as handle:
         stored = json.load(handle)
-    if stored.get("command") != "decompose":
+    if not isinstance(stored, dict) or stored.get("command") != "decompose":
         raise GroupDefinitionError("verify wants a decompose report")
-    top = group_from_def(stored["top"])
-    base = group_from_def(stored["base"])
-    mode = stored["mode"]
-    witness = None
-    if stored.get("relation_used") is not None:
-        witness = _witness_from_def(stored["relation_used"], top)
+    top = group_from_def(_field(stored, "top", dict))
+    base = group_from_def(_field(stored, "base", dict))
+    mode = _field(stored, "mode", str)
+    witness = _witness(_field(stored, "relation_used", dict, None), top)
     wreath = WreathProduct(witness.group if witness else top, base)
-    inputs = stored["inputs"]
-
-    if mode == "abelian-top":
-        exponents = inputs["exps"]
-        t_word = Word.from_blocks(wreath.alphabet, list(enumerate(exponents)))
-        a_word = Word.parse(wreath.alphabet, inputs["word"])
-        target = wreath.evaluate(commutator_word(a_word, t_word))
-        if "word_b" in inputs:
-            b_word = Word.parse(wreath.alphabet, inputs["word_b"])
-            t2_word = Word.from_blocks(
-                wreath.alphabet, [(i, 2 * e) for i, e in enumerate(exponents)]
-            )
-            target = wreath.multiply(target, wreath.evaluate(commutator_word(b_word, t2_word)))
-    elif mode in ("shifted", "derived"):
-        data = _parse_commutators(inputs["commutators"], wreath)
-        a_top = wreath.top.evaluate(
-            relabel(Word.parse(top.alphabet, inputs["a_top"]), wreath.top.alphabet)
-        )
-        target = commutator_target(wreath, data, a_top)
-    elif mode == "finite-top":
-        target = wreath.evaluate(Word.parse(wreath.alphabet, inputs["word"]))
-    else:
-        raise GroupDefinitionError(f"unknown mode {mode!r}")
-
-    factors = [Word.parse(wreath.alphabet, text) for text in stored["factors"]]
-    certificate = verify_factorization(wreath, target, factors)
+    _, target = _mode_calls(mode, _field(stored, "inputs", dict), top, base, witness)
+    texts = _list_of(_field(stored, "factors", list), str, "factors")
+    factors = [Word.parse(wreath.alphabet, text) for text in texts]
+    certificate = verify_factorization(wreath, target(), factors)
     return (
         {
             "command": "verify",
@@ -546,7 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-top", dest="a_top", help="top element as a word")
     p.add_argument("--relation", default="auto", help="'auto' or an explicit relation word")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("pw-exact", help="exact palindromic width of a finite group")

@@ -182,37 +182,41 @@ def decompose_abelian_element(group: Group, element) -> PalindromeFactorization:
 # commutators over an abelian top
 
 
-def _require_abelian_top(wreath: WreathProduct) -> int:
+def abelian_top_target(
+    wreath: WreathProduct,
+    first_word: Word,
+    exponents: Sequence[int],
+    second_word: Optional[Word] = None,
+) -> WreathElement:
+    """[a, t] with t = t1^i1 ... tn^in, times [b, t^2] when b is given.
+
+    a and b must evaluate into the base group.
+    """
     top = wreath.top
     if not top.is_abelian():
         raise NotAbelian("commutator unrolling needs an abelian top")
     n = len(top.alphabet)
     if n == 0:
         raise GroupDefinitionError("top group has no generators")
-    return n
-
-
-def _base_only(wreath: WreathProduct, word: Word) -> WreathElement:
-    value = wreath.evaluate(word)
-    if not wreath.top.is_identity(value.top):
-        raise GroupDefinitionError(f"word {word} does not evaluate into the base group")
-    return value
-
-
-def decompose_commutator_abelian_top(
-    wreath: WreathProduct, base_word: Word, exponents: Sequence[int]
-) -> PalindromeFactorization:
-    """[a, t1^i1 ... tn^in] as 2n palindromes (2n+1 for odd n).
-
-    Alternating sandwiches around the inverted power words collapse to
-    a^-1 t^-1 a, then the power words themselves supply t.
-    """
-    n = _require_abelian_top(wreath)
     exponents = list(exponents)
     if len(exponents) != n:
         raise GroupDefinitionError(f"expected {n} exponents, got {len(exponents)}")
-    a = relabel(base_word, wreath.alphabet) if base_word.alphabet != wreath.alphabet else base_word
-    _base_only(wreath, a)
+    target = wreath.identity()
+    for word, scale in ((first_word, 1), (second_word, 2)):
+        if word is None:
+            continue
+        a = relabel(word, wreath.alphabet)
+        if not top.is_identity(wreath.evaluate(a).top):
+            raise GroupDefinitionError(f"word {word} does not evaluate into the base group")
+        t = Word.from_blocks(wreath.alphabet, [(i, scale * e) for i, e in enumerate(exponents)])
+        target = wreath.multiply(target, wreath.evaluate(commutator_word(a, t)))
+    return target
+
+
+def _unrolled_commutator(wreath: WreathProduct, a: Word, exponents: Sequence[int]) -> list[Word]:
+    """Factors of [a, t]: alternating sandwiches around the inverted power
+    words collapse to a^-1 t^-1 a, then the power words supply t."""
+    n = len(exponents)
 
     def top_power(index: int, exponent: int) -> Word:
         return Word.from_blocks(wreath.alphabet, [(index, exponent)])
@@ -227,9 +231,16 @@ def decompose_commutator_abelian_top(
     if n % 2 == 1:
         factors.append(reverse(a) * a)
     factors.extend(top_power(k, exponents[k]) for k in range(n))
+    return factors
 
-    t_word = Word.from_blocks(wreath.alphabet, list(enumerate(exponents)))
-    target = wreath.evaluate(commutator_word(a, t_word))
+
+def decompose_commutator_abelian_top(
+    wreath: WreathProduct, base_word: Word, exponents: Sequence[int]
+) -> PalindromeFactorization:
+    """[a, t1^i1 ... tn^in] as 2n palindromes (2n+1 for odd n)."""
+    target = abelian_top_target(wreath, base_word, exponents)
+    n = len(wreath.top.alphabet)
+    factors = _unrolled_commutator(wreath, relabel(base_word, wreath.alphabet), list(exponents))
     bound = 2 * n if n % 2 == 0 else 2 * n + 1
     formula = "2n" if n % 2 == 0 else "2n+1"
     return _checked(wreath, target, factors, bound, formula)
@@ -244,17 +255,16 @@ def decompose_commutator_pair(
 ) -> PalindromeFactorization:
     """[a, t][b, t^2] via two commutator unrollings; t^2 doubles every exponent."""
     exponents = list(exponents)
-    if doubled_exponents is None:
-        doubled_exponents = [2 * e for e in exponents]
-    elif list(doubled_exponents) != [2 * e for e in exponents]:
+    doubled = [2 * e for e in exponents]
+    if doubled_exponents is not None and list(doubled_exponents) != doubled:
         raise GroupDefinitionError("second exponent list must double the first")
-    first = decompose_commutator_abelian_top(wreath, first_word, exponents)
-    second = decompose_commutator_abelian_top(wreath, second_word, doubled_exponents)
-    target = wreath.multiply(first.target, second.target)
+    target = abelian_top_target(wreath, first_word, exponents, second_word)
+    factors = _unrolled_commutator(wreath, relabel(first_word, wreath.alphabet), exponents)
+    factors += _unrolled_commutator(wreath, relabel(second_word, wreath.alphabet), doubled)
     n = len(exponents)
     bound = 4 * n if n % 2 == 0 else 4 * n + 2
     formula = "4n" if n % 2 == 0 else "4n+2"
-    return _checked(wreath, target, first.factors + second.factors, bound, formula)
+    return _checked(wreath, target, factors, bound, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +368,7 @@ def _site_lamp_product(wreath: WreathProduct, data: CommutatorData) -> WreathEle
 def commutator_target(wreath: WreathProduct, data: CommutatorData, top_value) -> WreathElement:
     """The element the commutator data denotes: top_value times the site lamps."""
     _validate_sites(wreath, data)
-    return wreath.multiply(wreath.embed_top(top_value), _site_lamp_product(wreath, data))
+    return wreath.multiply(wreath.element(top_value), _site_lamp_product(wreath, data))
 
 
 def _validate_sites(wreath: WreathProduct, data: CommutatorData) -> None:
@@ -391,15 +401,15 @@ def decompose_derived_wreath(
     _validate_witness(top, witness)
     _validate_sites(wreath, data)
 
-    r = wreath.lift_top(witness.relation)
+    r = relabel(witness.relation, wreath.alphabet)
     r_inv = invert(r)
     h = Word(wreath.alphabet)
     for site in data.sites:
-        conjugator = wreath.lift_top(top.element_word(site.position))
+        conjugator = relabel(top.element_word(site.position), wreath.alphabet)
         inner = Word(wreath.alphabet)
         for f_word, g_word in site.pairs:
-            f = wreath.lift_base(f_word)
-            g = wreath.lift_base(g_word)
+            f = relabel(f_word, wreath.alphabet)
+            g = relabel(g_word, wreath.alphabet)
             inner = inner * invert(f) * r_inv * invert(g) * r * f * r_inv * g * r
         h = h * invert(conjugator) * inner * conjugator
 
@@ -407,7 +417,7 @@ def decompose_derived_wreath(
         raise ReverseNotTrivial("reverse of the carrier word is not the identity")
 
     top_oracle = oracle_for(top)
-    factors = [wreath.lift_top(w) for w in top_oracle.decompose(top_value)]
+    factors = [relabel(w, wreath.alphabet) for w in top_oracle.decompose(top_value)]
     if h.letters:
         factors.append(h * reverse(h))
     target = commutator_target(wreath, data, top_value)
@@ -464,13 +474,13 @@ def decompose_shifted_commutators(
     ]
     target = commutator_target(wreath, data, top_value)
 
-    conjugators = [wreath.lift_top(top.element_word(site.position)) for site in data.sites]
+    conjugators = [relabel(top.element_word(site.position), wreath.alphabet) for site in data.sites]
 
     def aggregate(j: int, which: int) -> Word:
         out = Word(wreath.alphabet)
         for site, conjugator in zip(data.sites, conjugators):
             if j < len(site.pairs):
-                lifted = wreath.lift_base(site.pairs[j][which])
+                lifted = relabel(site.pairs[j][which], wreath.alphabet)
                 out = out * invert(conjugator) * lifted * conjugator
         return out
 
@@ -531,8 +541,8 @@ def decompose_finite_top_abelianized(
     def move_to(goal: int) -> None:
         nonlocal prefix
         step = geodesics.words[top.multiply(top.inverse(prefix), goal)]
-        for letter in step.letters:
-            factors.append(wreath.lift_top(Word(top.alphabet, [letter])))
+        # top letters keep their indices in the combined alphabet
+        factors.extend(Word(wreath.alphabet, [letter]) for letter in step.letters)
         prefix = goal
 
     for position in wreath.support(element):
@@ -548,6 +558,21 @@ def decompose_finite_top_abelianized(
     return _checked(
         wreath, element, factors, bound, "maxlen*(|top|+1) + d*|top|"
     )
+
+
+def _abelianized(wreath: WreathProduct, element: WreathElement) -> tuple[WreathProduct, WreathElement]:
+    """The element's image in (abelianized free base) wr top, with that handle."""
+    vector_wreath = WreathProduct(wreath.top, AbelianizedFreeGroup(names=wreath.base.alphabet.names))
+    lamps = [(position, abelianize(value)) for position, value in element.base.items()]
+    return vector_wreath, vector_wreath.element(element.top, lamps)
+
+
+def _residual(wreath: WreathProduct, factors: Sequence[Word], target: WreathElement) -> WreathElement:
+    """What is left of the target after the factors: (their product)^-1 . target."""
+    product = wreath.identity()
+    for w in factors:
+        product = wreath.multiply(product, wreath.evaluate(w))
+    return wreath.multiply(wreath.inverse(product), target)
 
 
 def decompose_full_finite_top(
@@ -578,20 +603,13 @@ def decompose_full_finite_top(
     else:
         wide = wreath
     target = wide.evaluate(word)
+    # the cursor walk's bound plus the one derived palindrome
+    maxlen = wide.top.geodesics().max_length
+    bound = maxlen * (top.size + 1) + base.rank * top.size + 1
 
-    vector_base = AbelianizedFreeGroup(names=base.alphabet.names)
-    vector_wreath = WreathProduct(wide.top, vector_base)
-    abelianized = vector_wreath.element(
-        target.top,
-        [(position, abelianize(value)) for position, value in target.base.items()],
-    )
-    abelian_part = decompose_finite_top_abelianized(vector_wreath, abelianized)
+    abelian_part = decompose_finite_top_abelianized(*_abelianized(wide, target))
     factors = [relabel(w, wide.alphabet) for w in abelian_part.factors]
-
-    lifted = wide.identity()
-    for w in factors:
-        lifted = wide.multiply(lifted, wide.evaluate(w))
-    residual = wide.multiply(wide.inverse(lifted), target)
+    residual = _residual(wide, factors, target)
     if not wide.top.is_identity(residual.top):
         raise PalinwidthError("internal: residual has a nontrivial top component")
 
@@ -603,20 +621,12 @@ def decompose_full_finite_top(
         wide, CommutatorData(sites), wide.top.identity(), witness
     )
     factors.extend(derived_part.factors)
-
-    maxlen = wide.top.geodesics().max_length
-    bound = maxlen * (base.rank * top.size + 1) + 1
-    formula = "maxlen*(d*|top|+1)+1"
-    if len(factors) > bound:
-        # degenerate ranks (d = 1 or maxlen = 1) can undercount cursor moves
-        bound = maxlen * (top.size + 1) + base.rank * top.size + 1
-        formula = "maxlen*(|top|+1) + d*|top| + 1"
     return _checked(
         wide,
         target,
         factors,
         bound,
-        formula,
+        "maxlen*(|top|+1) + d*|top| + 1",
         meta={
             "wreath": wide,
             "witness": witness,
@@ -715,13 +725,7 @@ def decompose_full_abelian_top(
     target = wreath.evaluate(word)
 
     if isinstance(base, FreeGroup):
-        vector_base = AbelianizedFreeGroup(names=base.alphabet.names)
-        vector_wreath = WreathProduct(top, vector_base)
-        abelianized = vector_wreath.element(
-            target.top,
-            [(p, abelianize(v)) for p, v in target.base.items()],
-        )
-        meta_evaluator = vector_wreath
+        meta_evaluator, abelianized = _abelianized(wreath, target)
     elif isinstance(base, FiniteGroup) and base.is_abelian():
         abelianized = target
         meta_evaluator = wreath
@@ -740,10 +744,7 @@ def decompose_full_abelian_top(
         external = metabelian.bound(d, r)
         metabelian_bound = external if external is not None else part.count
 
-    lifted = wreath.identity()
-    for w in factors:
-        lifted = wreath.multiply(lifted, wreath.evaluate(w))
-    residual = wreath.multiply(wreath.inverse(lifted), target)
+    residual = _residual(wreath, factors, target)
 
     pair_count = 0
     pair_bound = 0

@@ -120,6 +120,7 @@ class FiniteGroup(Group):
         self.payloads = tuple(payloads) if payloads is not None else None
         self.source_def = source_def
         self._geodesics: Optional[GeodesicTable] = None
+        self._extensions: dict[tuple[str, int], FiniteGroup] = {}
         if self._closure(generator_indices) != size:
             raise GroupDefinitionError("generators do not generate the group")
 
@@ -217,16 +218,22 @@ class FiniteGroup(Group):
         return cls(Alphabet(names), table, generator_indices, source_def=source_def)
 
     def with_extra_generator(self, name: str, element_index: int) -> "FiniteGroup":
-        """Same group, generating set extended by one named element."""
+        """Same group, generating set extended by one named element.
+
+        One handle per extension, so its cached oracle is built once.
+        """
         if not 0 <= element_index < self.size:
             raise GroupDefinitionError(f"element index {element_index} out of range")
-        return FiniteGroup(
-            self.alphabet.extend([name]),
-            self._table,
-            self.generator_indices + (element_index,),
-            payloads=self.payloads,
-            source_def=None,
-        )
+        key = (name, element_index)
+        if key not in self._extensions:
+            self._extensions[key] = FiniteGroup(
+                self.alphabet.extend([name]),
+                self._table,
+                self.generator_indices + (element_index,),
+                payloads=self.payloads,
+                source_def=None,
+            )
+        return self._extensions[key]
 
     def identity(self) -> int:
         return 0
@@ -278,34 +285,16 @@ class FiniteGroup(Group):
     def elements(self) -> range:
         return range(self.size)
 
-    def payload_label(self, a: int) -> str:
-        if self.payloads is None:
-            return str(a)
-        payload = self.payloads[a]
-        if isinstance(payload, tuple) and all(isinstance(x, int) for x in payload):
-            return str(tuple(x + 1 for x in payload))
-        return str(payload)
-
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.size}, gens={list(self.alphabet.names)})"
 
 
-class FreeGroup(Group):
-    """Free group; elements are freely reduced words."""
+class _ReducedWords(Group):
+    """Arithmetic on freely reduced words, shared by free and one-relator groups.
 
-    def __init__(
-        self,
-        rank: Optional[int] = None,
-        names: Optional[Sequence[str]] = None,
-        source_def: Optional[dict] = None,
-    ):
-        if names is None:
-            if rank is None:
-                raise GroupDefinitionError("free group needs a rank or names")
-            names = tuple(f"x{i + 1}" for i in range(rank))
-        self.alphabet = Alphabet(names)
-        self.rank = len(self.alphabet)
-        self.source_def = source_def
+    Deliberately defines no canonical_key: reduced words are canonical in a
+    free group only, so each subclass decides that for itself.
+    """
 
     def identity(self) -> Word:
         return Word(self.alphabet)
@@ -326,6 +315,24 @@ class FreeGroup(Group):
 
     def element_word(self, a: Word) -> Word:
         return a
+
+
+class FreeGroup(_ReducedWords):
+    """Free group; elements are freely reduced words."""
+
+    def __init__(
+        self,
+        rank: Optional[int] = None,
+        names: Optional[Sequence[str]] = None,
+        source_def: Optional[dict] = None,
+    ):
+        if names is None:
+            if rank is None:
+                raise GroupDefinitionError("free group needs a rank or names")
+            names = tuple(f"x{i + 1}" for i in range(rank))
+        self.alphabet = Alphabet(names)
+        self.rank = len(self.alphabet)
+        self.source_def = source_def
 
     def canonical_key(self, a: Word):
         return a.letters
@@ -371,10 +378,7 @@ class FreeAbelianGroup(Group):
     def evaluate(self, word: Word) -> tuple[int, ...]:
         if word.alphabet != self.alphabet:
             raise AlphabetMismatch("word over a different alphabet")
-        sums = [0] * self.rank
-        for index, sign in word.letters:
-            sums[index] += sign
-        return tuple(sums)
+        return abelianize(word)
 
     def element_word(self, a) -> Word:
         return Word.from_blocks(self.alphabet, [(i, e) for i, e in enumerate(a) if e])
@@ -474,7 +478,7 @@ class AbelianProductGroup(Group):
         return f"AbelianProductGroup(Z^{self.free_rank} x order-{self.finite.size})"
 
 
-class BaumslagSolitar(Group):
+class BaumslagSolitar(_ReducedWords):
     """One-relator family <a, b | a^-1 b^n a = b^m>.
 
     Elements are freely reduced words; equality is decided by pinch
@@ -488,23 +492,6 @@ class BaumslagSolitar(Group):
         self.m = m
         self.alphabet = Alphabet(("a", "b"))
         self.source_def = {"preset": f"BS({n},{m})"}
-
-    def identity(self) -> Word:
-        return Word(self.alphabet)
-
-    def multiply(self, a: Word, b: Word) -> Word:
-        return reduce_free(a * b)
-
-    def inverse(self, a: Word) -> Word:
-        return invert(a)
-
-    def letter_value(self, index: int, sign: int) -> Word:
-        return Word(self.alphabet, [(index, sign)])
-
-    def evaluate(self, word: Word) -> Word:
-        if word.alphabet != self.alphabet:
-            raise AlphabetMismatch("word over a different alphabet")
-        return reduce_free(word)
 
     def equal(self, a: Word, b: Word) -> bool:
         return self.is_trivial(self.multiply(a, invert(b)))
@@ -543,9 +530,6 @@ class BaumslagSolitar(Group):
                 changed = True
                 break
         return len(syllables) == 1 and syllables[0][1] == 0
-
-    def element_word(self, a: Word) -> Word:
-        return a
 
     def is_abelian(self) -> bool:
         return self.n == 1 and self.m == 1

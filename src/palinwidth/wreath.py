@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from .errors import AlphabetMismatch, GroupDefinitionError
-from .groups import FiniteGroup, Group
+from .groups import BaumslagSolitar, FiniteGroup, Group
 from .words import Alphabet, Word, invert, relabel
 
 
@@ -46,10 +46,17 @@ class WreathProduct:
     """Handle for base wr top over the combined generating set.
 
     The combined alphabet lists the top generators first, then the base
-    generators; the two name sets must be disjoint.
+    generators; the two name sets must be disjoint.  Lamps are keyed by the
+    top element as given, so the top's elements must be canonical: a
+    Baumslag-Solitar top, whose equal elements can differ as words, is
+    refused.
     """
 
     def __init__(self, top: Group, base: Group):
+        if isinstance(top, BaumslagSolitar):
+            raise GroupDefinitionError(
+                "a Baumslag-Solitar top has no canonical elements to key lamps by"
+            )
         overlap = set(top.alphabet.names) & set(base.alphabet.names)
         if overlap:
             raise GroupDefinitionError(
@@ -59,23 +66,6 @@ class WreathProduct:
         self.base = base
         self.alphabet = Alphabet(top.alphabet.names + base.alphabet.names)
         self._split = len(top.alphabet)
-
-    # letter classification
-
-    def is_top_letter(self, index: int) -> bool:
-        return index < self._split
-
-    def top_index(self, index: int) -> int:
-        return index
-
-    def base_index(self, index: int) -> int:
-        return index - self._split
-
-    def lift_top(self, word: Word) -> Word:
-        return relabel(word, self.alphabet)
-
-    def lift_base(self, word: Word) -> Word:
-        return relabel(word, self.alphabet)
 
     # element arithmetic
 
@@ -90,9 +80,6 @@ class WreathProduct:
                 if not self.base.is_identity(value):
                     base[position] = value
         return WreathElement(top_value, base)
-
-    def embed_top(self, a: Any) -> WreathElement:
-        return WreathElement(a, {})
 
     def lamp(self, position: Any, value: Any) -> WreathElement:
         return self.element(self.top.identity(), [(position, value)])
@@ -173,10 +160,10 @@ class WreathProduct:
 
     def assemble(self, nf: NormalForm) -> Word:
         """Word reproducing the element: top word, then conjugated lamps."""
-        word = self.lift_top(self.top.element_word(nf.top))
+        word = relabel(self.top.element_word(nf.top), self.alphabet)
         for position, value in nf.entries:
-            conj = self.lift_top(self.top.element_word(position))
-            word = word * invert(conj) * self.lift_base(self.base.element_word(value)) * conj
+            conj = relabel(self.top.element_word(position), self.alphabet)
+            word = word * invert(conj) * relabel(self.base.element_word(value), self.alphabet) * conj
         return word
 
     # finite materialisation

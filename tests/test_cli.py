@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palinwidth.cli import main
 
@@ -183,6 +186,111 @@ def test_input_errors_exit_2(capsys):
     assert main(["decompose", "--top", "Z^2", "--base", F2_DEF,
                  "--mode", "abelian-top", "--word", "y1"]) == 2
     capsys.readouterr()
+
+
+REPORT_WITHOUT_INPUTS = {
+    "command": "decompose", "mode": "finite-top",
+    "top": {"preset": "S3"}, "base": json.loads(F2_DEF), "factors": [],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["pw-exact", "--group", '{"kind":"abelian_product"}'], {}),
+        (["decompose", "--top", "Z", "--base", F2_DEF, "--mode", "shifted",
+          "--commutators", '[{"pairs": [["y1", "y2"]]}]'], {}),
+        (["decompose", "--top", "Z", "--base", F2_DEF, "--mode", "shifted",
+          "--commutators", '{"a":1}'], {}),
+        (["pw-exact", "--group", '{"kind":"finite","generators":{"s":[2,1,"x"]}}'], {}),
+        (["pw-exact", "--group", "{dir}/group.json"], {"group.json": "[1]"}),
+        (["pw-exact", "--group", '{"preset": 5}'], {}),
+        (["pw-exact", "--group", '{"kind":"free","rank":"2"}'], {}),
+        (["pw-exact", "--group", '{"base":{"preset":"S3"},"extra_generator":{"name":"c"}}'], {}),
+        (["verify", "--report", "{dir}/report.json"],
+         {"report.json": json.dumps(REPORT_WITHOUT_INPUTS)}),
+    ],
+    ids=[
+        "abelian-product-without-parts", "site-without-position", "commutators-not-a-list",
+        "image-not-an-integer", "group-file-not-an-object", "preset-not-a-string",
+        "rank-not-an-integer", "extra-generator-without-value-word", "report-without-inputs",
+    ],
+)
+def test_malformed_json_exits_2(capsys, tmp_path, argv, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = main([arg.format(dir=tmp_path) if "{dir}" in arg else arg for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+# group definitions from the real key vocabulary, small enough for pw-exact
+_junk = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 6), st.sampled_from(["", "x", "S3", "2"]),
+    st.just([]), st.just({}),
+)
+_names = st.lists(st.sampled_from(["s", "t", "u", "y1", "c", "1x"]), max_size=3)
+_images = st.one_of(
+    st.integers(1, 4).flatmap(lambda n: st.permutations(list(range(1, n + 1)))),
+    st.lists(st.one_of(st.integers(-1, 6), st.just("x")), max_size=4),
+    _junk,
+)
+_tables = st.one_of(
+    st.sampled_from([[[0]], [[0, 1], [1, 0]], [[0, 1], [0, 1]]]),
+    st.lists(st.one_of(st.lists(st.integers(-1, 3), max_size=3), _junk), max_size=3),
+    _junk,
+)
+
+
+def _definitions(children):
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.sampled_from(["free", "free_abelian", "abelianized_free"])},
+                              optional={"rank": st.one_of(st.integers(-1, 6), _junk),
+                                        "names": st.one_of(_names, _junk)}),
+        st.fixed_dictionaries({"kind": st.just("finite")},
+                              optional={"generators": st.one_of(
+                                            st.dictionaries(st.sampled_from(["s", "t", "u", "1x"]),
+                                                            st.one_of(_images, st.integers(-1, 3)),
+                                                            max_size=3),
+                                            _junk),
+                                        "table": _tables}),
+        st.fixed_dictionaries({"kind": st.just("abelian_product")},
+                              optional={"free_rank": st.one_of(st.integers(-1, 6), _junk),
+                                        "free_names": st.one_of(_names, _junk),
+                                        "finite": st.one_of(children, _junk)}),
+        st.fixed_dictionaries({"extra_generator": st.one_of(
+                                   st.fixed_dictionaries({}, optional={
+                                       "name": st.one_of(st.sampled_from(["c", "s", "1x"]), _junk),
+                                       "value_word": st.one_of(
+                                           st.sampled_from(["s*t", "t", "1", "q", "s^"]), _junk)}),
+                                   _junk)},
+                              optional={"base": st.one_of(children, _junk)}),
+        st.fixed_dictionaries({"kind": _junk}),
+    )
+
+
+_leaves = st.one_of(
+    st.fixed_dictionaries({"preset": st.one_of(
+        st.sampled_from(["S3", "D4", "Q8", "Z2xZ2", "Z/3", "lamp(2,2)", "Z", "Z^2", "F2",
+                         "BS(1,2)", "nope"]),
+        _junk)}),
+    st.fixed_dictionaries({"kind": st.just("finite"),
+                           "generators": st.fixed_dictionaries({"s": _images, "t": _images})}),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(definition=st.recursive(_leaves, _definitions, max_leaves=4))
+def test_any_group_definition_keeps_the_exit_contract(definition):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["pw-exact", "--group", json.dumps(definition)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert "failure" in json.loads(out.getvalue())
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1
 
 
 def test_decomposition_failure_exits_1(capsys):

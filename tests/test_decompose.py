@@ -194,6 +194,15 @@ def test_relation_s3_requires_extension():
     assert not group.is_identity(group.evaluate(reverse(witness.relation)))
 
 
+def test_relation_search_reuses_the_extended_top():
+    # one extended handle per (name, element), so its cached oracle is reused
+    S3 = presets.symmetric_3()
+    first = find_reversal_asymmetric_relation(S3)
+    second = find_reversal_asymmetric_relation(S3)
+    assert first.extra_generator is not None
+    assert first.group is second.group
+
+
 def test_relation_budget():
     with pytest.raises(BudgetExhausted):
         find_reversal_asymmetric_relation(presets.symmetric_3(), budget=1)
@@ -439,8 +448,7 @@ def test_full_finite_top_over_dihedral():
 
 
 def test_full_finite_top_rank_one_base():
-    # d = 1: the residual is always trivial and cursor moves can dominate,
-    # so the claimed bound may switch to the explicit construction formula
+    # d = 1: the residual is always trivial and cursor moves can dominate
     wreath = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1"]))
     rng = random.Random(21)
     for _ in range(20):
@@ -451,10 +459,22 @@ def test_full_finite_top_rank_one_base():
         assert fact.count <= fact.bound_claimed
 
 
+def test_full_finite_top_bound_is_stated_up_front():
+    # the claim is the cursor walk's bound plus the derived palindrome, the
+    # same for every word and every base rank, including d = 1
+    wreath = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1"]))
+    for text in ("1", "y1", "s*y1*t*y1^-1*s^-1*y1^2*t"):
+        fact = decompose_full_finite_top(wreath, Word.parse(wreath.alphabet, text))
+        top = fact.meta["wreath"].top
+        maxlen = top.geodesics().max_length
+        assert fact.bound_claimed == maxlen * (top.size + 1) + 1 * top.size + 1
+        assert fact.bound_formula == "maxlen*(|top|+1) + d*|top| + 1"
+
+
 def test_full_finite_top_degenerate_bound_fallback():
     # every element a single letter (maxlen 1) and d = 1: moves dominate
-    # deposits and the construction exceeds maxlen*(d*|top|+1)+1 = 8, so the
-    # claimed bound honestly switches to the construction formula
+    # deposits and the construction exceeds maxlen*(d*|top|+1)+1 = 8, which
+    # the stated bound maxlen*(|top|+1) + d*|top| + 1 covers
     from palinwidth import FiniteGroup
 
     s3_all = FiniteGroup.from_permutations(

@@ -9,6 +9,7 @@ from palinwidth import (
     Word,
     WreathProduct,
     presets,
+    relabel,
     reverse,
 )
 from palinwidth.errors import AlphabetMismatch, GroupDefinitionError
@@ -28,12 +29,23 @@ def test_name_disjointness_enforced():
         WreathProduct(FreeAbelianGroup(1, names=["a"]), FreeGroup(names=["a", "b"]))
 
 
+def test_baumslag_solitar_top_refused():
+    # a^-1 b^-1 a y a^-1 b a and b^-2 y b^2 put y at a^-1*b*a and at b^2,
+    # equal in BS(1,2) but different as lamp keys
+    bs = presets.get("BS(1,2)")
+    left = bs.evaluate(Word.parse(bs.alphabet, "a^-1*b*a"))
+    right = bs.evaluate(Word.parse(bs.alphabet, "b^2"))
+    assert bs.equal(left, right) and left != right
+    with pytest.raises(GroupDefinitionError):
+        WreathProduct(bs, FreeGroup(names=["y"]))
+
+
 def test_conjugation_places_lamp_at_position():
     # the convention test: a^-1 f a puts the lamp at the value of a
     from palinwidth import invert
 
     for wreath, top_word in [(lamplighter_wreath(), "z"), (s3_free_wreath(), "s*t")]:
-        conj = wreath.lift_top(Word.parse(wreath.top.alphabet, top_word))
+        conj = relabel(Word.parse(wreath.top.alphabet, top_word), wreath.alphabet)
         a = wreath.top.evaluate(Word.parse(wreath.top.alphabet, top_word))
         base_letter = Word.letter(wreath.alphabet, len(wreath.top.alphabet))
         word = invert(conj) * base_letter * conj

@@ -90,7 +90,10 @@ def group_from_def(definition: dict) -> Group:
         return presets.get(_field(definition, "preset", str))
     if "extra_generator" in definition:
         inner = group_from_def(_field(definition, "base", dict))
-        return _extend(inner, _field(definition, "extra_generator", dict))[0]
+        extended = _extend(inner, _field(definition, "extra_generator", dict))[0]
+        # inner is fresh, so no other holder of this handle sees the definition
+        extended.source_def = definition
+        return extended
     kind = _field(definition, "kind", str, None)
     if kind == "finite":
         gens = _field(definition, "generators", dict)
@@ -262,7 +265,12 @@ def _explicit_relation(text: str, top: Group) -> dict:
 
 
 def _mode_calls(
-    mode: str, inputs: dict, top: Group, base: Group, witness: Optional[RelationWitness]
+    mode: str,
+    inputs: dict,
+    top: Group,
+    base: Group,
+    witness: Optional[RelationWitness],
+    budget: Optional[int] = None,
 ) -> tuple[Callable[[], PalindromeFactorization], Callable[[], WreathElement]]:
     """The construction and the target for one mode, on a report's inputs.
 
@@ -270,7 +278,8 @@ def _mode_calls(
     second, so both read the inputs and compute the target the same way.
     The target is computed on demand: decompose never needs it, and working
     it out first would report some bad inputs with the target's error
-    rather than the construction's.
+    rather than the construction's.  The budget bounds the relation search
+    of a finite-top run that has no witness yet.
     """
     if mode == "abelian-top":
         wreath = WreathProduct(top, base)
@@ -302,7 +311,7 @@ def _mode_calls(
         wreath = WreathProduct(top, base)
         word = Word.parse(wreath.alphabet, _field(inputs, "word", str))
         return (
-            partial(decompose_full_finite_top, wreath, word, witness=witness),
+            partial(decompose_full_finite_top, wreath, word, witness, budget),
             partial(wreath.evaluate, word),
         )
     raise GroupDefinitionError(f"unknown mode {mode!r}")
@@ -372,7 +381,8 @@ def cmd_decompose(args) -> tuple[dict, bool]:
     top = load_group(args.top)
     base = load_group(args.base)
     inputs, relation_used = _decompose_inputs(args, top, WreathProduct(top, base))
-    run, _ = _mode_calls(args.mode, inputs, top, base, _witness(relation_used, top))
+    witness = _witness(relation_used, top)
+    run, _ = _mode_calls(args.mode, inputs, top, base, witness, args.budget)
     fact = run()
     report: dict[str, Any] = {
         "command": "decompose",

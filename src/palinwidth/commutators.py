@@ -1,10 +1,8 @@
 """Commutator words and constructive expressions inside derived subgroups."""
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import NotInDerivedSubgroup
-from .groups import FiniteGroup, abelianize
+from .groups import FiniteGroup, abelianize, breadth_first
 from .words import Word, invert, reduce_free
 
 
@@ -47,13 +45,4 @@ def commutator_closure(group: FiniteGroup) -> frozenset[int]:
         for g in group.elements()
         for h in group.elements()
     }
-    seen = {group.identity()}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for c in commutators:
-            y = group.multiply(x, c)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return frozenset(seen)
+    return frozenset(breadth_first(group.identity(), commutators, group.multiply)[0])

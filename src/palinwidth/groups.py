@@ -10,14 +10,38 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Optional, Sequence
 
 from .errors import (
     AlphabetMismatch,
     GroupDefinitionError,
     NotGenerated,
 )
-from .words import Alphabet, Word, invert, reduce_free, relabel
+from .words import Alphabet, Letter, Word, invert, reduce_free, relabel
+
+
+def breadth_first(
+    start: Any, moves: Collection, step: Callable[[Any, Any], Any]
+) -> tuple[list, dict, dict]:
+    """Breadth-first search from start, where one step is step(node, move).
+
+    Moves are tried in the same order at every node, so they must be a
+    collection rather than a one-shot iterator.  Returns the nodes in
+    discovery order, parents[node] = (previous node, move) with None at
+    start, and depths[node] = number of steps from start.
+    """
+    order = [start]
+    parents = {start: None}
+    depths = {start: 0}
+    for node in order:  # the list grows behind the cursor: it is the queue
+        depth = depths[node] + 1
+        for move in moves:
+            successor = step(node, move)
+            if successor not in parents:
+                parents[successor] = (node, move)
+                depths[successor] = depth
+                order.append(successor)
+    return order, parents, depths
 
 
 class Group:
@@ -121,20 +145,9 @@ class FiniteGroup(Group):
         self.source_def = source_def
         self._geodesics: Optional[GeodesicTable] = None
         self._extensions: dict[tuple[str, int], FiniteGroup] = {}
-        if self._closure(generator_indices) != size:
+        moves = list(self.letter_values().values())
+        if len(breadth_first(0, moves, self.multiply)[0]) != size:
             raise GroupDefinitionError("generators do not generate the group")
-
-    def _closure(self, gens: Sequence[int]) -> int:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for g in gens:
-                for y in (self._table[x][g], self._table[x][self._inv[g]]):
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-        return len(seen)
 
     @classmethod
     def from_elements(
@@ -248,28 +261,31 @@ class FiniteGroup(Group):
         g = self.generator_indices[index]
         return g if sign > 0 else self._inv[g]
 
+    def letter_values(self) -> dict[Letter, int]:
+        """Every signed letter's element, in alphabet order with '+' before '-'."""
+        return {
+            (index, sign): self.letter_value(index, sign)
+            for index in range(len(self.alphabet))
+            for sign in (1, -1)
+        }
+
     def geodesics(self) -> GeodesicTable:
         """Shortlex geodesics by BFS; alphabet order, '+' before '-'."""
         if self._geodesics is None:
-            lengths = [-1] * self.size
-            geodesic_words: list[Optional[Word]] = [None] * self.size
-            lengths[0] = 0
-            geodesic_words[0] = Word(self.alphabet)
-            queue = deque([0])
-            while queue:
-                x = queue.popleft()
-                for index in range(len(self.alphabet)):
-                    for sign in (1, -1):
-                        y = self._table[x][self.letter_value(index, sign)]
-                        if lengths[y] < 0:
-                            lengths[y] = lengths[x] + 1
-                            geodesic_words[y] = geodesic_words[x] * Word(
-                                self.alphabet, [(index, sign)]
-                            )
-                            queue.append(y)
-            if any(length < 0 for length in lengths):
+            values = self.letter_values()
+            order, parents, depths = breadth_first(
+                0, list(values), lambda x, letter: self._table[x][values[letter]]
+            )
+            if len(order) != self.size:
                 raise NotGenerated("generators do not generate the group")
-            self._geodesics = GeodesicTable(tuple(lengths), tuple(geodesic_words))
+            words = {0: Word(self.alphabet)}
+            for y in order[1:]:
+                x, letter = parents[y]
+                words[y] = words[x] * Word(self.alphabet, [letter])
+            self._geodesics = GeodesicTable(
+                tuple(depths[x] for x in self.elements()),
+                tuple(words[x] for x in self.elements()),
+            )
         return self._geodesics
 
     def element_word(self, a: int) -> Word:

@@ -4,17 +4,22 @@ Palindrome representability is decided by reachability in the pair
 automaton tracking (value of u, value of reverse(u)) over all words u;
 every palindromic word has the shape u.c.reverse(u) with c empty or a
 single signed letter, so the reachable pairs describe all palindromic
-elements exactly.  Width is then a breadth-first search where one step
-multiplies by any palindrome-representable element.
+elements exactly.  The palindrome set reads the automaton level by level
+(no centre before each centre in letter order, '+' before '-'), so the
+first word to reach an element is a shortest one; that witness word is
+built only when its element is new.  Width is then a breadth-first
+search where one step multiplies by any palindrome-representable element.
+All three searches, like the group closure and geodesics, run on
+groups.breadth_first.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional, Sequence
 
 from .errors import BudgetExhausted, NotGenerated
-from .groups import FiniteGroup
+from .groups import FiniteGroup, breadth_first
 from .words import Word, is_palindrome, reverse
 
 Pair = tuple[int, int]
@@ -43,26 +48,15 @@ class PairAutomaton:
 
 def build_pair_automaton(group: FiniteGroup) -> PairAutomaton:
     """Fixed point of (g, g*) -> (g.x, x.g*) over all signed letters."""
+    values = group.letter_values()
+    multiply = group.multiply
+
+    def step(pair: Pair, letter) -> Pair:
+        value = values[letter]
+        return multiply(pair[0], value), multiply(value, pair[1])
+
     start = (group.identity(), group.identity())
-    parents: dict = {start: None}
-    depths = {start: 0}
-    order = [start]
-    queue = deque([start])
-    letter_values = [
-        ((index, sign), group.letter_value(index, sign))
-        for index in range(len(group.alphabet))
-        for sign in (1, -1)
-    ]
-    while queue:
-        pair = queue.popleft()
-        g, g_star = pair
-        for letter, value in letter_values:
-            successor = (group.multiply(g, value), group.multiply(value, g_star))
-            if successor not in parents:
-                parents[successor] = (pair, letter)
-                depths[successor] = depths[pair] + 1
-                order.append(successor)
-                queue.append(successor)
+    order, parents, depths = breadth_first(start, list(values), step)
     return PairAutomaton(group=group, order=tuple(order), parents=parents, depths=depths)
 
 
@@ -75,36 +69,35 @@ class PalindromeSet:
 
 
 def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
+    """Every palindromic element with a shortest witness u.c.reverse(u).
+
+    One pass over the automaton's depth levels, shortest words first: in
+    each level every pair with no centre (length 2d), then every pair with
+    each centre in letter order, '+' before '-' (length 2d+1).  The first
+    word to reach an element is its witness, and it is built only then.
+    """
     group = automaton.group
-    centers = [None] + [
-        (index, sign)
-        for index in range(len(group.alphabet))
-        for sign in (1, -1)
+    multiply = group.multiply
+    empty = Word(group.alphabet)
+    centres = [
+        (Word(group.alphabet, [letter]), value)
+        for letter, value in group.letter_values().items()
     ]
-    by_depth: dict[int, list[Pair]] = {}
-    for pair in automaton.order:
-        by_depth.setdefault(automaton.depths[pair], []).append(pair)
-    witnesses: dict[int, Word] = {}
-    max_depth = max(by_depth)
-    for total in range(2 * max_depth + 2):
-        depth, parity = divmod(total, 2)
-        if depth not in by_depth:
-            continue
-        for pair in by_depth[depth]:
+
+    def candidates(level: list[Pair]):
+        for pair in level:
+            yield multiply(*pair), pair, empty
+        for pair in level:
             g, g_star = pair
-            u = automaton.witness(pair)
-            for center in centers:
-                if (center is None) != (parity == 0):
-                    continue
-                if center is None:
-                    element = group.multiply(g, g_star)
-                    word = u * reverse(u)
-                else:
-                    value = group.letter_value(*center)
-                    element = group.multiply(group.multiply(g, value), g_star)
-                    word = u * Word(group.alphabet, [center]) * reverse(u)
-                if element not in witnesses:
-                    witnesses[element] = word
+            for centre, value in centres:
+                yield multiply(multiply(g, value), g_star), pair, centre
+
+    witnesses: dict[int, Word] = {}
+    for _, level in groupby(automaton.order, key=automaton.depths.__getitem__):
+        for element, pair, centre in candidates(list(level)):
+            if element not in witnesses:
+                u = automaton.witness(pair)
+                witnesses[element] = u * centre * reverse(u)
     return PalindromeSet(group=group, witnesses=witnesses)
 
 
@@ -152,30 +145,17 @@ class WidthReport:
         return out
 
 
-def palindrome_width_bfs(
-    group: FiniteGroup, moves: dict
-) -> tuple[list[int], list[Optional[tuple[int, int]]]]:
+def palindrome_width_bfs(group: FiniteGroup, moves: dict) -> tuple[list[int], dict]:
     """Distances from the identity where one step right-multiplies by a move.
 
     Returns (distances, parents); parents[x] = (previous element, move used).
     Raises NotGenerated when some element stays unreachable.
     """
-    distances = [-1] * group.size
-    parents: list[Optional[tuple[int, int]]] = [None] * group.size
-    distances[group.identity()] = 0
-    queue = deque([group.identity()])
     move_items = [m for m in moves if not group.is_identity(m)]
-    while queue:
-        x = queue.popleft()
-        for m in move_items:
-            y = group.multiply(x, m)
-            if distances[y] < 0:
-                distances[y] = distances[x] + 1
-                parents[y] = (x, m)
-                queue.append(y)
-    if any(d < 0 for d in distances):
+    order, parents, depths = breadth_first(group.identity(), move_items, group.multiply)
+    if len(order) != group.size:
         raise NotGenerated("palindromic elements do not generate the group")
-    return distances, parents
+    return [depths[x] for x in group.elements()], parents
 
 
 class PalindromeOracle:
@@ -185,7 +165,7 @@ class PalindromeOracle:
         self.group = group
         self._automaton: Optional[PairAutomaton] = None
         self._palindromes: Optional[PalindromeSet] = None
-        self._bfs: Optional[tuple[list[int], list]] = None
+        self._bfs: Optional[tuple[list[int], dict]] = None
 
     @property
     def automaton(self) -> PairAutomaton:
@@ -199,7 +179,7 @@ class PalindromeOracle:
             self._palindromes = palindrome_set(self.automaton)
         return self._palindromes
 
-    def _width_bfs(self) -> tuple[list[int], list]:
+    def _width_bfs(self) -> tuple[list[int], dict]:
         if self._bfs is None:
             self._bfs = palindrome_width_bfs(self.group, self.palindromes.witnesses)
         return self._bfs

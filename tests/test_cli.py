@@ -127,6 +127,35 @@ def test_every_mode_reverifies(capsys, tmp_path, argv):
     assert code == 0 and verify_report["verified"] is True
 
 
+def test_finite_top_honours_budget(capsys):
+    # S3 needs the extra generator c; its shortest asymmetric relation has length 3
+    argv = ["decompose", "--top", "S3", "--base", '{"kind":"free","names":["y1","y2"]}',
+            "--mode", "finite-top", "--word", "y1*s*y2*s*y1^-1*y2^-1"]
+    code, report = run_json(capsys, *argv, "--budget", "1")
+    assert code == 1
+    assert report["failure"].startswith("BudgetExhausted:")
+    code, out = run(capsys, *argv, "--budget", "3")
+    assert code == 0
+    assert out == run(capsys, *argv)[1]
+
+
+def test_extended_group_definition_round_trips(capsys):
+    code, first = run_json(capsys, "pw-exact", "--group", "S3", "--extend-gens", "c=s*t")
+    assert code == 0
+    definition = first["group"]
+    assert definition["extra_generator"] == {"name": "c", "value_word": "s*t"}
+    code, again = run_json(capsys, "pw-exact", "--group", json.dumps(definition))
+    assert code == 0
+    assert again["width"] == first["width"]
+    assert again["group"] == definition
+    code, report = run_json(
+        capsys, "decompose", "--top", json.dumps(definition), "--base", F2_DEF,
+        "--word", "y1*c*y2",
+    )
+    assert code == 0 and report["verified"] is True
+    assert report["top"] == definition
+
+
 def test_decompose_derived_mode(capsys):
     code, report = run_json(
         capsys,

@@ -12,6 +12,7 @@ from palinwidth import (
     naive_palindromic_elements,
     oracle_for,
     palindrome_set,
+    reverse,
     verify_factorization,
 )
 from palinwidth import presets
@@ -38,8 +39,6 @@ def test_abelian_pairs_are_diagonal():
 def test_pair_witnesses_evaluate_correctly():
     S3 = presets.symmetric_3()
     automaton = build_pair_automaton(S3)
-    from palinwidth import reverse
-
     for pair in automaton.order:
         u = automaton.witness(pair)
         assert S3.evaluate(u) == pair[0]
@@ -66,6 +65,28 @@ def test_palindrome_witnesses_are_sound():
         for element, word in pal.witnesses.items():
             assert is_palindrome(word) is not None
             assert group.evaluate(word) == element
+
+
+@pytest.mark.parametrize("name", ["S3+c", "D4", "lamp(2,3)", "Z/5"])
+def test_palindrome_witnesses_are_shortest(name):
+    # independent oracle: every u.c.reverse(u) with u up to the automaton's depth
+    group = presets.get(name.removesuffix("+c"))
+    if name.endswith("+c"):
+        group = group.with_extra_generator("c", group.evaluate(Word.parse(group.alphabet, "s*t")))
+    oracle = oracle_for(group)
+    letters = [Word(group.alphabet, [(i, s)]) for i in range(len(group.alphabet)) for s in (1, -1)]
+    halves = level = [Word(group.alphabet)]
+    for _ in range(max(oracle.automaton.depths.values())):
+        level = [u * letter for u in level for letter in letters]
+        halves = halves + level
+    shortest: dict[int, int] = {}
+    for u in halves:
+        for core in [Word(group.alphabet)] + letters:
+            word = u * core * reverse(u)
+            element = group.evaluate(word)
+            shortest[element] = min(shortest.get(element, len(word)), len(word))
+    witnesses = oracle.palindromes.witnesses
+    assert {e: len(w) for e, w in witnesses.items()} == shortest
 
 
 def test_automaton_matches_naive_enumeration():

@@ -8,7 +8,6 @@ one-relator family for relation experiments.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterable, Optional, Sequence
 
@@ -106,7 +105,8 @@ class FiniteGroup(Group):
 
     When synthesised from generators the canonical element order is
     breadth-first discovery order (generators in alphabet order, positive
-    sign before negative); explicit tables keep their given order.
+    sign before negative) and the table comes from the generator action
+    recorded by that search; explicit tables keep their given order.
     """
 
     def __init__(
@@ -121,16 +121,25 @@ class FiniteGroup(Group):
         if size == 0:
             raise GroupDefinitionError("empty element list")
         rows = [list(row) for row in table]
-        for row in rows:
-            if len(row) != size or sorted(row) != list(range(size)):
-                raise GroupDefinitionError("multiplication table is not a Latin square")
-        for j in range(size):
-            if sorted(rows[i][j] for i in range(size)) != list(range(size)):
-                raise GroupDefinitionError("multiplication table is not a Latin square")
+        everything = set(range(size))
+        if any(len(row) != size or set(row) != everything for row in rows) or any(
+            set(column) != everything for column in zip(*rows)
+        ):
+            raise GroupDefinitionError("multiplication table is not a Latin square")
         if rows[0] != list(range(size)):
             raise GroupDefinitionError("element 0 must be the identity (row 0)")
         if any(rows[i][0] != i for i in range(size)):
             raise GroupDefinitionError("element 0 must be the identity (column 0)")
+        self._attach(
+            alphabet, rows, [row.index(0) for row in rows], generator_indices, payloads, source_def
+        )
+        moves = list(self.letter_values().values())
+        if len(breadth_first(0, moves, self.multiply)[0]) != size:
+            raise GroupDefinitionError("generators do not generate the group")
+
+    def _attach(self, alphabet, rows, inverses, generator_indices, payloads, source_def) -> None:
+        """Take on an already checked table; only the generators are checked here."""
+        size = len(rows)
         generator_indices = tuple(generator_indices)
         if len(generator_indices) != len(alphabet):
             raise GroupDefinitionError("one generator per alphabet letter required")
@@ -139,15 +148,12 @@ class FiniteGroup(Group):
         self.alphabet = alphabet
         self.size = size
         self._table = rows
-        self._inv = [row.index(0) for row in rows]
+        self._inv = inverses
         self.generator_indices = generator_indices
         self.payloads = tuple(payloads) if payloads is not None else None
         self.source_def = source_def
         self._geodesics: Optional[GeodesicTable] = None
         self._extensions: dict[tuple[str, int], FiniteGroup] = {}
-        moves = list(self.letter_values().values())
-        if len(breadth_first(0, moves, self.multiply)[0]) != size:
-            raise GroupDefinitionError("generators do not generate the group")
 
     @classmethod
     def from_elements(
@@ -160,25 +166,39 @@ class FiniteGroup(Group):
         max_size: int = 20000,
         source_def: Optional[dict] = None,
     ) -> "FiniteGroup":
-        """Closure of abstract generator payloads under mul; BFS order."""
+        """Closure of abstract generator payloads under mul; BFS order.
+
+        The search right-multiplies each element by every signed generator
+        (alphabet order, '+' before '-'), so mul runs |G|·2k times.  It
+        records that action as indices, action[m][x] = index of items[x]
+        times letter m, and the letter that first reached each element.  As
+        items[b] = items[x]·letter_m for that first link, column b of the
+        table is column x mapped through action[m]: the table costs |G|²
+        integer lookups and no further payload products.  The closure stays
+        a loop of its own so that it stops at max_size before any table.
+        """
         if len(generators) != len(names):
             raise GroupDefinitionError("one generator payload per name required")
+        letters = [p for g in generators for p in (g, inv(g))]
         index = {identity: 0}
         items = [identity]
-        queue = deque([identity])
-        while queue:
-            x = queue.popleft()
-            for g in generators:
-                for y in (mul(x, g), mul(x, inv(g))):
-                    if y not in index:
-                        if len(items) >= max_size:
-                            raise GroupDefinitionError(
-                                f"closure exceeded {max_size} elements"
-                            )
-                        index[y] = len(items)
-                        items.append(y)
-                        queue.append(y)
-        table = [[index[mul(a, b)] for b in items] for a in items]
+        action: list[list[int]] = [[] for _ in letters]
+        links: list[tuple[int, int]] = []  # (x, m) for items[1], items[2], ...
+        for x, payload in enumerate(items):  # items grows behind the cursor
+            for m, letter in enumerate(letters):
+                y = mul(payload, letter)
+                j = index.get(y)
+                if j is None:
+                    if len(items) >= max_size:
+                        raise GroupDefinitionError(f"closure exceeded {max_size} elements")
+                    j = index[y] = len(items)
+                    items.append(y)
+                    links.append((x, m))
+                action[m].append(j)
+        columns = [list(range(len(items)))]
+        for x, m in links:
+            columns.append(list(map(action[m].__getitem__, columns[x])))
+        table = list(zip(*columns))
         gen_indices = [index[g] for g in generators]
         return cls(Alphabet(names), table, gen_indices, payloads=items, source_def=source_def)
 
@@ -233,19 +253,24 @@ class FiniteGroup(Group):
     def with_extra_generator(self, name: str, element_index: int) -> "FiniteGroup":
         """Same group, generating set extended by one named element.
 
-        One handle per extension, so its cached oracle is built once.
+        One handle per extension, so its cached oracle is built once.  It
+        shares this group's checked table, and the old generators still
+        generate, so neither check runs again.
         """
         if not 0 <= element_index < self.size:
             raise GroupDefinitionError(f"element index {element_index} out of range")
         key = (name, element_index)
         if key not in self._extensions:
-            self._extensions[key] = FiniteGroup(
+            extension = FiniteGroup.__new__(FiniteGroup)
+            extension._attach(
                 self.alphabet.extend([name]),
                 self._table,
+                self._inv,
                 self.generator_indices + (element_index,),
-                payloads=self.payloads,
-                source_def=None,
+                self.payloads,
+                None,
             )
+            self._extensions[key] = extension
         return self._extensions[key]
 
     def identity(self) -> int:

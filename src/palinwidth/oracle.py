@@ -75,6 +75,7 @@ def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
     each level every pair with no centre (length 2d), then every pair with
     each centre in letter order, '+' before '-' (length 2d+1).  The first
     word to reach an element is its witness, and it is built only then.
+    The scan stops once every element of the group has a witness.
     """
     group = automaton.group
     multiply = group.multiply
@@ -98,6 +99,8 @@ def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
             if element not in witnesses:
                 u = automaton.witness(pair)
                 witnesses[element] = u * centre * reverse(u)
+                if len(witnesses) == group.size:
+                    return PalindromeSet(group=group, witnesses=witnesses)
     return PalindromeSet(group=group, witnesses=witnesses)
 
 

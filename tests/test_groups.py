@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palinwidth import (
     AbelianProductGroup,
@@ -122,6 +123,12 @@ def test_finite_table_validation():
         FiniteGroup.from_table(["g"], [[0, 1], [1, 1]], [1])
     with pytest.raises(GroupDefinitionError):
         FiniteGroup.from_table(["g"], [[1, 0], [0, 1]], [1])
+    # every row a permutation, but column 1 repeats an entry
+    with pytest.raises(GroupDefinitionError):
+        FiniteGroup.from_table(["g"], [[0, 1, 2], [1, 2, 0], [2, 1, 0]], [1])
+    # ragged: the second row is too long
+    with pytest.raises(GroupDefinitionError):
+        FiniteGroup.from_table(["g"], [[0, 1], [1, 0, 0]], [1])
     # Z/2 x Z/2 with only one generator declared: closure too small
     k4 = presets.klein_four()
     with pytest.raises(GroupDefinitionError):
@@ -144,6 +151,67 @@ def test_with_extra_generator():
     assert bigger.alphabet.names == ("s", "t", "c")
     assert bigger.evaluate(Word.parse(bigger.alphabet, "c")) == st
     assert bigger.geodesics().max_length <= S3.geodesics().max_length
+
+
+def test_extra_generator_shares_the_checked_table():
+    S3 = presets.symmetric_3()
+    bigger = S3.with_extra_generator("c", 5)
+    assert bigger._table is S3._table
+    assert bigger._inv is S3._inv
+    assert bigger.payloads is S3.payloads
+    assert S3.with_extra_generator("c", 5) is bigger
+    with pytest.raises(GroupDefinitionError):
+        S3.with_extra_generator("c", 6)
+
+
+def _direct_table(group: FiniteGroup, mul) -> list[list[int]]:
+    """The Cayley table from one payload product per cell."""
+    index = {payload: i for i, payload in enumerate(group.payloads)}
+    return [[index[mul(a, b)] for b in group.payloads] for a in group.payloads]
+
+
+_SYMMETRIC = {
+    f"S{n}": {"s": [2, 1] + list(range(3, n + 1)), "t": list(range(2, n + 1)) + [1]}
+    for n in (4, 5)
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["S3", "D4", "Q8", "Z2xZ2", "Z/5", "lamp(2,2)", "lamp(2,3)", "lamp(3,3)", "lamp(2,5)", "S4", "S5"],
+)
+def test_action_table_matches_direct_products(name, monkeypatch):
+    # keep the payload product each build hands to from_elements; the last
+    # one is the group's own (a lamplighter builds its top and base first)
+    build = FiniteGroup.from_elements.__func__
+    products = []
+
+    def spy(cls, names, identity, generators, mul, inv, **options):
+        products.append(mul)
+        return build(cls, names, identity, generators, mul, inv, **options)
+
+    monkeypatch.setattr(FiniteGroup, "from_elements", classmethod(spy))
+    if name in _SYMMETRIC:
+        group = FiniteGroup.from_permutations(_SYMMETRIC[name])
+    else:
+        group = presets.get(name)
+    assert group._table == _direct_table(group, products[-1])
+
+
+def _compose(p: tuple, q: tuple) -> tuple:
+    """p then q, as maps of 0..n-1."""
+    return tuple(q[i] for i in p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(st.permutations(list(range(1, n + 1))), min_size=2, max_size=3)
+    )
+)
+def test_action_table_matches_direct_products_for_random_permutations(images):
+    group = FiniteGroup.from_permutations([(f"g{i}", p) for i, p in enumerate(images)])
+    assert group._table == _direct_table(group, _compose)
 
 
 def test_abelian_product():

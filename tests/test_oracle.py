@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from palinwidth import (
+    FiniteGroup,
     FreeGroup,
     Word,
     build_pair_automaton,
@@ -87,6 +89,29 @@ def test_palindrome_witnesses_are_shortest(name):
             shortest[element] = min(shortest.get(element, len(word)), len(word))
     witnesses = oracle.palindromes.witnesses
     assert {e: len(w) for e, w in witnesses.items()} == shortest
+
+
+class _CountingOrder(tuple):
+    """An automaton's pair order that counts the pairs a scan takes from it."""
+
+    def __iter__(self):
+        self.taken = 0
+        for pair in super().__iter__():
+            self.taken += 1
+            yield pair
+
+
+def test_palindrome_set_stops_once_every_element_has_a_witness():
+    S5 = FiniteGroup.from_permutations({"s": [2, 1, 3, 4, 5], "t": [2, 3, 4, 5, 1]})
+    group = S5.with_extra_generator("c", S5.evaluate(Word.parse(S5.alphabet, "s*t")))
+    automaton = build_pair_automaton(group)
+    order = _CountingOrder(automaton.order)
+    witnesses = palindrome_set(dataclasses.replace(automaton, order=order)).witnesses
+    assert len(witnesses) == group.size
+    last_level = len(list(witnesses.values())[-1]) // 2
+    within = sum(1 for pair in automaton.order if automaton.depths[pair] <= last_level)
+    # the scan reads one pair past the last level to see that level end, no more
+    assert order.taken <= within + 1 < len(automaton.order)
 
 
 def test_automaton_matches_naive_enumeration():

@@ -10,6 +10,7 @@ from palinwidth.commutators import commutator_closure  # noqa: E402
 GENERATORS = {
     "S4": {"s": [2, 1, 3, 4], "t": [2, 3, 4, 1]},
     "S5": {"s": [2, 1, 3, 4, 5], "t": [2, 3, 4, 5, 1]},
+    "S6": {"s": [2, 1, 3, 4, 5, 6], "t": [2, 3, 4, 5, 6, 1]},
     "D4": {"r": [2, 3, 4, 1], "s": [3, 2, 1, 4]},
 }
 

@@ -563,6 +563,13 @@ def _emit(report: dict, fmt: str) -> None:
             print(f"{key}: {json.dumps(value, sort_keys=True)}")
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option; anything else is an input error."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="palinwidth",
@@ -582,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--commutators", help="JSON (or @file) commutator data")
     p.add_argument("--a-top", dest="a_top", help="top element as a word")
     p.add_argument("--relation", default="auto", help="'auto' or an explicit relation word")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_count, default=None)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("pw-exact", help="exact palindromic width of a finite group")
@@ -592,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-relation", help="reversal-asymmetric relation search")
     p.add_argument("--group", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_count, default=None)
     p.set_defaults(func=cmd_find_relation)
 
     p = sub.add_parser("verify", help="re-check a stored decompose report")
@@ -602,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="factor counts against claimed bounds")
     p.add_argument("--suite", default="all",
                    choices=["all", "abelian-top", "shifted", "derived", "finite-top"])
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=_count, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)
 

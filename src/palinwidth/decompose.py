@@ -3,7 +3,9 @@
 Every operation here emits a list of unreduced palindromic words together
 with a certificate from the oracle: factors are checked structurally and
 their concatenation is evaluated against an independently computed target
-element.  Nothing is ever reported without that check passing.
+element.  Nothing is ever reported without that check passing, and each
+reported result is certified once: parts built on the way to it (the cursor
+walk, the carrier word) are covered by the final certificate.
 
 The constructions:
 
@@ -279,7 +281,8 @@ def find_reversal_asymmetric_relation(
     Finite groups are searched exactly through the pair automaton; when the
     given generators admit no witness, the set is extended by c = x.y for
     the first non-commuting generator pair and the search is repeated.
-    The Baumslag-Solitar family returns its defining relator directly.
+    The Baumslag-Solitar family returns its defining relator directly,
+    within the same budget on its length.
     """
     if isinstance(group, BaumslagSolitar):
         if group.is_abelian():
@@ -289,6 +292,8 @@ def find_reversal_asymmetric_relation(
                 "the defining relator reverses to a relation when |n| = |m|"
             )
         r = group.relation()
+        if budget is not None and len(r) > budget:
+            raise BudgetExhausted(f"the defining relator has length {len(r)}, over budget {budget}")
         reverse_value = group.evaluate(reverse(r))
         if group.is_identity(reverse_value):
             raise InvalidWitness("defining relator unexpectedly reverses to a relation")
@@ -352,23 +357,22 @@ def _validate_witness(top: Group, witness: RelationWitness) -> None:
 # derived subgroup of the base, non-abelian top
 
 
-def _site_lamp_product(wreath: WreathProduct, data: CommutatorData) -> WreathElement:
-    """prod_i position_i^-1 (prod_j [f_ij, g_ij]) position_i, elementwise."""
-    out = wreath.identity()
+def _commutator_product(wreath: WreathProduct, data: CommutatorData, top_value) -> WreathElement:
+    """top_value times prod_i position_i^-1 (prod_j [f_ij, g_ij]) position_i.
+
+    One base evaluation per site; _validate_sites keeps the positions distinct.
+    """
+    lamps = []
     for site in data.sites:
-        value = wreath.base.identity()
-        for f_word, g_word in site.pairs:
-            value = wreath.base.multiply(
-                value, wreath.base.evaluate(commutator_word(f_word, g_word))
-            )
-        out = wreath.multiply(out, wreath.element(wreath.top.identity(), [(site.position, value)]))
-    return out
+        letters = [letter for f, g in site.pairs for letter in commutator_word(f, g).letters]
+        lamps.append((site.position, wreath.base.evaluate(Word(wreath.base.alphabet, letters))))
+    return wreath.multiply(wreath.element(top_value), wreath.element(wreath.top.identity(), lamps))
 
 
 def commutator_target(wreath: WreathProduct, data: CommutatorData, top_value) -> WreathElement:
     """The element the commutator data denotes: top_value times the site lamps."""
     _validate_sites(wreath, data)
-    return wreath.multiply(wreath.element(top_value), _site_lamp_product(wreath, data))
+    return _commutator_product(wreath, data, top_value)
 
 
 def _validate_sites(wreath: WreathProduct, data: CommutatorData) -> None:
@@ -381,23 +385,15 @@ def _validate_sites(wreath: WreathProduct, data: CommutatorData) -> None:
                 raise GroupDefinitionError("commutator arguments must be base words")
 
 
-def decompose_derived_wreath(
-    wreath: WreathProduct,
-    data: CommutatorData,
-    top_value,
-    witness: RelationWitness,
-) -> PalindromeFactorization:
-    """Whole derived-base part as one palindrome h.reverse(h), plus top factors.
+def _carrier(wreath: WreathProduct, data: CommutatorData, witness: RelationWitness) -> Word:
+    """The word h with h = the site lamps and reverse(h) = 1.
 
     h interleaves the relation r around each commutator argument; reversing
     h sends the f- and g-blocks to two different positions where they cancel
     pairwise, so reverse(h) evaluates to the identity and h.reverse(h) is a
-    palindrome representing the same element as h.  The top element costs at
-    most pw(top) palindromes from the oracle.
+    palindrome representing the same element as h.
     """
     top = wreath.top
-    if not isinstance(top, FiniteGroup):
-        raise GroupDefinitionError("the single-palindrome construction needs a finite top")
     _validate_witness(top, witness)
     _validate_sites(wreath, data)
 
@@ -415,16 +411,29 @@ def decompose_derived_wreath(
 
     if not wreath.is_identity(wreath.evaluate(reverse(h))):
         raise ReverseNotTrivial("reverse of the carrier word is not the identity")
+    return h
 
+
+def decompose_derived_wreath(
+    wreath: WreathProduct,
+    data: CommutatorData,
+    top_value,
+    witness: RelationWitness,
+) -> PalindromeFactorization:
+    """Whole derived-base part as one palindrome h.reverse(h) (see _carrier),
+    plus at most pw(top) palindromes from the oracle for the top element."""
+    top = wreath.top
+    if not isinstance(top, FiniteGroup):
+        raise GroupDefinitionError("the single-palindrome construction needs a finite top")
+    h = _carrier(wreath, data, witness)
     top_oracle = oracle_for(top)
     factors = [relabel(w, wreath.alphabet) for w in top_oracle.decompose(top_value)]
     if h.letters:
         factors.append(h * reverse(h))
-    target = commutator_target(wreath, data, top_value)
     width = top_oracle.width().width
     return _checked(
         wreath,
-        target,
+        _commutator_product(wreath, data, top_value),
         factors,
         width + 1,
         "pw(top)+1",
@@ -457,7 +466,7 @@ def decompose_shifted_commutators(
     top = wreath.top
     if not top.is_abelian():
         raise NotAbelian("shifted commutators need an abelian top")
-    _validate_sites(wreath, data)
+    target = commutator_target(wreath, data, top_value)
     if shift is None:
         index = getattr(top, "infinite_order_generator_index", lambda: None)()
         if index is None:
@@ -472,7 +481,6 @@ def decompose_shifted_commutators(
         relabel(w, wreath.alphabet)
         for w in decompose_abelian_element(top, top_value).factors
     ]
-    target = commutator_target(wreath, data, top_value)
 
     conjugators = [relabel(top.element_word(site.position), wreath.alphabet) for site in data.sites]
 
@@ -519,22 +527,14 @@ def decompose_shifted_commutators(
 # finite top
 
 
-def decompose_finite_top_abelianized(
-    wreath: WreathProduct, element: WreathElement
-) -> PalindromeFactorization:
-    """Cursor walk over the support with power-word deposits.
+def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
+    """Geodesic cursor moves over the support, with power-word deposits.
 
     Every move letter is its own single-letter palindrome; each support
     value costs at most d power words.
     """
     top = wreath.top
-    base = wreath.base
-    if not isinstance(top, FiniteGroup):
-        raise GroupDefinitionError("finite top required")
-    if not isinstance(base, FreeAbelianGroup):
-        raise GroupDefinitionError("vector-valued base required")
     geodesics = top.geodesics()
-
     factors: list[Word] = []
     prefix = top.identity()
 
@@ -553,11 +553,22 @@ def decompose_finite_top_abelianized(
                     Word.from_blocks(wreath.alphabet, [(len(top.alphabet) + index, exponent)])
                 )
     move_to(element.top)
+    return factors
 
-    bound = geodesics.max_length * (top.size + 1) + base.rank * top.size
-    return _checked(
-        wreath, element, factors, bound, "maxlen*(|top|+1) + d*|top|"
-    )
+
+def decompose_finite_top_abelianized(
+    wreath: WreathProduct, element: WreathElement
+) -> PalindromeFactorization:
+    """The cursor walk (_cursor_walk) over a vector-valued base."""
+    top = wreath.top
+    base = wreath.base
+    if not isinstance(top, FiniteGroup):
+        raise GroupDefinitionError("finite top required")
+    if not isinstance(base, FreeAbelianGroup):
+        raise GroupDefinitionError("vector-valued base required")
+    bound = top.geodesics().max_length * (top.size + 1) + base.rank * top.size
+    factors = _cursor_walk(wreath, element)
+    return _checked(wreath, element, factors, bound, "maxlen*(|top|+1) + d*|top|")
 
 
 def _abelianized(wreath: WreathProduct, element: WreathElement) -> tuple[WreathProduct, WreathElement]:
@@ -569,9 +580,8 @@ def _abelianized(wreath: WreathProduct, element: WreathElement) -> tuple[WreathP
 
 def _residual(wreath: WreathProduct, factors: Sequence[Word], target: WreathElement) -> WreathElement:
     """What is left of the target after the factors: (their product)^-1 . target."""
-    product = wreath.identity()
-    for w in factors:
-        product = wreath.multiply(product, wreath.evaluate(w))
+    letters = [letter for w in factors for letter in w.letters]
+    product = wreath.evaluate(Word(wreath.alphabet, letters))
     return wreath.multiply(wreath.inverse(product), target)
 
 
@@ -587,7 +597,8 @@ def decompose_full_finite_top(
     deposits) and a derived residual (one palindrome via the asymmetric
     relation).  The combined alphabet may gain the extra generator c when
     the relation search demands it; the emitted factors live over the
-    possibly extended alphabet, recorded in meta.
+    possibly extended alphabet, recorded in meta.  Only the whole list is
+    certified: it covers both parts.
     """
     top = wreath.top
     base = wreath.base
@@ -607,8 +618,8 @@ def decompose_full_finite_top(
     maxlen = wide.top.geodesics().max_length
     bound = maxlen * (top.size + 1) + base.rank * top.size + 1
 
-    abelian_part = decompose_finite_top_abelianized(*_abelianized(wide, target))
-    factors = [relabel(w, wide.alphabet) for w in abelian_part.factors]
+    factors = [relabel(w, wide.alphabet) for w in _cursor_walk(*_abelianized(wide, target))]
+    abelian_count = len(factors)
     residual = _residual(wide, factors, target)
     if not wide.top.is_identity(residual.top):
         raise PalinwidthError("internal: residual has a nontrivial top component")
@@ -617,10 +628,9 @@ def decompose_full_finite_top(
         CommutatorSite(position, tuple(express_in_derived(residual.base[position])))
         for position in wide.support(residual)
     )
-    derived_part = decompose_derived_wreath(
-        wide, CommutatorData(sites), wide.top.identity(), witness
-    )
-    factors.extend(derived_part.factors)
+    h = _carrier(wide, CommutatorData(sites), witness)
+    if h.letters:
+        factors.append(h * reverse(h))
     return _checked(
         wide,
         target,
@@ -630,8 +640,8 @@ def decompose_full_finite_top(
         meta={
             "wreath": wide,
             "witness": witness,
-            "abelian_factors": abelian_part.count,
-            "derived_factors": derived_part.count,
+            "abelian_factors": abelian_count,
+            "derived_factors": len(factors) - abelian_count,
         },
     )
 
@@ -687,18 +697,24 @@ class ExternalMetabelianDecomposer(MetabelianDecomposer):
 
 
 class FiniteInstanceMetabelianDecomposer(MetabelianDecomposer):
-    """Exact fallback when the whole metabelian wreath product is finite."""
+    """Exact fallback when the whole metabelian wreath product is finite.
+
+    Each wreath handle is materialised once, with its payload -> index map.
+    """
 
     def __init__(self, max_size: int = 20000):
         self.max_size = max_size
+        self._materialised: dict = {}  # wreath handle -> (finite group, payload -> index)
 
     def bound(self, base_rank: int, top_rank: int) -> Optional[int]:
         return None
 
     def decompose(self, wreath: WreathProduct, element: WreathElement) -> PalindromeFactorization:
-        finite = wreath.as_finite_group(max_size=self.max_size)
-        frozen = (element.top, tuple(sorted(element.base.items())))
-        index = finite.payloads.index(frozen)
+        if wreath not in self._materialised:
+            finite = wreath.as_finite_group(max_size=self.max_size)
+            self._materialised[wreath] = (finite, {p: i for i, p in enumerate(finite.payloads)})
+        finite, indices = self._materialised[wreath]
+        index = indices[(element.top, tuple(sorted(element.base.items())))]
         factors = oracle_for(finite).decompose(index)
         width = oracle_for(finite).width().width
         return _checked(finite, index, factors, width, "pw(finite instance)")

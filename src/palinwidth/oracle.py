@@ -263,9 +263,10 @@ class FactorizationCertificate:
 def verify_factorization(evaluator, target, factors: Sequence[Word]) -> FactorizationCertificate:
     """Check every factor is a structural palindrome and the product matches.
 
-    The evaluator is any handle with evaluate/multiply/identity/equal
-    (a group or a wreath product); the reported reason is NotPalindrome
-    with the first failing index, or ProductMismatch.
+    The evaluator is any handle with alphabet/evaluate/equal (a group or a
+    wreath product); the product is one evaluation of the concatenated
+    factors.  The reported reason is NotPalindrome with the first failing
+    index, or ProductMismatch.
     """
     centers: list[Optional[str]] = []
     for i, factor in enumerate(factors):
@@ -287,9 +288,8 @@ def verify_factorization(evaluator, target, factors: Sequence[Word]) -> Factoriz
                 reason="NotPalindrome",
             )
         centers.append(certificate.center_str())
-    product = evaluator.identity()
-    for factor in factors:
-        product = evaluator.multiply(product, evaluator.evaluate(factor))
+    letters = [letter for factor in factors for letter in factor.letters]
+    product = evaluator.evaluate(Word(evaluator.alphabet, letters))
     if not evaluator.equal(product, target):
         return FactorizationCertificate(
             valid=False,

@@ -8,6 +8,9 @@ letter, f a base letter) places the lamp f at the position of a, and the
 product law is
 
     (phi, a) . (psi, b) = (p -> phi(p) * psi(p*a), a*b).
+
+Evaluation collects each position's base letters in word order and has the
+base group evaluate them once, as one word; identity lamps are dropped.
 """
 from __future__ import annotations
 
@@ -125,22 +128,16 @@ class WreathProduct:
                 f"word over {word.alphabet!r} fed to wreath product over {self.alphabet!r}"
             )
         prefix = self.top.identity()
-        base: dict = {}
+        deposits: dict = {}  # position -> its base letters, in word order
         for index, sign in word.letters:
             if index < self._split:
                 prefix = self.top.multiply(prefix, self.top.letter_value(index, sign))
             else:
-                position = self.top.inverse(prefix)
-                value = self.base.letter_value(index - self._split, sign)
-                if position in base:
-                    merged = self.base.multiply(base[position], value)
-                    if self.base.is_identity(merged):
-                        del base[position]
-                    else:
-                        base[position] = merged
-                else:
-                    base[position] = value
-        return WreathElement(prefix, base)
+                deposits.setdefault(self.top.inverse(prefix), []).append((index - self._split, sign))
+        return self.element(prefix, [
+            (position, self.base.evaluate(Word(self.base.alphabet, letters)))
+            for position, letters in deposits.items()
+        ])
 
     def letter_value(self, index: int, sign: int) -> WreathElement:
         return self.evaluate(Word(self.alphabet, [(index, sign)]))

@@ -42,6 +42,11 @@ def test_find_relation_bs(capsys):
     assert code == 0
     assert report["relation"] == "a^-1*b*a*b^-2"
     assert report["reverse_value"] != "1"
+    code, report = run_json(capsys, "find-relation", "--group", "BS(1,2)", "--budget", "2")
+    assert code == 1
+    assert report["failure"].startswith("BudgetExhausted:")
+    code, report = run_json(capsys, "find-relation", "--group", "BS(1,2)", "--budget", "5")
+    assert code == 0 and report["budget"] == 5
 
 
 def test_find_relation_s3(capsys):
@@ -214,7 +219,12 @@ def test_input_errors_exit_2(capsys):
                  "--mode", "abelian-top", "--word", "y1*$", "--exps", "1,1"]) == 2
     assert main(["decompose", "--top", "Z^2", "--base", F2_DEF,
                  "--mode", "abelian-top", "--word", "y1"]) == 2
-    capsys.readouterr()
+    # counts are non-negative integers
+    assert main(["find-relation", "--group", "S3", "--budget", "-1"]) == 2
+    assert main(["decompose", "--top", "S3", "--base", F2_DEF, "--word", "y1", "--budget", "-2"]) == 2
+    assert main(["bench", "--samples", "-3"]) == 2
+    assert main(["bench", "--samples", "three"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 REPORT_WITHOUT_INPUTS = {

@@ -206,6 +206,11 @@ def test_relation_search_reuses_the_extended_top():
 def test_relation_budget():
     with pytest.raises(BudgetExhausted):
         find_reversal_asymmetric_relation(presets.symmetric_3(), budget=1)
+    # the Baumslag-Solitar relator a^-1*b*a*b^-2 has five letters
+    bs = presets.get("BS(1,2)")
+    with pytest.raises(BudgetExhausted):
+        find_reversal_asymmetric_relation(bs, budget=4)
+    assert str(find_reversal_asymmetric_relation(bs, budget=5).relation) == "a^-1*b*a*b^-2"
 
 
 def test_relation_q8():
@@ -278,6 +283,34 @@ def test_derived_wreath_bound_is_width_plus_one():
         fact = decompose_derived_wreath(wreath, data, top_value, witness)
         assert fact.count <= width + 1
         assert fact.bound_claimed == width + 1
+
+
+def count_certificates(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return verify_factorization(*args)
+
+    monkeypatch.setattr(decompose_module, "verify_factorization", counting)
+    return calls
+
+
+def test_each_reported_result_is_certified_once(monkeypatch):
+    # the final certificate covers the cursor walk and the carrier palindrome,
+    # so neither is certified on its own first
+    wreath, witness = s3_wreath()
+    f, g = base_words(wreath, "y1*y2", "y2^-1")
+    data = CommutatorData((CommutatorSite(2, ((f, g),)), CommutatorSite(4, ((g, f), (f, f)))))
+    calls = count_certificates(monkeypatch)
+    fact = decompose_derived_wreath(wreath, data, 3, witness)
+    assert fact.verified and len(calls) == 1
+    narrow = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+    for text in ("1", "y1", "y1*s*y2*s*y1^-1*y2^-1", "t*y1^2*s*y2^-1*t^-1*y1*y2*s*y1^-1*t"):
+        calls.clear()
+        fact = decompose_full_finite_top(narrow, Word.parse(narrow.alphabet, text), witness)
+        assert fact.verified and len(calls) == 1
+        assert calls[0][1] is fact.target
 
 
 def test_derived_wreath_rejects_bad_witness():
@@ -549,6 +582,24 @@ def test_metabelian_finite_instance():
         word = random_word(rng, wreath.alphabet, 8)
         fact = decompose_full_abelian_top(wreath, word, metabelian=decomposer)
         assert fact.verified
+
+
+def test_finite_instance_materialises_each_wreath_once(monkeypatch):
+    wreath = WreathProduct(presets.cyclic(4, "z"), presets.cyclic(2, "y"))
+    builds = []
+    materialise = WreathProduct.as_finite_group
+
+    def counting(self, *args, **kwargs):
+        builds.append(self)
+        return materialise(self, *args, **kwargs)
+
+    monkeypatch.setattr(WreathProduct, "as_finite_group", counting)
+    decomposer = FiniteInstanceMetabelianDecomposer()
+    for text in ("y*z*y", "z^-1*y*z^2*y"):
+        element = wreath.evaluate(Word.parse(wreath.alphabet, text))
+        fact = decomposer.decompose(wreath, element)
+        assert fact.verified
+    assert builds == [wreath]
 
 
 def test_full_abelian_top_pair_shape_route():

@@ -95,16 +95,50 @@ def test_disjoint_supports_union():
     assert set(product.base) == {1, 3}
 
 
+def letter_by_letter(wreath, word):
+    """The fold of multiply over letter_value: one letter at a time."""
+    value = wreath.identity()
+    for index, sign in word.letters:
+        value = wreath.multiply(value, wreath.letter_value(index, sign))
+    return value
+
+
+# a lamp cancelled to the identity, then a deposit at that position again
+CANCEL_AND_REDEPOSIT = {
+    "lamplighter": ["y*z^3*y^-1*y", "z*y*z^-1*z*y*y*z^2*y*z^-3"],
+    "S3 free": ["y1*s^2*y1^-1*t^3*y2", "s*y1*y2*s*t^3*s*y2^-1*y1^-1*s*t*y1"],
+    "BS(1,2)": ["a*z^3*a^-1*b", "z*a^-1*b*a*b^-2*z^-1*z*b"],
+    "S3 free abelian": ["y1*s^2*y1^-1*y2", "t*y1*y2*t^3*y2^-1*y1^-1*t^-1*y1"],
+    "F2 wr Z^2": ["y1*t1*t1^-1*y1^-1*y2", "t1*y1*t2*t1^-1*t2^-1*t1*y1^-1*t2*t2^-1*y2^2"],
+}
+
+
 def test_evaluate_multiplicative():
+    # lamps are evaluated once per position, from that position's letters;
+    # over BS(1,2), a^-1*b*a*b^-2 is trivial without reducing freely to 1
     rng = random.Random(8)
-    for wreath in (lamplighter_wreath(), s3_free_wreath()):
-        for _ in range(500):
-            u = random_word(rng, wreath.alphabet, 14)
-            v = random_word(rng, wreath.alphabet, 14)
-            assert wreath.equal(
-                wreath.evaluate(u * v),
-                wreath.multiply(wreath.evaluate(u), wreath.evaluate(v)),
-            )
+    wreaths = {
+        "lamplighter": lamplighter_wreath(),
+        "S3 free": s3_free_wreath(),
+        "BS(1,2)": WreathProduct(presets.cyclic(3, "z"), presets.get("BS(1,2)")),
+        "S3 free abelian": WreathProduct(
+            presets.symmetric_3(), FreeAbelianGroup(2, names=["y1", "y2"])
+        ),
+        "F2 wr Z^2": WreathProduct(FreeAbelianGroup(2), FreeGroup(names=["y1", "y2"])),
+    }
+    for name, wreath in wreaths.items():
+        words = [Word.parse(wreath.alphabet, text) for text in CANCEL_AND_REDEPOSIT[name]]
+        words += [random_word(rng, wreath.alphabet, 28) for _ in range(200)]
+        for word in words:
+            value = wreath.evaluate(word)
+            assert not any(wreath.base.is_identity(lamp) for lamp in value.base.values())
+            assert wreath.equal(value, letter_by_letter(wreath, word))
+            cut = rng.randint(0, len(word))
+            u = Word(wreath.alphabet, word.letters[:cut])
+            v = Word(wreath.alphabet, word.letters[cut:])
+            assert wreath.equal(value, wreath.multiply(wreath.evaluate(u), wreath.evaluate(v)))
+        first = wreath.evaluate(words[0])
+        assert len(first.base) == 1 and wreath.top.is_identity(first.top)
 
 
 def test_product_support_containment():

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from .errors import NotInDerivedSubgroup
-from .groups import FiniteGroup, abelianize, breadth_first
+from .groups import BreadthFirst, FiniteGroup, abelianize
 from .words import Word, invert, reduce_free
 
 
@@ -45,4 +45,4 @@ def commutator_closure(group: FiniteGroup) -> frozenset[int]:
         for g in group.elements()
         for h in group.elements()
     }
-    return frozenset(breadth_first(group.identity(), commutators, group.multiply)[0])
+    return frozenset(BreadthFirst(group.identity(), commutators, group.multiply).run().order)

@@ -43,6 +43,7 @@ from .errors import (
     ReverseNotTrivial,
 )
 from .groups import (
+    MAX_GROUP_SIZE,
     AbelianProductGroup,
     AbelianizedFreeGroup,
     BaumslagSolitar,
@@ -399,15 +400,17 @@ def _carrier(wreath: WreathProduct, data: CommutatorData, witness: RelationWitne
 
     r = relabel(witness.relation, wreath.alphabet)
     r_inv = invert(r)
-    h = Word(wreath.alphabet)
+    letters: list = []
     for site in data.sites:
         conjugator = relabel(top.element_word(site.position), wreath.alphabet)
-        inner = Word(wreath.alphabet)
+        letters += invert(conjugator).letters
         for f_word, g_word in site.pairs:
             f = relabel(f_word, wreath.alphabet)
             g = relabel(g_word, wreath.alphabet)
-            inner = inner * invert(f) * r_inv * invert(g) * r * f * r_inv * g * r
-        h = h * invert(conjugator) * inner * conjugator
+            for part in (invert(f), r_inv, invert(g), r, f, r_inv, g, r):
+                letters += part.letters
+        letters += conjugator.letters
+    h = Word(wreath.alphabet, letters)
 
     if not wreath.is_identity(wreath.evaluate(reverse(h))):
         raise ReverseNotTrivial("reverse of the carrier word is not the identity")
@@ -618,7 +621,8 @@ def decompose_full_finite_top(
     maxlen = wide.top.geodesics().max_length
     bound = maxlen * (top.size + 1) + base.rank * top.size + 1
 
-    factors = [relabel(w, wide.alphabet) for w in _cursor_walk(*_abelianized(wide, target))]
+    # the vector wreath has wide's generator names, so its words are wide's
+    factors = _cursor_walk(*_abelianized(wide, target))
     abelian_count = len(factors)
     residual = _residual(wide, factors, target)
     if not wide.top.is_identity(residual.top):
@@ -702,7 +706,7 @@ class FiniteInstanceMetabelianDecomposer(MetabelianDecomposer):
     Each wreath handle is materialised once, with its payload -> index map.
     """
 
-    def __init__(self, max_size: int = 20000):
+    def __init__(self, max_size: int = MAX_GROUP_SIZE):
         self.max_size = max_size
         self._materialised: dict = {}  # wreath handle -> (finite group, payload -> index)
 

@@ -9,7 +9,7 @@ one-relator family for relation experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterable, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     AlphabetMismatch,
@@ -18,29 +18,53 @@ from .errors import (
 )
 from .words import Alphabet, Letter, Word, invert, reduce_free, relabel
 
+MAX_GROUP_SIZE = 20000  # default limit on the elements a finite group is built with
 
-def breadth_first(
-    start: Any, moves: Collection, step: Callable[[Any, Any], Any]
-) -> tuple[list, dict, dict]:
+
+class BreadthFirst:
     """Breadth-first search from start, where one step is step(node, move).
 
-    Moves are tried in the same order at every node, so they must be a
-    collection rather than a one-shot iterator.  Returns the nodes in
-    discovery order, parents[node] = (previous node, move) with None at
-    start, and depths[node] = number of steps from start.
+    The search expands on demand: iterating it discovers nodes only as far
+    as the reader goes, and run() takes it to completion.  Moves are tried
+    in the same order at every node, so they must be a collection rather
+    than a one-shot iterator; discovery order does not depend on how far
+    the search was read.  order holds the nodes discovered so far,
+    parents[node] = (previous node, move) with None at start, and
+    depths[node] = number of steps from start; all three grow as it runs.
     """
-    order = [start]
-    parents = {start: None}
-    depths = {start: 0}
-    for node in order:  # the list grows behind the cursor: it is the queue
-        depth = depths[node] + 1
-        for move in moves:
-            successor = step(node, move)
-            if successor not in parents:
-                parents[successor] = (node, move)
-                depths[successor] = depth
-                order.append(successor)
-    return order, parents, depths
+
+    def __init__(self, start: Any, moves: Collection, step: Callable[[Any, Any], Any]):
+        self.order = [start]
+        self.parents = {start: None}
+        self.depths = {start: 0}
+        self._discoveries = self._search(self.order, self.parents, self.depths, moves, step)
+
+    @staticmethod
+    def _search(order: list, parents: dict, depths: dict, moves: Collection, step) -> Iterator:
+        """The search loop; yields once per newly discovered node."""
+        for node in order:  # the list grows behind the cursor: it is the queue
+            depth = depths[node] + 1
+            for move in moves:
+                successor = step(node, move)
+                if successor not in parents:
+                    parents[successor] = (node, move)
+                    depths[successor] = depth
+                    order.append(successor)
+                    yield True
+
+    def __iter__(self) -> Iterator:
+        """Every node in discovery order, discovering each only when it is reached."""
+        order = self.order
+        index = 0
+        while index < len(order) or next(self._discoveries, False):
+            yield order[index]
+            index += 1
+
+    def run(self) -> "BreadthFirst":
+        """Discover every reachable node."""
+        for _ in self._discoveries:
+            pass
+        return self
 
 
 class Group:
@@ -134,7 +158,7 @@ class FiniteGroup(Group):
             alphabet, rows, [row.index(0) for row in rows], generator_indices, payloads, source_def
         )
         moves = list(self.letter_values().values())
-        if len(breadth_first(0, moves, self.multiply)[0]) != size:
+        if len(BreadthFirst(0, moves, self.multiply).run().order) != size:
             raise GroupDefinitionError("generators do not generate the group")
 
     def _attach(self, alphabet, rows, inverses, generator_indices, payloads, source_def) -> None:
@@ -163,7 +187,7 @@ class FiniteGroup(Group):
         generators: Sequence[Any],
         mul: Callable[[Any, Any], Any],
         inv: Callable[[Any], Any],
-        max_size: int = 20000,
+        max_size: int = MAX_GROUP_SIZE,
         source_def: Optional[dict] = None,
     ) -> "FiniteGroup":
         """Closure of abstract generator payloads under mul; BFS order.
@@ -298,17 +322,17 @@ class FiniteGroup(Group):
         """Shortlex geodesics by BFS; alphabet order, '+' before '-'."""
         if self._geodesics is None:
             values = self.letter_values()
-            order, parents, depths = breadth_first(
+            search = BreadthFirst(
                 0, list(values), lambda x, letter: self._table[x][values[letter]]
-            )
-            if len(order) != self.size:
+            ).run()
+            if len(search.order) != self.size:
                 raise NotGenerated("generators do not generate the group")
             words = {0: Word(self.alphabet)}
-            for y in order[1:]:
-                x, letter = parents[y]
+            for y in search.order[1:]:
+                x, letter = search.parents[y]
                 words[y] = words[x] * Word(self.alphabet, [letter])
             self._geodesics = GeodesicTable(
-                tuple(depths[x] for x in self.elements()),
+                tuple(search.depths[x] for x in self.elements()),
                 tuple(words[x] for x in self.elements()),
             )
         return self._geodesics

@@ -4,13 +4,16 @@ Palindrome representability is decided by reachability in the pair
 automaton tracking (value of u, value of reverse(u)) over all words u;
 every palindromic word has the shape u.c.reverse(u) with c empty or a
 single signed letter, so the reachable pairs describe all palindromic
-elements exactly.  The palindrome set reads the automaton level by level
-(no centre before each centre in letter order, '+' before '-'), so the
-first word to reach an element is a shortest one; that witness word is
-built only when its element is new.  Width is then a breadth-first
-search where one step multiplies by any palindrome-representable element.
-All three searches, like the group closure and geodesics, run on
-groups.breadth_first.
+elements exactly.  The automaton expands on demand, and its two readers
+stop early: the palindrome set once every element has a witness, the
+relation search at the first pair (1, x != 1).  The palindrome set reads
+the automaton level by level (no centre before each centre in letter
+order, '+' before '-'), so the first word to reach an element is a
+shortest one; that witness word is built only when its element is new.
+Width is then a breadth-first search where one step multiplies by any
+palindrome-representable element.  All three searches, like the group
+closure and geodesics, run on groups.BreadthFirst; discovery order does
+not depend on how far a search was read, so neither do the answers.
 """
 from __future__ import annotations
 
@@ -19,20 +22,29 @@ from itertools import groupby
 from typing import Optional, Sequence
 
 from .errors import BudgetExhausted, NotGenerated
-from .groups import FiniteGroup, breadth_first
+from .groups import BreadthFirst, FiniteGroup
 from .words import Word, is_palindrome, reverse
 
 Pair = tuple[int, int]
 
 
-@dataclass
-class PairAutomaton:
-    """Reachable (value, reversed value) pairs with predecessor links."""
+class PairAutomaton(BreadthFirst):
+    """Reachable (value, reversed value) pairs with predecessor links.
 
-    group: FiniteGroup
-    order: tuple[Pair, ...]
-    parents: dict  # pair -> (previous pair, appended letter) or None
-    depths: dict
+    The search behind it expands on demand, so a reader that stops early
+    leaves the rest of the |G|^2 pairs undiscovered.
+    """
+
+    def __init__(self, group: FiniteGroup):
+        values = group.letter_values()
+        multiply = group.multiply
+
+        def step(pair: Pair, letter) -> Pair:
+            value = values[letter]
+            return multiply(pair[0], value), multiply(value, pair[1])
+
+        super().__init__((group.identity(), group.identity()), list(values), step)
+        self.group = group
 
     def witness(self, pair: Pair) -> Word:
         """Shortest word u with (eval(u), eval(reverse(u))) = pair."""
@@ -47,17 +59,8 @@ class PairAutomaton:
 
 
 def build_pair_automaton(group: FiniteGroup) -> PairAutomaton:
-    """Fixed point of (g, g*) -> (g.x, x.g*) over all signed letters."""
-    values = group.letter_values()
-    multiply = group.multiply
-
-    def step(pair: Pair, letter) -> Pair:
-        value = values[letter]
-        return multiply(pair[0], value), multiply(value, pair[1])
-
-    start = (group.identity(), group.identity())
-    order, parents, depths = breadth_first(start, list(values), step)
-    return PairAutomaton(group=group, order=tuple(order), parents=parents, depths=depths)
+    """Fixed point of (g, g*) -> (g.x, x.g*) over all signed letters, found as it is read."""
+    return PairAutomaton(group)
 
 
 @dataclass
@@ -75,7 +78,8 @@ def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
     each level every pair with no centre (length 2d), then every pair with
     each centre in letter order, '+' before '-' (length 2d+1).  The first
     word to reach an element is its witness, and it is built only then.
-    The scan stops once every element of the group has a witness.
+    The scan stops once every element of the group has a witness, so the
+    automaton is expanded at most one pair past the last level read.
     """
     group = automaton.group
     multiply = group.multiply
@@ -94,7 +98,7 @@ def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
                 yield multiply(multiply(g, value), g_star), pair, centre
 
     witnesses: dict[int, Word] = {}
-    for _, level in groupby(automaton.order, key=automaton.depths.__getitem__):
+    for _, level in groupby(automaton, key=automaton.depths.__getitem__):
         for element, pair, centre in candidates(list(level)):
             if element not in witnesses:
                 u = automaton.witness(pair)
@@ -155,10 +159,10 @@ def palindrome_width_bfs(group: FiniteGroup, moves: dict) -> tuple[list[int], di
     Raises NotGenerated when some element stays unreachable.
     """
     move_items = [m for m in moves if not group.is_identity(m)]
-    order, parents, depths = breadth_first(group.identity(), move_items, group.multiply)
-    if len(order) != group.size:
+    search = BreadthFirst(group.identity(), move_items, group.multiply).run()
+    if len(search.order) != group.size:
         raise NotGenerated("palindromic elements do not generate the group")
-    return [depths[x] for x in group.elements()], parents
+    return [search.depths[x] for x in group.elements()], search.parents
 
 
 class PalindromeOracle:
@@ -206,13 +210,16 @@ class PalindromeOracle:
         return factors
 
     def asymmetric_relation(self, budget: Optional[int] = None) -> Optional[Word]:
-        """Shortest word r with r = 1 but reverse(r) != 1, if one exists."""
+        """Shortest word r with r = 1 but reverse(r) != 1, if one exists.
+
+        The automaton is expanded up to the first pair (1, x != 1) in
+        discovery order, and in full only when there is none.
+        """
         identity = self.group.identity()
-        best: Optional[Pair] = None
-        for pair in self.automaton.order:
-            if pair[0] == identity and pair[1] != identity:
-                best = pair
-                break
+        best = next(
+            (pair for pair in self.automaton if pair[0] == identity and pair[1] != identity),
+            None,
+        )
         if best is None:
             return None
         if budget is not None and self.automaton.depths[best] > budget:

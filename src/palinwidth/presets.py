@@ -4,7 +4,7 @@ from __future__ import annotations
 import re
 
 from .errors import GroupDefinitionError
-from .groups import BaumslagSolitar, FiniteGroup, FreeAbelianGroup, FreeGroup, Group
+from .groups import MAX_GROUP_SIZE, BaumslagSolitar, FiniteGroup, FreeAbelianGroup, FreeGroup, Group
 from .wreath import WreathProduct
 
 
@@ -57,6 +57,9 @@ def quaternion_8() -> FiniteGroup:
 def cyclic(order: int, name: str = "z") -> FiniteGroup:
     if order < 1:
         raise GroupDefinitionError("cyclic order must be positive")
+    if order > MAX_GROUP_SIZE:
+        # the closure would multiply |G| permutations of `order` points before refusing
+        raise GroupDefinitionError(f"cyclic order {order} exceeds {MAX_GROUP_SIZE} elements")
     images = [i % order + 1 for i in range(1, order + 1)]
     return FiniteGroup.from_permutations(
         [(name, images)], source_def={"preset": f"Z/{order}"}

@@ -235,6 +235,8 @@ def relabel(w: Word, alphabet: Alphabet) -> Word:
     return Word(alphabet, tuple((alphabet.index(names[i]), s) for i, s in w.letters))
 
 
+MAX_PARSED_LETTERS = 1_000_000  # a parsed word is refused before it grows past this
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<star>\*)|(?P<one>1)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\^(?P<exp>-?\d+))?)"
 )
@@ -256,6 +258,10 @@ def _parse(alphabet: Alphabet, text: str) -> Word:
                     f"unknown generator {name!r}", column=match.start("name") + 1
                 )
             exponent = int(match.group("exp")) if match.group("exp") else 1
+            if len(letters) + abs(exponent) > MAX_PARSED_LETTERS:
+                raise WordSyntaxError(
+                    f"word longer than {MAX_PARSED_LETTERS} letters", column=match.start("name") + 1
+                )
             index = alphabet.index(name)
             if exponent:
                 sign = 1 if exponent > 0 else -1

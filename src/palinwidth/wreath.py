@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from .errors import AlphabetMismatch, GroupDefinitionError
-from .groups import BaumslagSolitar, FiniteGroup, Group
+from .groups import MAX_GROUP_SIZE, BaumslagSolitar, FiniteGroup, Group
 from .words import Alphabet, Word, invert, relabel
 
 
@@ -165,7 +165,7 @@ class WreathProduct:
 
     # finite materialisation
 
-    def as_finite_group(self, max_size: int = 20000) -> FiniteGroup:
+    def as_finite_group(self, max_size: int = MAX_GROUP_SIZE) -> FiniteGroup:
         """Enumerate the whole wreath product as a finite group handle."""
         if not isinstance(self.top, FiniteGroup) or not isinstance(self.base, FiniteGroup):
             raise GroupDefinitionError("finite materialisation needs finite top and base")

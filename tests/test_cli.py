@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,7 +225,20 @@ def test_input_errors_exit_2(capsys):
     assert main(["decompose", "--top", "S3", "--base", F2_DEF, "--word", "y1", "--budget", "-2"]) == 2
     assert main(["bench", "--samples", "-3"]) == 2
     assert main(["bench", "--samples", "three"]) == 2
+    # a word is refused once its letter count passes the parser's limit, before it is built
+    for word in ("y1^99999999999", "y1^600000*y2^-600000"):
+        assert main(["decompose", "--top", "S3", "--base", F2_DEF,
+                     "--mode", "finite-top", "--word", word]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_cyclic_preset_over_the_size_limit_exits_2_at_once(capsys):
+    # refused before its 20001-point permutation is multiplied 20000 times
+    start = time.perf_counter()
+    assert main(["pw-exact", "--group", "Z/20001"]) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "20000" in err
 
 
 REPORT_WITHOUT_INPUTS = {

@@ -30,6 +30,7 @@ from palinwidth import (
     is_palindrome,
     push_factorization,
     quotient_map,
+    relabel,
     reverse,
     sandwich,
     verify_factorization,
@@ -272,6 +273,32 @@ def test_derived_wreath_reverse_of_carrier_is_trivial():
         )
         assert fact.verified
         assert fact.count <= fact.bound_claimed
+
+
+def test_carrier_is_joined_once(monkeypatch):
+    # h = prod_site pos^-1 (prod_pair f^-1 r^-1 g^-1 r f r^-1 g r) pos, built as one
+    # letter list: chained products would copy the whole prefix each time
+    wreath, witness = s3_wreath()
+    f, g = base_words(wreath, "y1*y2", "y2^-1")
+    data = CommutatorData((CommutatorSite(2, ((f, g),)), CommutatorSite(4, ((g, f), (f, f)))))
+    r = relabel(witness.relation, wreath.alphabet)
+    expected = Word(wreath.alphabet)
+    for site in data.sites:
+        position = relabel(wreath.top.element_word(site.position), wreath.alphabet)
+        inner = Word(wreath.alphabet)
+        for a, b in site.pairs:
+            a, b = relabel(a, wreath.alphabet), relabel(b, wreath.alphabet)
+            inner = inner * invert(a) * invert(r) * invert(b) * r * a * invert(r) * b * r
+        expected = expected * invert(position) * inner * position
+    products = []
+
+    def counting(self, other):
+        products.append(other)
+        return Word(self.alphabet, self.letters + other.letters)
+
+    monkeypatch.setattr(Word, "__mul__", counting)
+    assert decompose_module._carrier(wreath, data, witness) == expected
+    assert products == []
 
 
 def test_derived_wreath_bound_is_width_plus_one():

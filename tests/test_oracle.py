@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -10,6 +9,7 @@ from palinwidth import (
     build_pair_automaton,
     decompose_top_element,
     exact_palindromic_width,
+    find_reversal_asymmetric_relation,
     is_palindrome,
     naive_palindromic_elements,
     oracle_for,
@@ -19,14 +19,14 @@ from palinwidth import (
 )
 from palinwidth import presets
 from palinwidth.errors import NotGenerated
-from palinwidth.oracle import palindrome_width_bfs
+from palinwidth.oracle import PalindromeOracle, palindrome_width_bfs
 
 SMALL_PRESETS = ["Z2xZ2", "S3", "D4", "Q8", "Z/5", "lamp(2,2)", "lamp(3,2)", "lamp(2,3)"]
 
 
 def test_trivial_group_automaton():
     trivial = presets.cyclic(1, "e_gen")
-    automaton = build_pair_automaton(trivial)
+    automaton = build_pair_automaton(trivial).run()
     assert len(automaton.order) == 1
     assert exact_palindromic_width(trivial).width == 0
 
@@ -34,14 +34,15 @@ def test_trivial_group_automaton():
 def test_abelian_pairs_are_diagonal():
     for name in ("Z2xZ2", "Z/5"):
         group = presets.get(name)
-        automaton = build_pair_automaton(group)
+        automaton = build_pair_automaton(group).run()
+        assert len(automaton.order) == group.size
         assert all(g == g_star for g, g_star in automaton.order)
 
 
 def test_pair_witnesses_evaluate_correctly():
     S3 = presets.symmetric_3()
     automaton = build_pair_automaton(S3)
-    for pair in automaton.order:
+    for pair in automaton:  # read lazily: every pair is discovered on the way
         u = automaton.witness(pair)
         assert S3.evaluate(u) == pair[0]
         assert S3.evaluate(reverse(u)) == pair[1]
@@ -76,9 +77,10 @@ def test_palindrome_witnesses_are_shortest(name):
     if name.endswith("+c"):
         group = group.with_extra_generator("c", group.evaluate(Word.parse(group.alphabet, "s*t")))
     oracle = oracle_for(group)
+    witnesses = oracle.palindromes.witnesses  # read before the search is run to completion
     letters = [Word(group.alphabet, [(i, s)]) for i in range(len(group.alphabet)) for s in (1, -1)]
     halves = level = [Word(group.alphabet)]
-    for _ in range(max(oracle.automaton.depths.values())):
+    for _ in range(max(oracle.automaton.run().depths.values())):
         level = [u * letter for u in level for letter in letters]
         halves = halves + level
     shortest: dict[int, int] = {}
@@ -87,31 +89,85 @@ def test_palindrome_witnesses_are_shortest(name):
             word = u * core * reverse(u)
             element = group.evaluate(word)
             shortest[element] = min(shortest.get(element, len(word)), len(word))
-    witnesses = oracle.palindromes.witnesses
     assert {e: len(w) for e, w in witnesses.items()} == shortest
 
 
-class _CountingOrder(tuple):
-    """An automaton's pair order that counts the pairs a scan takes from it."""
+def symmetric_5() -> FiniteGroup:
+    return FiniteGroup.from_permutations({"s": [2, 1, 3, 4, 5], "t": [2, 3, 4, 5, 1]})
 
-    def __iter__(self):
-        self.taken = 0
-        for pair in super().__iter__():
-            self.taken += 1
-            yield pair
+
+def symmetric_4() -> FiniteGroup:
+    return FiniteGroup.from_permutations({"s": [2, 1, 3, 4], "t": [2, 3, 4, 1]})
+
+
+def with_c(group: FiniteGroup) -> FiniteGroup:
+    """The group with c = (first generator)(second generator) added."""
+    first, second = group.generator_indices[:2]
+    return group.with_extra_generator("c", group.multiply(first, second))
+
+
+def within_depth(automaton, depth: int) -> int:
+    """Pairs of a completed automaton at most depth steps from the start."""
+    return sum(1 for d in automaton.depths.values() if d <= depth)
 
 
 def test_palindrome_set_stops_once_every_element_has_a_witness():
-    S5 = FiniteGroup.from_permutations({"s": [2, 1, 3, 4, 5], "t": [2, 3, 4, 5, 1]})
-    group = S5.with_extra_generator("c", S5.evaluate(Word.parse(S5.alphabet, "s*t")))
+    group = with_c(symmetric_5())
     automaton = build_pair_automaton(group)
-    order = _CountingOrder(automaton.order)
-    witnesses = palindrome_set(dataclasses.replace(automaton, order=order)).witnesses
+    witnesses = palindrome_set(automaton).witnesses
     assert len(witnesses) == group.size
     last_level = len(list(witnesses.values())[-1]) // 2
-    within = sum(1 for pair in automaton.order if automaton.depths[pair] <= last_level)
-    # the scan reads one pair past the last level to see that level end, no more
-    assert order.taken <= within + 1 < len(automaton.order)
+    full = build_pair_automaton(group).run()
+    # the scan discovers one pair past the last level to see that level end, no more
+    assert len(automaton.order) <= within_depth(full, last_level) + 1 < len(full.order)
+
+
+ORACLE_GROUPS = {
+    **{name: lambda name=name: presets.get(name) for name in SMALL_PRESETS + ["lamp(2,4)"]},
+    "S4": symmetric_4,
+    "S5": symmetric_5,
+}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(ORACLE_GROUPS) + [name + "+c" for name in sorted(ORACLE_GROUPS) if name != "Z/5"],
+)
+def test_lazy_oracle_matches_completed_search(name):
+    group = ORACLE_GROUPS[name.removesuffix("+c")]()
+    if name.endswith("+c"):
+        group = with_c(group)
+    completed = PalindromeOracle(group)
+    completed.automaton.run()
+    relation_first = PalindromeOracle(group)
+    relation_first.asymmetric_relation()
+    palindromes_first = PalindromeOracle(group)
+    expected_witnesses = list(completed.palindromes.witnesses.items())
+    expected_width = completed.width()
+    expected_relation = completed.asymmetric_relation()
+    for oracle in (palindromes_first, relation_first):
+        assert list(oracle.palindromes.witnesses.items()) == expected_witnesses
+        assert oracle.width() == expected_width  # width, witness and every distance
+        assert oracle.asymmetric_relation() == expected_relation
+
+
+def test_relation_search_discovers_only_the_pairs_it_needs():
+    group = with_c(symmetric_5())
+    oracle = PalindromeOracle(group)
+    relation = oracle.asymmetric_relation()
+    full = build_pair_automaton(group).run()
+    assert len(full.order) == 7200
+    assert len(oracle.automaton.order) <= within_depth(full, len(relation) + 1)
+    # with no asymmetric relation over their own generators, the search
+    # extends by c and stops at the first relation of the extension
+    for group, states in ((symmetric_5(), 7200), (presets.get("lamp(2,5)"), 2560)):
+        witness = find_reversal_asymmetric_relation(group)
+        assert witness.extra_generator is not None
+        automaton = oracle_for(witness.group).automaton
+        full = build_pair_automaton(witness.group).run()
+        assert len(full.order) == states
+        assert len(automaton.order) <= within_depth(full, len(witness.relation) + 1)
+        assert len(automaton.order) * 20 < states
 
 
 def test_automaton_matches_naive_enumeration():

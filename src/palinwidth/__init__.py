@@ -43,9 +43,6 @@ from .oracle import (
 from .decompose import (
     CommutatorData,
     CommutatorSite,
-    ExternalMetabelianDecomposer,
-    FiniteInstanceMetabelianDecomposer,
-    MetabelianDecomposer,
     PalindromeFactorization,
     RelationWitness,
     ShiftParams,
@@ -54,7 +51,6 @@ from .decompose import (
     decompose_commutator_pair,
     decompose_derived_wreath,
     decompose_finite_top_abelianized,
-    decompose_full_abelian_top,
     decompose_full_finite_top,
     decompose_shifted_commutators,
     find_reversal_asymmetric_relation,

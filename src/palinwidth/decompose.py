@@ -34,16 +34,13 @@ from .errors import (
     BudgetExhausted,
     GroupDefinitionError,
     InvalidWitness,
-    MetabelianUnavailable,
     NoInfiniteOrderGenerator,
     NotAbelian,
     NoValidShift,
-    PairShapeMismatch,
     PalinwidthError,
     ReverseNotTrivial,
 )
 from .groups import (
-    MAX_GROUP_SIZE,
     AbelianProductGroup,
     AbelianizedFreeGroup,
     BaumslagSolitar,
@@ -254,16 +251,14 @@ def decompose_commutator_pair(
     first_word: Word,
     second_word: Word,
     exponents: Sequence[int],
-    doubled_exponents: Optional[Sequence[int]] = None,
 ) -> PalindromeFactorization:
     """[a, t][b, t^2] via two commutator unrollings; t^2 doubles every exponent."""
     exponents = list(exponents)
-    doubled = [2 * e for e in exponents]
-    if doubled_exponents is not None and list(doubled_exponents) != doubled:
-        raise GroupDefinitionError("second exponent list must double the first")
     target = abelian_top_target(wreath, first_word, exponents, second_word)
     factors = _unrolled_commutator(wreath, relabel(first_word, wreath.alphabet), exponents)
-    factors += _unrolled_commutator(wreath, relabel(second_word, wreath.alphabet), doubled)
+    factors += _unrolled_commutator(
+        wreath, relabel(second_word, wreath.alphabet), [2 * e for e in exponents]
+    )
     n = len(exponents)
     bound = 4 * n if n % 2 == 0 else 4 * n + 2
     formula = "4n" if n % 2 == 0 else "4n+2"
@@ -488,12 +483,16 @@ def decompose_shifted_commutators(
     conjugators = [relabel(top.element_word(site.position), wreath.alphabet) for site in data.sites]
 
     def aggregate(j: int, which: int) -> Word:
-        out = Word(wreath.alphabet)
+        letters: list = []
         for site, conjugator in zip(data.sites, conjugators):
             if j < len(site.pairs):
-                lifted = relabel(site.pairs[j][which], wreath.alphabet)
-                out = out * invert(conjugator) * lifted * conjugator
-        return out
+                letters += invert(conjugator).letters
+                letters += relabel(site.pairs[j][which], wreath.alphabet).letters
+                letters += conjugator.letters
+        return Word(wreath.alphabet, letters)
+
+    # kappa_j and tau_j do not depend on the shift, so retries reuse them
+    arguments = [(aggregate(j, 0), aggregate(j, 1)) for j in range(n)]
 
     def power(exponent: int) -> Word:
         return Word.from_blocks(wreath.alphabet, [(shift.generator_index, exponent)])
@@ -501,9 +500,7 @@ def decompose_shifted_commutators(
     q, y = shift.q, shift.y
     for attempt in range(max_retries + 1):
         factors = list(prefix)
-        for j in range(n):
-            kappa = aggregate(j, 0)
-            tau = aggregate(j, 1)
+        for kappa, tau in arguments:
             factors.append(sandwich(invert(kappa), power(-q)))
             factors.append(power(q))
             factors.append(sandwich(invert(tau), power(-y)))
@@ -559,6 +556,14 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
     return factors
 
 
+_CURSOR_WALK_FORMULA = "maxlen*(|top|+1) + d*|top|"
+
+
+def _cursor_walk_bound(top: FiniteGroup, base_rank: int) -> int:
+    """Most factors _cursor_walk emits: |top|+1 geodesic moves, d deposits per position."""
+    return top.geodesics().max_length * (top.size + 1) + base_rank * top.size
+
+
 def decompose_finite_top_abelianized(
     wreath: WreathProduct, element: WreathElement
 ) -> PalindromeFactorization:
@@ -569,9 +574,9 @@ def decompose_finite_top_abelianized(
         raise GroupDefinitionError("finite top required")
     if not isinstance(base, FreeAbelianGroup):
         raise GroupDefinitionError("vector-valued base required")
-    bound = top.geodesics().max_length * (top.size + 1) + base.rank * top.size
+    bound = _cursor_walk_bound(top, base.rank)
     factors = _cursor_walk(wreath, element)
-    return _checked(wreath, element, factors, bound, "maxlen*(|top|+1) + d*|top|")
+    return _checked(wreath, element, factors, bound, _CURSOR_WALK_FORMULA)
 
 
 def _abelianized(wreath: WreathProduct, element: WreathElement) -> tuple[WreathProduct, WreathElement]:
@@ -618,8 +623,7 @@ def decompose_full_finite_top(
         wide = wreath
     target = wide.evaluate(word)
     # the cursor walk's bound plus the one derived palindrome
-    maxlen = wide.top.geodesics().max_length
-    bound = maxlen * (top.size + 1) + base.rank * top.size + 1
+    bound = _cursor_walk_bound(wide.top, base.rank) + 1
 
     # the vector wreath has wide's generator names, so its words are wide's
     factors = _cursor_walk(*_abelianized(wide, target))
@@ -640,7 +644,7 @@ def decompose_full_finite_top(
         target,
         factors,
         bound,
-        "maxlen*(|top|+1) + d*|top| + 1",
+        _CURSOR_WALK_FORMULA + " + 1",
         meta={
             "wreath": wide,
             "witness": witness,
@@ -667,128 +671,4 @@ def push_factorization(
         factorization.bound_claimed,
         factorization.bound_formula,
         meta={"pushed_from": factorization.bound_formula},
-    )
-
-
-# ---------------------------------------------------------------------------
-# metabelian factor interface
-
-
-class MetabelianDecomposer:
-    """Strategy for the abelianized wreath factor (vector base, abelian top)."""
-
-    def bound(self, base_rank: int, top_rank: int) -> Optional[int]:
-        raise NotImplementedError
-
-    def decompose(self, wreath: WreathProduct, element: WreathElement) -> PalindromeFactorization:
-        raise NotImplementedError
-
-
-class ExternalMetabelianDecomposer(MetabelianDecomposer):
-    """Default: reports the known external bound 5(d+r) and refuses to build."""
-
-    def bound(self, base_rank: int, top_rank: int) -> int:
-        return 5 * (base_rank + top_rank)
-
-    def decompose(self, wreath: WreathProduct, element: WreathElement) -> PalindromeFactorization:
-        d = getattr(wreath.base, "rank", len(wreath.base.alphabet))
-        r = getattr(wreath.top, "rank", len(wreath.top.alphabet))
-        raise MetabelianUnavailable(
-            "no constructive decomposition for the abelianized factor; "
-            f"external bound is 5(d+r) = {self.bound(d, r)}",
-            bound=self.bound(d, r),
-        )
-
-
-class FiniteInstanceMetabelianDecomposer(MetabelianDecomposer):
-    """Exact fallback when the whole metabelian wreath product is finite.
-
-    Each wreath handle is materialised once, with its payload -> index map.
-    """
-
-    def __init__(self, max_size: int = MAX_GROUP_SIZE):
-        self.max_size = max_size
-        self._materialised: dict = {}  # wreath handle -> (finite group, payload -> index)
-
-    def bound(self, base_rank: int, top_rank: int) -> Optional[int]:
-        return None
-
-    def decompose(self, wreath: WreathProduct, element: WreathElement) -> PalindromeFactorization:
-        if wreath not in self._materialised:
-            finite = wreath.as_finite_group(max_size=self.max_size)
-            self._materialised[wreath] = (finite, {p: i for i, p in enumerate(finite.payloads)})
-        finite, indices = self._materialised[wreath]
-        index = indices[(element.top, tuple(sorted(element.base.items())))]
-        factors = oracle_for(finite).decompose(index)
-        width = oracle_for(finite).width().width
-        return _checked(finite, index, factors, width, "pw(finite instance)")
-
-
-def decompose_full_abelian_top(
-    wreath: WreathProduct,
-    word: Word,
-    pair_shape: Optional[tuple[Word, Word, Sequence[int]]] = None,
-    metabelian: Optional[MetabelianDecomposer] = None,
-) -> PalindromeFactorization:
-    """Free (or finite abelian) base over an abelian top, end to end.
-
-    The abelianized image goes to the metabelian decomposer; the derived
-    residual must be supplied in the two-commutator shape [a, t][b, t^2],
-    which is consumed and verified, never recomputed.
-    """
-    if metabelian is None:
-        metabelian = ExternalMetabelianDecomposer()
-    top = wreath.top
-    base = wreath.base
-    if not top.is_abelian():
-        raise NotAbelian("abelian top required")
-    target = wreath.evaluate(word)
-
-    if isinstance(base, FreeGroup):
-        meta_evaluator, abelianized = _abelianized(wreath, target)
-    elif isinstance(base, FiniteGroup) and base.is_abelian():
-        abelianized = target
-        meta_evaluator = wreath
-    else:
-        raise GroupDefinitionError("base must be free or finite abelian")
-
-    d = getattr(base, "rank", len(base.alphabet))
-    r = getattr(top, "rank", len(top.alphabet))
-    factors: list[Word] = []
-    metabelian_count = 0
-    metabelian_bound = 0
-    if not meta_evaluator.is_identity(abelianized):
-        part = metabelian.decompose(meta_evaluator, abelianized)
-        factors.extend(relabel(w, wreath.alphabet) for w in part.factors)
-        metabelian_count = part.count
-        external = metabelian.bound(d, r)
-        metabelian_bound = external if external is not None else part.count
-
-    residual = _residual(wreath, factors, target)
-
-    pair_count = 0
-    pair_bound = 0
-    if not wreath.is_identity(residual):
-        if pair_shape is None:
-            raise PairShapeMismatch(
-                "derived residual is nontrivial; supply the [a,t][b,t^2] shape"
-            )
-        a_word, b_word, exponents = pair_shape
-        pair_part = decompose_commutator_pair(wreath, a_word, b_word, exponents)
-        if not wreath.equal(pair_part.target, residual):
-            raise PairShapeMismatch(
-                "supplied two-commutator shape does not match the residual"
-            )
-        factors.extend(pair_part.factors)
-        pair_count = pair_part.count
-        pair_bound = pair_part.bound_claimed
-
-    bound = metabelian_bound + pair_bound
-    return _checked(
-        wreath,
-        target,
-        factors,
-        bound,
-        "metabelian + pair",
-        meta={"metabelian_factors": metabelian_count, "pair_factors": pair_count},
     )

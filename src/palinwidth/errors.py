@@ -56,15 +56,3 @@ class NoValidShift(PalinwidthError):
 
 class NoInfiniteOrderGenerator(PalinwidthError):
     pass
-
-
-class MetabelianUnavailable(PalinwidthError):
-    """No constructive decomposer for the abelianized wreath factor."""
-
-    def __init__(self, message: str, bound: int | None = None):
-        super().__init__(message)
-        self.bound = bound
-
-
-class PairShapeMismatch(PalinwidthError):
-    pass

@@ -187,7 +187,6 @@ class FiniteGroup(Group):
         generators: Sequence[Any],
         mul: Callable[[Any, Any], Any],
         inv: Callable[[Any], Any],
-        max_size: int = MAX_GROUP_SIZE,
         source_def: Optional[dict] = None,
     ) -> "FiniteGroup":
         """Closure of abstract generator payloads under mul; BFS order.
@@ -199,7 +198,7 @@ class FiniteGroup(Group):
         items[b] = items[x]·letter_m for that first link, column b of the
         table is column x mapped through action[m]: the table costs |G|²
         integer lookups and no further payload products.  The closure stays
-        a loop of its own so that it stops at max_size before any table.
+        a loop of its own so that it stops at MAX_GROUP_SIZE before any table.
         """
         if len(generators) != len(names):
             raise GroupDefinitionError("one generator payload per name required")
@@ -213,8 +212,8 @@ class FiniteGroup(Group):
                 y = mul(payload, letter)
                 j = index.get(y)
                 if j is None:
-                    if len(items) >= max_size:
-                        raise GroupDefinitionError(f"closure exceeded {max_size} elements")
+                    if len(items) >= MAX_GROUP_SIZE:
+                        raise GroupDefinitionError(f"closure exceeded {MAX_GROUP_SIZE} elements")
                     j = index[y] = len(items)
                     items.append(y)
                     links.append((x, m))
@@ -620,14 +619,18 @@ class Homomorphism:
     target: Group
     images: tuple[Word, ...]
 
+    def __post_init__(self):
+        if any(image.alphabet != self.target.alphabet for image in self.images):
+            raise AlphabetMismatch("image word is not over the target alphabet")
+
     def push_word(self, w: Word) -> Word:
         if w.alphabet != self.source.alphabet:
             raise AlphabetMismatch("word is not over the source alphabet")
-        out = Word(self.target.alphabet)
+        letters: list = []
         for index, sign in w.letters:
             image = self.images[index]
-            out = out * (image if sign > 0 else invert(image))
-        return out
+            letters += image.letters if sign > 0 else invert(image).letters
+        return Word(self.target.alphabet, letters)
 
     def image_of_word(self, w: Word):
         return self.target.evaluate(self.push_word(w))
@@ -645,7 +648,4 @@ def quotient_map(
     words = tuple(
         Word.parse(target.alphabet, im) if isinstance(im, str) else im for im in images
     )
-    for w in words:
-        if w.alphabet != target.alphabet:
-            raise AlphabetMismatch("image word is not over the target alphabet")
     return Homomorphism(source=source, target=target, images=words)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional
 
 from .errors import AlphabetMismatch, GroupDefinitionError
-from .groups import MAX_GROUP_SIZE, BaumslagSolitar, FiniteGroup, Group
+from .groups import BaumslagSolitar, FiniteGroup, Group
 from .words import Alphabet, Word, invert, relabel
 
 
@@ -157,15 +157,17 @@ class WreathProduct:
 
     def assemble(self, nf: NormalForm) -> Word:
         """Word reproducing the element: top word, then conjugated lamps."""
-        word = relabel(self.top.element_word(nf.top), self.alphabet)
+        letters = list(relabel(self.top.element_word(nf.top), self.alphabet).letters)
         for position, value in nf.entries:
             conj = relabel(self.top.element_word(position), self.alphabet)
-            word = word * invert(conj) * relabel(self.base.element_word(value), self.alphabet) * conj
-        return word
+            letters += invert(conj).letters
+            letters += relabel(self.base.element_word(value), self.alphabet).letters
+            letters += conj.letters
+        return Word(self.alphabet, letters)
 
     # finite materialisation
 
-    def as_finite_group(self, max_size: int = MAX_GROUP_SIZE) -> FiniteGroup:
+    def as_finite_group(self) -> FiniteGroup:
         """Enumerate the whole wreath product as a finite group handle."""
         if not isinstance(self.top, FiniteGroup) or not isinstance(self.base, FiniteGroup):
             raise GroupDefinitionError("finite materialisation needs finite top and base")
@@ -191,7 +193,6 @@ class WreathProduct:
             generators,
             mul,
             inv,
-            max_size=max_size,
         )
 
     def __repr__(self) -> str:

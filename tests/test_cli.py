@@ -241,6 +241,24 @@ def test_cyclic_preset_over_the_size_limit_exits_2_at_once(capsys):
     assert len(err.strip().splitlines()) == 1 and "20000" in err
 
 
+def test_group_over_the_closure_limit_exits_2(capsys):
+    # lamp(2,12) has 49,152 elements; the closure stops at 20000
+    assert main(["pw-exact", "--group", "lamp(2,12)"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "closure exceeded 20000 elements" in err
+
+
+# nested past the interpreter's recursion limit; on the extra-generator chain
+# either the JSON decoder or the group definition reader overflows first,
+# depending on how deep the stack already is
+DEEP_OBJECT = '{"a":' * 5000 + "1" + "}" * 5000
+DEEP_LIST = "[" * 5000 + "]" * 5000
+EXTRA_GENERATOR_CHAIN = '{"preset":"S3"}'
+for _level in range(990):
+    EXTRA_GENERATOR_CHAIN = (
+        f'{{"base":{EXTRA_GENERATOR_CHAIN},"extra_generator":{{"name":"c{_level}","value_word":"s"}}}}'
+    )
+
 REPORT_WITHOUT_INPUTS = {
     "command": "decompose", "mode": "finite-top",
     "top": {"preset": "S3"}, "base": json.loads(F2_DEF), "factors": [],
@@ -262,11 +280,20 @@ REPORT_WITHOUT_INPUTS = {
         (["pw-exact", "--group", '{"base":{"preset":"S3"},"extra_generator":{"name":"c"}}'], {}),
         (["verify", "--report", "{dir}/report.json"],
          {"report.json": json.dumps(REPORT_WITHOUT_INPUTS)}),
+        (["pw-exact", "--group", DEEP_OBJECT], {}),
+        (["pw-exact", "--group", "{dir}/group.json"], {"group.json": DEEP_OBJECT}),
+        (["pw-exact", "--group", EXTRA_GENERATOR_CHAIN], {}),
+        (["decompose", "--top", DEEP_OBJECT, "--base", F2_DEF, "--word", "y1"], {}),
+        (["decompose", "--top", "Z", "--base", F2_DEF, "--mode", "shifted",
+          "--commutators", DEEP_LIST], {}),
+        (["verify", "--report", "{dir}/report.json"], {"report.json": DEEP_LIST}),
     ],
     ids=[
         "abelian-product-without-parts", "site-without-position", "commutators-not-a-list",
         "image-not-an-integer", "group-file-not-an-object", "preset-not-a-string",
         "rank-not-an-integer", "extra-generator-without-value-word", "report-without-inputs",
+        "group-nested-inline", "group-nested-in-file", "extra-generator-chain",
+        "top-nested-inline", "commutators-nested", "report-nested",
     ],
 )
 def test_malformed_json_exits_2(capsys, tmp_path, argv, files):

@@ -8,7 +8,6 @@ from palinwidth import (
     AbelianizedFreeGroup,
     CommutatorData,
     CommutatorSite,
-    FiniteInstanceMetabelianDecomposer,
     FreeAbelianGroup,
     FreeGroup,
     RelationWitness,
@@ -21,13 +20,13 @@ from palinwidth import (
     decompose_commutator_pair,
     decompose_derived_wreath,
     decompose_finite_top_abelianized,
-    decompose_full_abelian_top,
     decompose_full_finite_top,
     decompose_shifted_commutators,
     exact_palindromic_width,
     find_reversal_asymmetric_relation,
     invert,
     is_palindrome,
+    oracle_for,
     push_factorization,
     quotient_map,
     relabel,
@@ -41,10 +40,8 @@ from palinwidth.errors import (
     BudgetExhausted,
     GroupDefinitionError,
     InvalidWitness,
-    MetabelianUnavailable,
     NoInfiniteOrderGenerator,
     NoValidShift,
-    PairShapeMismatch,
     ReverseNotTrivial,
 )
 from helpers import random_word
@@ -145,8 +142,6 @@ def test_commutator_pair():
     b = Word.parse(wreath.alphabet, "y2*y1")
     fact = decompose_commutator_pair(wreath, a, b, [1, -2])
     assert fact.count <= 8 and fact.verified
-    with pytest.raises(GroupDefinitionError):
-        decompose_commutator_pair(wreath, a, b, [1, -2], doubled_exponents=[2, -3])
 
 
 def test_commutator_pair_trivial_words():
@@ -275,9 +270,22 @@ def test_derived_wreath_reverse_of_carrier_is_trivial():
         assert fact.count <= fact.bound_claimed
 
 
+def counted_products(monkeypatch) -> list:
+    """Record every Word product from here on; chained products copy the whole prefix each time."""
+    products = []
+
+    def counting(self, other):
+        products.append(other)
+        return Word(self.alphabet, self.letters + other.letters)
+
+    monkeypatch.setattr(Word, "__mul__", counting)
+    return products
+
+
 def test_carrier_is_joined_once(monkeypatch):
     # h = prod_site pos^-1 (prod_pair f^-1 r^-1 g^-1 r f r^-1 g r) pos, built as one
-    # letter list: chained products would copy the whole prefix each time
+    # letter list; so are the shifted construction's kappa_j and tau_j, pushed
+    # words and assembled normal forms
     wreath, witness = s3_wreath()
     f, g = base_words(wreath, "y1*y2", "y2^-1")
     data = CommutatorData((CommutatorSite(2, ((f, g),)), CommutatorSite(4, ((g, f), (f, f)))))
@@ -290,15 +298,60 @@ def test_carrier_is_joined_once(monkeypatch):
             a, b = relabel(a, wreath.alphabet), relabel(b, wreath.alphabet)
             inner = inner * invert(a) * invert(r) * invert(b) * r * a * invert(r) * b * r
         expected = expected * invert(position) * inner * position
-    products = []
 
-    def counting(self, other):
-        products.append(other)
-        return Word(self.alphabet, self.letters + other.letters)
+    shifted = sz_wreath()
+    s, t = base_words(shifted, "s", "t")
+    # positions 1 and 4 collide with the first shifts (see test_shifted_retries_on_collision)
+    shifted_data = CommutatorData((CommutatorSite((1,), ((s, t), (t, s))), CommutatorSite((4,), ((t, s),))))
+    conjugated = []  # kappa_j and tau_j as chained products
+    for j in range(shifted_data.max_pairs()):
+        for which in (0, 1):
+            out = Word(shifted.alphabet)
+            for site in shifted_data.sites:
+                if j < len(site.pairs):
+                    position = relabel(shifted.top.element_word(site.position), shifted.alphabet)
+                    out = out * invert(position) * relabel(site.pairs[j][which], shifted.alphabet) * position
+            conjugated.append(out)
 
-    monkeypatch.setattr(Word, "__mul__", counting)
+    hom = quotient_map(FreeGroup(2), presets.symmetric_3(), ["s*t", "t^-1"])
+    source_word = Word.parse(hom.source.alphabet, "x1*x2^-1*x1^2")
+    expected_pushed = Word(hom.target.alphabet)
+    for index, sign in source_word.letters:
+        image = hom.images[index]
+        expected_pushed = expected_pushed * (image if sign > 0 else invert(image))
+
+    lamp = wreath.base.evaluate(Word.parse(wreath.base.alphabet, "y1*y2^-1"))
+    normal_form = wreath.normal_form(wreath.element(3, [(p, lamp) for p in range(1, 5)]))
+    expected_assembled = relabel(wreath.top.element_word(normal_form.top), wreath.alphabet)
+    for position, value in normal_form.entries:
+        conj = relabel(wreath.top.element_word(position), wreath.alphabet)
+        value_word = relabel(wreath.base.element_word(value), wreath.alphabet)
+        expected_assembled = expected_assembled * invert(conj) * value_word * conj
+
+    products = counted_products(monkeypatch)
     assert decompose_module._carrier(wreath, data, witness) == expected
+    assert hom.push_word(source_word) == expected_pushed
+    assert wreath.assemble(normal_form) == expected_assembled
     assert products == []
+    fact = decompose_shifted_commutators(shifted, shifted_data, (0,))
+    # three per commutator word of the target, then only the four sandwiches
+    # per commutator index, two products each, per attempt
+    pairs = sum(len(site.pairs) for site in shifted_data.sites)
+    attempts = fact.meta["retries"] + 1
+    assert len(products) == 3 * pairs + 2 * 4 * shifted_data.max_pairs() * attempts
+    assert fact.verified and fact.meta["retries"] >= 1
+    _, q, y = fact.meta["shift"]
+
+    def power(exponent):
+        return Word.letter(shifted.alphabet, "x", exponent)
+
+    for j in range(shifted_data.max_pairs()):
+        kappa, tau = conjugated[2 * j], conjugated[2 * j + 1]
+        first, _, third, _, fifth, _, seventh = fact.factors[7 * j:7 * j + 7]
+        assert first == sandwich(invert(kappa), power(-q))
+        assert third == sandwich(invert(tau), power(-y))
+        assert fifth == sandwich(reverse(kappa), power(q))
+        assert seventh == sandwich(reverse(tau), power(y))
 
 
 def test_derived_wreath_bound_is_width_plus_one():
@@ -590,60 +643,17 @@ def test_push_factorization():
 
 
 # ---------------------------------------------------------------------------
-# metabelian interface
+# finite wreath products
 
 
-def test_metabelian_default_refuses():
-    wreath = f2z2()
-    word = Word.parse(wreath.alphabet, "y1*t1")
-    with pytest.raises(MetabelianUnavailable) as info:
-        decompose_full_abelian_top(wreath, word)
-    assert info.value.bound == 5 * (2 + 2)
-
-
-def test_metabelian_finite_instance():
+def test_finite_wreath_oracle_factors_certify_symbolically():
+    # Z/2 wr Z/2 materialised whole: the oracle's factors for the word's
+    # element certify against the symbolic evaluation of the same word
     wreath = WreathProduct(presets.cyclic(2, "z"), presets.cyclic(2, "y"))
+    finite = wreath.as_finite_group()
+    oracle = oracle_for(finite)
     rng = random.Random(19)
-    decomposer = FiniteInstanceMetabelianDecomposer()
     for _ in range(10):
         word = random_word(rng, wreath.alphabet, 8)
-        fact = decompose_full_abelian_top(wreath, word, metabelian=decomposer)
-        assert fact.verified
-
-
-def test_finite_instance_materialises_each_wreath_once(monkeypatch):
-    wreath = WreathProduct(presets.cyclic(4, "z"), presets.cyclic(2, "y"))
-    builds = []
-    materialise = WreathProduct.as_finite_group
-
-    def counting(self, *args, **kwargs):
-        builds.append(self)
-        return materialise(self, *args, **kwargs)
-
-    monkeypatch.setattr(WreathProduct, "as_finite_group", counting)
-    decomposer = FiniteInstanceMetabelianDecomposer()
-    for text in ("y*z*y", "z^-1*y*z^2*y"):
-        element = wreath.evaluate(Word.parse(wreath.alphabet, text))
-        fact = decomposer.decompose(wreath, element)
-        assert fact.verified
-    assert builds == [wreath]
-
-
-def test_full_abelian_top_pair_shape_route():
-    # commutator arguments with zero exponent sums keep the abelianized
-    # image trivial: the derived residual is consumed as the supplied
-    # two-commutator shape with no metabelian decomposer involved
-    wreath = f2z2()
-    a = Word.parse(wreath.alphabet, "y1^-1*y2^-1*y1*y2")
-    b = Word.parse(wreath.alphabet, "y2*y1*y2^-1*y1^-1")
-    exponents = [1, -1]
-    t_word = Word.parse(wreath.alphabet, "t1*t2^-1")
-    t2_word = Word.parse(wreath.alphabet, "t1^2*t2^-2")
-    word = commutator_word(a, t_word) * commutator_word(b, t2_word)
-    fact = decompose_full_abelian_top(wreath, word, pair_shape=(a, b, exponents))
-    assert fact.verified and fact.count <= 8
-    assert fact.meta["metabelian_factors"] == 0
-    with pytest.raises(PairShapeMismatch):
-        decompose_full_abelian_top(wreath, word, pair_shape=(b, a, exponents))
-    with pytest.raises(PairShapeMismatch):
-        decompose_full_abelian_top(wreath, word)
+        factors = oracle.decompose(finite.evaluate(word))
+        assert verify_factorization(wreath, wreath.evaluate(word), factors).valid

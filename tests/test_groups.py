@@ -21,6 +21,7 @@ from palinwidth import (
 )
 from palinwidth import presets
 from palinwidth.errors import AlphabetMismatch, GroupDefinitionError
+from palinwidth.groups import MAX_GROUP_SIZE
 from helpers import random_word
 
 
@@ -164,6 +165,13 @@ def test_extra_generator_shares_the_checked_table():
         S3.with_extra_generator("c", 6)
 
 
+def test_closure_stops_at_the_size_limit():
+    # lamp(2,12) has 2^12 * 12 = 49,152 elements: the closure refuses it
+    # once it passes the limit, before any Cayley table is built
+    with pytest.raises(GroupDefinitionError, match=f"closure exceeded {MAX_GROUP_SIZE} elements"):
+        presets.get("lamp(2,12)")
+
+
 def _direct_table(group: FiniteGroup, mul) -> list[list[int]]:
     """The Cayley table from one payload product per cell."""
     index = {payload: i for i, payload in enumerate(group.payloads)}
@@ -256,6 +264,8 @@ def test_alphabet_mismatch_raises():
     Z = FreeAbelianGroup(1)
     with pytest.raises(AlphabetMismatch):
         F.evaluate(Word.parse(Z.alphabet, "t1"))
+    with pytest.raises(AlphabetMismatch):
+        quotient_map(F, Z, ["t1", Word.parse(F.alphabet, "x1")])
 
 
 # Baumslag-Solitar: pinch reduction cross-checked against the faithful

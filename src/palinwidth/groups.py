@@ -9,13 +9,10 @@ one-relator family for relation experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, Optional, Sequence
 
-from .errors import (
-    AlphabetMismatch,
-    GroupDefinitionError,
-    NotGenerated,
-)
+from .errors import AlphabetMismatch, GroupDefinitionError
 from .words import Alphabet, Letter, Word, invert, reduce_free, relabel
 
 MAX_GROUP_SIZE = 20000  # default limit on the elements a finite group is built with
@@ -127,10 +124,13 @@ class GeodesicTable:
 class FiniteGroup(Group):
     """Finite group as an element list (index 0 = identity) plus Cayley table.
 
-    When synthesised from generators the canonical element order is
-    breadth-first discovery order (generators in alphabet order, positive
-    sign before negative) and the table comes from the generator action
-    recorded by that search; explicit tables keep their given order.
+    An explicit table keeps its given order.  It must be a Latin square
+    with identity 0 whose generators generate, and it must pass Light's
+    associativity test over the generators (see __init__).  A group
+    synthesised from generators (from_elements) takes breadth-first
+    discovery order: generators in alphabet order, positive sign before
+    negative.  Its table is filled from the generator action recorded by
+    that search, and certified from the same action (see from_elements).
     """
 
     def __init__(
@@ -141,6 +141,12 @@ class FiniteGroup(Group):
         payloads: Optional[Sequence[Any]] = None,
         source_def: Optional[dict] = None,
     ):
+        """Check an explicit table, O(|G|²·k) for k generators.
+
+        Light's test: the elements g with (x·y)·g = x·(y·g) for all x, y
+        are closed under products, so when every signed letter's element
+        passes, so does everything the letters generate.
+        """
         size = len(table)
         if size == 0:
             raise GroupDefinitionError("empty element list")
@@ -157,9 +163,15 @@ class FiniteGroup(Group):
         self._attach(
             alphabet, rows, [row.index(0) for row in rows], generator_indices, payloads, source_def
         )
-        moves = list(self.letter_values().values())
-        if len(BreadthFirst(0, moves, self.multiply).run().order) != size:
+        order, parents = self._letter_tree()
+        if len(order) != size:
             raise GroupDefinitionError("generators do not generate the group")
+        for g in dict.fromkeys(self.letter_values().values()):
+            right = [row[g] for row in rows]  # x -> x·g
+            for row in rows:  # (x·y)·g against x·(y·g), for every y at once
+                if list(map(right.__getitem__, row)) != list(map(row.__getitem__, right)):
+                    raise GroupDefinitionError("multiplication table is not associative")
+        self._tree = (order, parents)
 
     def _attach(self, alphabet, rows, inverses, generator_indices, payloads, source_def) -> None:
         """Take on an already checked table; only the generators are checked here."""
@@ -176,6 +188,8 @@ class FiniteGroup(Group):
         self.generator_indices = generator_indices
         self.payloads = tuple(payloads) if payloads is not None else None
         self.source_def = source_def
+        # (order, parents) of the search over signed letters, until geodesics() reads it
+        self._tree: Optional[tuple[Sequence[int], Any]] = None
         self._geodesics: Optional[GeodesicTable] = None
         self._extensions: dict[tuple[str, int], FiniteGroup] = {}
 
@@ -191,14 +205,29 @@ class FiniteGroup(Group):
     ) -> "FiniteGroup":
         """Closure of abstract generator payloads under mul; BFS order.
 
-        The search right-multiplies each element by every signed generator
+        The search right-multiplies each element by every signed letter m
         (alphabet order, '+' before '-'), so mul runs |G|·2k times.  It
         records that action as indices, action[m][x] = index of items[x]
-        times letter m, and the letter that first reached each element.  As
-        items[b] = items[x]·letter_m for that first link, column b of the
-        table is column x mapped through action[m]: the table costs |G|²
-        integer lookups and no further payload products.  The closure stays
-        a loop of its own so that it stops at MAX_GROUP_SIZE before any table.
+        times letter m, and the link (x, m) that first reached each
+        element: a shortlex geodesic tree.  The closure stays a loop of its
+        own so that it stops at MAX_GROUP_SIZE before any table.
+
+        With e_m the index of letter m, left[m] (c -> e_m·c) follows the
+        tree: left[m][x·m'] = action[m'][left[m][x]].  Row b of the table,
+        for b = x·m, is row x after left[m], and b's inverse is
+        left[m⁻¹][x⁻¹].  That is |G|² integer lookups and no further
+        payload products.
+
+        Certificate, O(|G|·k²) for k generators:
+          (a) each action[m] is a permutation sending 0 to e_m, and
+              action[m⁻¹] sends e_m to 0;
+          (b) each left[m] commutes with each action[m'];
+          (c) row b sends 0 to b, so the identity's orbit under the
+              left[m] is every element.
+        Proof: an s in the group generated by the actions that fixes 0 and
+        commutes with a map φ also fixes φ(0).  By (b) and (c) the
+        stabiliser of 0 is trivial, so the action is regular and the table
+        is a group's Cayley table.
         """
         if len(generators) != len(names):
             raise GroupDefinitionError("one generator payload per name required")
@@ -218,12 +247,44 @@ class FiniteGroup(Group):
                     items.append(y)
                     links.append((x, m))
                 action[m].append(j)
-        columns = [list(range(len(items)))]
+        size = len(items)
+        signed = [f"{name}{sign}" for name in names for sign in ("", "^-1")]
+        elements = [index.get(letter) for letter in letters]
+        for m, moved in enumerate(action):
+            if len(set(moved)) != size:
+                raise GroupDefinitionError(f"{signed[m]} does not act as a permutation")
+            if moved[0] != elements[m]:
+                raise GroupDefinitionError(f"the identity times {signed[m]} is not {signed[m]}")
+            if action[m ^ 1][moved[0]] != 0:
+                raise GroupDefinitionError(f"inv({names[m // 2]}) does not invert it")
+        # itemgetter(*f)(g) is g after f, as a tuple: composition at C speed
+        after_action = [itemgetter(*moved) for moved in action]
+        left, after_left = [], []
+        for m, e in enumerate(elements):
+            row = [e]
+            for x, step in links:
+                row.append(action[step][row[x]])
+            after_row = itemgetter(*row)
+            if any(after_action[n](row) != after_row(action[n]) for n in range(len(action))):
+                raise GroupDefinitionError(
+                    f"mul is not a group product: left multiplication by {signed[m]}"
+                    " does not commute with the generator action"
+                )
+            left.append(row)
+            after_left.append(after_row)
+        rows = [list(range(size))]
+        inverses = [0]
         for x, m in links:
-            columns.append(list(map(action[m].__getitem__, columns[x])))
-        table = list(zip(*columns))
-        gen_indices = [index[g] for g in generators]
-        return cls(Alphabet(names), table, gen_indices, payloads=items, source_def=source_def)
+            rows.append(list(after_left[m](rows[x])))
+            inverses.append(left[m ^ 1][inverses[x]])
+        if [row[0] for row in rows] != rows[0]:
+            raise GroupDefinitionError(
+                "mul is not a group product: left multiplications do not reach every element"
+            )
+        group = cls.__new__(cls)
+        group._attach(Alphabet(names), rows, inverses, elements[::2], items, source_def)
+        group._tree = (range(size), [None] + [(x, (m // 2, -1 if m % 2 else 1)) for x, m in links])
+        return group
 
     @classmethod
     def from_permutations(
@@ -246,7 +307,7 @@ class FiniteGroup(Group):
             payloads.append(tuple(i - 1 for i in images))
 
         def mul(p: tuple, q: tuple) -> tuple:
-            return tuple(q[p[i]] for i in range(degree))
+            return tuple(map(q.__getitem__, p))
 
         def inv(p: tuple) -> tuple:
             out = [0] * degree
@@ -317,22 +378,29 @@ class FiniteGroup(Group):
             for sign in (1, -1)
         }
 
+    def _letter_tree(self) -> tuple[list, dict]:
+        """(order, parents) of the breadth-first search over signed letters from 0."""
+        values = self.letter_values()
+        table = self._table
+        search = BreadthFirst(0, list(values), lambda x, letter: table[x][values[letter]]).run()
+        return search.order, search.parents
+
     def geodesics(self) -> GeodesicTable:
-        """Shortlex geodesics by BFS; alphabet order, '+' before '-'."""
+        """Shortlex geodesics from the letter search; alphabet order, '+' before '-'.
+
+        A table or closure kept the tree of its own search, so only an
+        extension, whose alphabet is new, searches again.
+        """
         if self._geodesics is None:
-            values = self.letter_values()
-            search = BreadthFirst(
-                0, list(values), lambda x, letter: self._table[x][values[letter]]
-            ).run()
-            if len(search.order) != self.size:
-                raise NotGenerated("generators do not generate the group")
-            words = {0: Word(self.alphabet)}
-            for y in search.order[1:]:
-                x, letter = search.parents[y]
-                words[y] = words[x] * Word(self.alphabet, [letter])
+            # an extension has no tree yet; its old generators still generate
+            order, parents = self._tree or self._letter_tree()
+            self._tree = None  # nothing else reads it
+            letters: list[tuple] = [()] * self.size
+            for y in order[1:]:
+                x, letter = parents[y]
+                letters[y] = letters[x] + (letter,)
             self._geodesics = GeodesicTable(
-                tuple(search.depths[x] for x in self.elements()),
-                tuple(words[x] for x in self.elements()),
+                tuple(map(len, letters)), tuple(Word(self.alphabet, w) for w in letters)
             )
         return self._geodesics
 

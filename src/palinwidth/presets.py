@@ -104,4 +104,6 @@ def get(name: str) -> Group:
     match = re.fullmatch(r"Z\^(\d+)", name)
     if match:
         return FreeAbelianGroup(int(match.group(1)), source_def={"preset": name})
+    if len(name) > 40:  # the argument may be a whole mistyped definition: echo its start only
+        raise GroupDefinitionError(f"unknown preset {name[:40]!r}... ({len(name)} characters)")
     raise GroupDefinitionError(f"unknown preset {name!r}")

@@ -15,6 +15,7 @@ base group evaluate them once, as one word; identity lamps are dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Any, Iterable, Optional
 
 from .errors import AlphabetMismatch, GroupDefinitionError
@@ -168,31 +169,39 @@ class WreathProduct:
     # finite materialisation
 
     def as_finite_group(self) -> FiniteGroup:
-        """Enumerate the whole wreath product as a finite group handle."""
-        if not isinstance(self.top, FiniteGroup) or not isinstance(self.base, FiniteGroup):
+        """Enumerate the whole wreath product as a finite group handle.
+
+        An element is packed as (top index, lamps), where lamps holds one
+        base index per top element; products run through the top's and the
+        base's Cayley tables, with no WreathElement round trips.
+        """
+        top, base = self.top, self.base
+        if not isinstance(top, FiniteGroup) or not isinstance(base, FiniteGroup):
             raise GroupDefinitionError("finite materialisation needs finite top and base")
+        top_table, base_rows = top._table, base._table
+        positions = top.elements()
+        shifted = [[top_table[p][a] for p in positions] for a in positions]  # [a][p] = p·a
 
-        def freeze(g: WreathElement) -> tuple:
-            return (g.top, tuple(sorted(g.base.items())))
+        def pack(g: WreathElement) -> tuple:
+            return g.top, tuple(g.base.get(p, 0) for p in positions)
 
-        def thaw(key: tuple) -> WreathElement:
-            return WreathElement(key[0], dict(key[1]))
+        unlit = pack(self.identity())[1]
 
-        def mul(a: tuple, b: tuple) -> tuple:
-            return freeze(self.multiply(thaw(a), thaw(b)))
+        def mul(g: tuple, h: tuple) -> tuple:
+            (a, phi), (b, psi) = g, h  # p -> phi(p)·psi(p·a)
+            if psi == unlit:  # h is a top element, a top letter say: phi stays
+                return top_table[a][b], phi
+            lamps = map(getitem, map(base_rows.__getitem__, phi), map(psi.__getitem__, shifted[a]))
+            return top_table[a][b], tuple(lamps)
 
-        def inv(a: tuple) -> tuple:
-            return freeze(self.inverse(thaw(a)))
+        def inv(g: tuple) -> tuple:
+            a, phi = g  # p -> phi(p·a⁻¹)⁻¹
+            back = top.inverse(a)
+            return back, tuple(map(base.inverse, map(phi.__getitem__, shifted[back])))
 
-        generators = [
-            freeze(self.letter_value(i, 1)) for i in range(len(self.alphabet))
-        ]
+        generators = [pack(self.letter_value(i, 1)) for i in range(len(self.alphabet))]
         return FiniteGroup.from_elements(
-            self.alphabet.names,
-            freeze(self.identity()),
-            generators,
-            mul,
-            inv,
+            self.alphabet.names, pack(self.identity()), generators, mul, inv
         )
 
     def __repr__(self) -> str:

@@ -230,6 +230,16 @@ def test_input_errors_exit_2(capsys):
         assert main(["decompose", "--top", "S3", "--base", F2_DEF,
                      "--mode", "finite-top", "--word", word]) == 2
     assert capsys.readouterr().out == ""
+    # a Latin square with identity 0 that is not associative: a loop, not a group
+    loop = [[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 0, 3, 1, 2]]
+    loop_def = json.dumps({"kind": "finite", "generators": {"a": 1, "b": 3}, "table": loop})
+    assert main(["pw-exact", "--group", loop_def]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+    # an unknown preset is echoed cut short, however long the argument
+    assert main(["pw-exact", "--group", "[" * 5000 + "]" * 5000]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.strip().splitlines()) == 1 and len(err) < 100
 
 
 def test_cyclic_preset_over_the_size_limit_exits_2_at_once(capsys):

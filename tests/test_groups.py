@@ -22,6 +22,7 @@ from palinwidth import (
 from palinwidth import presets
 from palinwidth.errors import AlphabetMismatch, GroupDefinitionError
 from palinwidth.groups import MAX_GROUP_SIZE
+from palinwidth.oracle import exact_palindromic_width
 from helpers import random_word
 
 
@@ -134,6 +135,35 @@ def test_finite_table_validation():
     k4 = presets.klein_four()
     with pytest.raises(GroupDefinitionError):
         FiniteGroup.from_table(["a"], k4._table, [k4.generator_indices[0]])
+    # a Latin square with identity 0, generated by a and b, but not associative
+    with pytest.raises(GroupDefinitionError, match="not associative"):
+        FiniteGroup.from_table(["a", "b"], LOOP, [1, 3])
+
+
+# a loop of order 5: (1·1)·3 = 2·3 = 0 but 1·(1·3) = 1·4 = 3
+LOOP = [[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 0, 3, 1, 2]]
+
+
+def test_closure_refuses_products_that_are_not_group_products():
+    # the loop as a payload product: a·2 = 0 but 2·a = 3, so a has no inverse
+    def right_inverse(a):
+        return LOOP[a].index(0)
+
+    with pytest.raises(GroupDefinitionError, match=r"inv\(a\) does not invert it"):
+        FiniteGroup.from_elements(["a", "b"], 0, [1, 3], lambda a, b: LOOP[a][b], right_inverse)
+    # a loop with two-sided inverses: each letter acts as a permutation and
+    # inv inverts, but left multiplication does not commute with the action
+    inverse_loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(GroupDefinitionError, match="not a group product"):
+        FiniteGroup.from_elements(
+            ["a", "b"], 0, [1, 2], lambda a, b: inverse_loop[a][b], lambda a: inverse_loop[a].index(0)
+        )
+    # multiplication mod 4: the letter 2 sends both 0 and 2 to 0
+    with pytest.raises(GroupDefinitionError, match="does not act as a permutation"):
+        FiniteGroup.from_elements(["g"], 1, [2], lambda a, b: a * b % 4, lambda a: a)
+    # an inv that returns its argument: the 3-cycle t is not its own inverse
+    with pytest.raises(GroupDefinitionError, match=r"inv\(t\) does not invert it"):
+        FiniteGroup.from_elements(["s", "t"], (0, 1, 2), [(1, 0, 2), (1, 2, 0)], _compose, lambda p: p)
 
 
 def test_finite_from_table_round_trip():
@@ -184,6 +214,12 @@ _SYMMETRIC = {
 }
 
 
+def _closure_built(name: str) -> FiniteGroup:
+    if name in _SYMMETRIC:
+        return FiniteGroup.from_permutations(_SYMMETRIC[name])
+    return presets.get(name)
+
+
 @pytest.mark.parametrize(
     "name",
     ["S3", "D4", "Q8", "Z2xZ2", "Z/5", "lamp(2,2)", "lamp(2,3)", "lamp(3,3)", "lamp(2,5)", "S4", "S5"],
@@ -199,11 +235,29 @@ def test_action_table_matches_direct_products(name, monkeypatch):
         return build(cls, names, identity, generators, mul, inv, **options)
 
     monkeypatch.setattr(FiniteGroup, "from_elements", classmethod(spy))
-    if name in _SYMMETRIC:
-        group = FiniteGroup.from_permutations(_SYMMETRIC[name])
-    else:
-        group = presets.get(name)
+    group = _closure_built(name)
     assert group._table == _direct_table(group, products[-1])
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["", "+c"])
+@pytest.mark.parametrize(
+    "name",
+    ["S3", "D4", "Q8", "Z2xZ2", "Z/5", "Z/12", "lamp(2,2)", "lamp(2,3)", "lamp(2,4)",
+     "lamp(2,5)", "lamp(3,3)", "S4", "S5"],
+)
+def test_closure_and_table_constructors_agree(name, extended):
+    # the closure's certificate and the explicit table's checks accept the
+    # same table, and both handles answer alike from it
+    group = _closure_built(name)
+    if extended:
+        first, last = group.alphabet.names[0], group.alphabet.names[-1]
+        value = group.evaluate(Word.parse(group.alphabet, f"{first}*{last}"))
+        group = group.with_extra_generator("c", value)
+    again = FiniteGroup.from_table(list(group.alphabet.names), group._table, group.generator_indices)
+    assert again._table == group._table
+    assert again._inv == group._inv
+    assert again.geodesics() == group.geodesics()
+    assert exact_palindromic_width(again) == exact_palindromic_width(group)
 
 
 def _compose(p: tuple, q: tuple) -> tuple:

@@ -205,5 +205,6 @@ def test_wreath_evaluation_matches_finite_materialisation():
     for _ in range(200):
         word = random_word(rng, wreath.alphabet, 16)
         symbolic = wreath.evaluate(word)
-        frozen = (symbolic.top, tuple(sorted(symbolic.base.items())))
-        assert finite.payloads[finite.evaluate(word)] == frozen
+        # a payload packs the top index and one lamp per top element
+        packed = (symbolic.top, tuple(symbolic.base.get(p, 0) for p in wreath.top.elements()))
+        assert finite.payloads[finite.evaluate(word)] == packed

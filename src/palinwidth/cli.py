@@ -68,15 +68,20 @@ def _field(block: Any, key: str, kind: type, default: Any = _REQUIRED) -> Any:
     value = block[key]
     if value is None and default is None:
         return None
-    if not isinstance(value, kind):
+    if not _is(value, kind):
         raise GroupDefinitionError(f"{key!r} has the wrong type ({type(value).__name__})")
     return value
 
 
 def _list_of(value: list, kind: type, what: str) -> list:
-    if not all(isinstance(item, kind) for item in value):
+    if not all(_is(item, kind) for item in value):
         raise GroupDefinitionError(f"{what} must hold only {kind.__name__} values")
     return value
+
+
+def _is(value: Any, kind: type) -> bool:
+    """isinstance, except that a JSON boolean is not an integer."""
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +240,9 @@ def _parse_commutators(text: str, wreath: WreathProduct) -> CommutatorData:
 def _decompose_inputs(args, top: Group, wreath: WreathProduct) -> tuple[dict, Optional[dict]]:
     """argv as the report's `inputs` and `relation_used` blocks.
 
-    A finite-top run with relation=auto leaves `relation_used` to the
-    construction, which finds the witness itself.
+    The finite-top and derived modes need a relation over a finite top;
+    with relation=auto it is found here, before the construction runs.
     """
-    explicit = args.relation not in ("", "auto")
     if args.mode == "abelian-top":
         if args.exps is None:
             raise GroupDefinitionError("--exps is required for abelian-top mode")
@@ -249,13 +253,15 @@ def _decompose_inputs(args, top: Group, wreath: WreathProduct) -> tuple[dict, Op
         return inputs, None
     if args.mode == "finite-top":
         inputs = {"word": str(Word.parse(wreath.alphabet, args.word or "1"))}
-        return inputs, _explicit_relation(args.relation, top) if explicit else None
-    inputs = {"commutators": args.commutators or "[]", "a_top": args.a_top or "1"}
-    if args.mode != "derived":
-        return inputs, None
+    else:
+        inputs = {"commutators": args.commutators or "[]", "a_top": args.a_top or "1"}
+        if args.mode != "derived":
+            return inputs, None
     if not isinstance(top, FiniteGroup):
-        raise GroupDefinitionError("derived mode needs a finite top")
-    if explicit:
+        raise GroupDefinitionError(f"{args.mode} mode needs a finite top")
+    if args.mode == "finite-top" and not isinstance(wreath.base, FreeGroup):
+        raise GroupDefinitionError("finite-top mode needs a free base")
+    if args.relation not in ("", "auto"):
         return inputs, _explicit_relation(args.relation, top)
     return inputs, _witness_def(find_reversal_asymmetric_relation(top, args.budget), top)
 
@@ -270,7 +276,6 @@ def _mode_calls(
     top: Group,
     base: Group,
     witness: Optional[RelationWitness],
-    budget: Optional[int] = None,
 ) -> tuple[Callable[[], PalindromeFactorization], Callable[[], WreathElement]]:
     """The construction and the target for one mode, on a report's inputs.
 
@@ -278,8 +283,7 @@ def _mode_calls(
     second, so both read the inputs and compute the target the same way.
     The target is computed on demand: decompose never needs it, and working
     it out first would report some bad inputs with the target's error
-    rather than the construction's.  The budget bounds the relation search
-    of a finite-top run that has no witness yet.
+    rather than the construction's.
     """
     if mode == "abelian-top":
         wreath = WreathProduct(top, base)
@@ -311,7 +315,7 @@ def _mode_calls(
         wreath = WreathProduct(top, base)
         word = Word.parse(wreath.alphabet, _field(inputs, "word", str))
         return (
-            partial(decompose_full_finite_top, wreath, word, witness, budget),
+            partial(decompose_full_finite_top, wreath, word, witness),
             partial(wreath.evaluate, word),
         )
     raise GroupDefinitionError(f"unknown mode {mode!r}")
@@ -382,7 +386,7 @@ def cmd_decompose(args) -> tuple[dict, bool]:
     base = load_group(args.base)
     inputs, relation_used = _decompose_inputs(args, top, WreathProduct(top, base))
     witness = _witness(relation_used, top)
-    run, _ = _mode_calls(args.mode, inputs, top, base, witness, args.budget)
+    run, _ = _mode_calls(args.mode, inputs, top, base, witness)
     fact = run()
     report: dict[str, Any] = {
         "command": "decompose",
@@ -394,10 +398,8 @@ def cmd_decompose(args) -> tuple[dict, bool]:
     if args.mode == "shifted":
         report["shift_used"] = list(fact.meta["shift"])
         report["retries"] = fact.meta["retries"]
-    elif args.mode == "derived":
+    elif relation_used is not None:
         report["relation_used"] = relation_used
-    elif args.mode == "finite-top":
-        report["relation_used"] = _witness_def(fact.meta["witness"], top)
     report.update(_factorization_report(fact))
     return report, fact.verified
 

@@ -597,7 +597,6 @@ def decompose_full_finite_top(
     wreath: WreathProduct,
     word: Word,
     witness: Optional[RelationWitness] = None,
-    budget: Optional[int] = None,
 ) -> PalindromeFactorization:
     """Free base over a finite non-abelian top, end to end.
 
@@ -615,7 +614,7 @@ def decompose_full_finite_top(
     if not isinstance(base, FreeGroup):
         raise GroupDefinitionError("free base required")
     if witness is None:
-        witness = find_reversal_asymmetric_relation(top, budget)
+        witness = find_reversal_asymmetric_relation(top)
     if witness.group.alphabet != top.alphabet:
         wide = WreathProduct(witness.group, base)
         word = relabel(word, wide.alphabet)

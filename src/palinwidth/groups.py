@@ -4,7 +4,8 @@ Every backend has decidable equality and evaluates words homomorphically:
 finite groups (Cayley table or permutation generators), free groups,
 free abelian groups, abelianized free groups, a free-abelian x finite-abelian
 product for infinite abelian groups with torsion, and the Baumslag-Solitar
-one-relator family for relation experiments.
+one-relator family for relation experiments.  Every finite group's table,
+explicit or built by closure, is certified from its generator action.
 """
 from __future__ import annotations
 
@@ -62,6 +63,15 @@ class BreadthFirst:
         for _ in self._discoveries:
             pass
         return self
+
+    def path(self, node: Any) -> list:
+        """The moves from start to an already discovered node, in order."""
+        moves = []
+        while (link := self.parents[node]) is not None:
+            node, move = link
+            moves.append(move)
+        moves.reverse()
+        return moves
 
 
 class Group:
@@ -124,13 +134,14 @@ class GeodesicTable:
 class FiniteGroup(Group):
     """Finite group as an element list (index 0 = identity) plus Cayley table.
 
-    An explicit table keeps its given order.  It must be a Latin square
-    with identity 0 whose generators generate, and it must pass Light's
-    associativity test over the generators (see __init__).  A group
-    synthesised from generators (from_elements) takes breadth-first
-    discovery order: generators in alphabet order, positive sign before
-    negative.  Its table is filled from the generator action recorded by
-    that search, and certified from the same action (see from_elements).
+    Every table is certified from its generator action (see from_elements),
+    and a group has at most MAX_GROUP_SIZE elements.  A group synthesised
+    from generators (from_elements) takes breadth-first discovery order:
+    generators in alphabet order, positive sign before negative.  Its table
+    is filled from the generator action recorded by that search.  An
+    explicit table keeps its given order: the closure runs over its own
+    indices with its rows as the product, and the table must then equal
+    the certified product entry for entry (see __init__).
     """
 
     def __init__(
@@ -138,57 +149,52 @@ class FiniteGroup(Group):
         alphabet: Alphabet,
         table: Sequence[Sequence[int]],
         generator_indices: Sequence[int],
-        payloads: Optional[Sequence[Any]] = None,
         source_def: Optional[dict] = None,
     ):
-        """Check an explicit table, O(|G|²·k) for k generators.
+        """Certify an explicit table through the closure, O(|G|²) lookups.
 
-        Light's test: the elements g with (x·y)·g = x·(y·g) for all x, y
-        are closed under products, so when every signed letter's element
-        passes, so does everything the letters generate.
+        The closure reads only the generators' columns, so each given row
+        is then compared with the certified product under the closure's
+        index map: one C-speed tuple comparison per row.
         """
         size = len(table)
         if size == 0:
             raise GroupDefinitionError("empty element list")
         rows = [list(row) for row in table]
-        everything = set(range(size))
-        if any(len(row) != size or set(row) != everything for row in rows) or any(
-            set(column) != everything for column in zip(*rows)
+        # the closure indexes rows directly, where a -1 would wrap around
+        if any(len(row) != size for row in rows) or not (
+            0 <= min(map(min, rows)) and max(map(max, rows)) < size
         ):
-            raise GroupDefinitionError("multiplication table is not a Latin square")
-        if rows[0] != list(range(size)):
-            raise GroupDefinitionError("element 0 must be the identity (row 0)")
-        if any(rows[i][0] != i for i in range(size)):
-            raise GroupDefinitionError("element 0 must be the identity (column 0)")
-        self._attach(
-            alphabet, rows, [row.index(0) for row in rows], generator_indices, payloads, source_def
+            raise GroupDefinitionError(
+                f"the table must be {size} rows of {size} entries in 0..{size - 1}"
+            )
+        if any(not 0 <= g < size or 0 not in rows[g] for g in generator_indices):
+            raise GroupDefinitionError("each generator must be an element whose row holds 0")
+        closure = FiniteGroup.from_elements(
+            alphabet.names, 0, generator_indices,
+            lambda a, b: rows[a][b], lambda g: rows[g].index(0),
         )
-        order, parents = self._letter_tree()
-        if len(order) != size:
+        items = closure.payloads  # closure index -> given index
+        if len(items) != size:
             raise GroupDefinitionError("generators do not generate the group")
-        for g in dict.fromkeys(self.letter_values().values()):
-            right = [row[g] for row in rows]  # x -> x·g
-            for row in rows:  # (x·y)·g against x·(y·g), for every y at once
-                if list(map(right.__getitem__, row)) != list(map(row.__getitem__, right)):
-                    raise GroupDefinitionError("multiplication table is not associative")
-        self._tree = (order, parents)
+        given = itemgetter(*items)  # a given row, read in closure order
+        if any(given(rows[x]) != itemgetter(*row)(items) for x, row in zip(items, closure._table)):
+            raise GroupDefinitionError("the table is not the product its generators act by")
+        inverses = [0] * size
+        for x, inverse in zip(items, closure._inv):
+            inverses[x] = items[inverse]
+        self._attach(alphabet, rows, inverses, generator_indices, None, source_def)
 
     def _attach(self, alphabet, rows, inverses, generator_indices, payloads, source_def) -> None:
-        """Take on an already checked table; only the generators are checked here."""
-        size = len(rows)
-        generator_indices = tuple(generator_indices)
-        if len(generator_indices) != len(alphabet):
-            raise GroupDefinitionError("one generator per alphabet letter required")
-        if any(not 0 <= g < size for g in generator_indices):
-            raise GroupDefinitionError("generator index out of range")
+        """Take on a certified table whose generators every caller has checked."""
         self.alphabet = alphabet
-        self.size = size
+        self.size = len(rows)
         self._table = rows
         self._inv = inverses
-        self.generator_indices = generator_indices
+        self.generator_indices = tuple(generator_indices)
         self.payloads = tuple(payloads) if payloads is not None else None
         self.source_def = source_def
-        # (order, parents) of the search over signed letters, until geodesics() reads it
+        # (order, parents) of the closure's letter search, until geodesics() reads it
         self._tree: Optional[tuple[Sequence[int], Any]] = None
         self._geodesics: Optional[GeodesicTable] = None
         self._extensions: dict[tuple[str, int], FiniteGroup] = {}
@@ -388,11 +394,10 @@ class FiniteGroup(Group):
     def geodesics(self) -> GeodesicTable:
         """Shortlex geodesics from the letter search; alphabet order, '+' before '-'.
 
-        A table or closure kept the tree of its own search, so only an
+        A closure kept the tree of its own search; an explicit table or an
         extension, whose alphabet is new, searches again.
         """
         if self._geodesics is None:
-            # an extension has no tree yet; its old generators still generate
             order, parents = self._tree or self._letter_tree()
             self._tree = None  # nothing else reads it
             letters: list[tuple] = [()] * self.size
@@ -459,8 +464,8 @@ class FreeGroup(_ReducedWords):
         source_def: Optional[dict] = None,
     ):
         if names is None:
-            if rank is None:
-                raise GroupDefinitionError("free group needs a rank or names")
+            if rank is None or rank < 0:
+                raise GroupDefinitionError("free group needs a non-negative rank or names")
             names = tuple(f"x{i + 1}" for i in range(rank))
         self.alphabet = Alphabet(names)
         self.rank = len(self.alphabet)
@@ -488,8 +493,8 @@ class FreeAbelianGroup(Group):
         source_def: Optional[dict] = None,
     ):
         if names is None:
-            if rank is None:
-                raise GroupDefinitionError("free abelian group needs a rank or names")
+            if rank is None or rank < 0:
+                raise GroupDefinitionError("free abelian group needs a non-negative rank or names")
             names = tuple(f"{self._default_prefix}{i + 1}" for i in range(rank))
         self.alphabet = Alphabet(names)
         self.rank = len(self.alphabet)

@@ -48,14 +48,7 @@ class PairAutomaton(BreadthFirst):
 
     def witness(self, pair: Pair) -> Word:
         """Shortest word u with (eval(u), eval(reverse(u))) = pair."""
-        letters = []
-        while True:
-            link = self.parents[pair]
-            if link is None:
-                break
-            pair, letter = link
-            letters.append(letter)
-        return Word(self.group.alphabet, reversed(letters))
+        return Word(self.group.alphabet, self.path(pair))
 
 
 def build_pair_automaton(group: FiniteGroup) -> PairAutomaton:
@@ -152,17 +145,16 @@ class WidthReport:
         return out
 
 
-def palindrome_width_bfs(group: FiniteGroup, moves: dict) -> tuple[list[int], dict]:
-    """Distances from the identity where one step right-multiplies by a move.
+def palindrome_width_bfs(group: FiniteGroup, moves: dict) -> BreadthFirst:
+    """The completed search from the identity where one step right-multiplies by a move.
 
-    Returns (distances, parents); parents[x] = (previous element, move used).
     Raises NotGenerated when some element stays unreachable.
     """
     move_items = [m for m in moves if not group.is_identity(m)]
     search = BreadthFirst(group.identity(), move_items, group.multiply).run()
     if len(search.order) != group.size:
         raise NotGenerated("palindromic elements do not generate the group")
-    return [search.depths[x] for x in group.elements()], search.parents
+    return search
 
 
 class PalindromeOracle:
@@ -172,7 +164,7 @@ class PalindromeOracle:
         self.group = group
         self._automaton: Optional[PairAutomaton] = None
         self._palindromes: Optional[PalindromeSet] = None
-        self._bfs: Optional[tuple[list[int], dict]] = None
+        self._bfs: Optional[BreadthFirst] = None
 
     @property
     def automaton(self) -> PairAutomaton:
@@ -186,28 +178,22 @@ class PalindromeOracle:
             self._palindromes = palindrome_set(self.automaton)
         return self._palindromes
 
-    def _width_bfs(self) -> tuple[list[int], dict]:
+    def _width_bfs(self) -> BreadthFirst:
         if self._bfs is None:
             self._bfs = palindrome_width_bfs(self.group, self.palindromes.witnesses)
         return self._bfs
 
     def width(self) -> WidthReport:
-        distances, _ = self._width_bfs()
+        depths = self._width_bfs().depths
+        distances = [depths[x] for x in self.group.elements()]
         top = max(distances)
         witness = distances.index(top)
         return WidthReport(width=top, witness=witness, distances=tuple(distances))
 
     def decompose(self, a: int) -> list[Word]:
         """At most width palindromic words multiplying to the element."""
-        _, parents = self._width_bfs()
-        factors: list[Word] = []
-        current = a
-        while parents[current] is not None:
-            previous, move = parents[current]
-            factors.append(self.palindromes.witnesses[move])
-            current = previous
-        factors.reverse()
-        return factors
+        witnesses = self.palindromes.witnesses
+        return [witnesses[move] for move in self._width_bfs().path(a)]
 
     def asymmetric_relation(self, budget: Optional[int] = None) -> Optional[Word]:
         """Shortest word r with r = 1 but reverse(r) != 1, if one exists.

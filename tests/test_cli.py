@@ -2,11 +2,12 @@ import contextlib
 import io
 import json
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from palinwidth.cli import main
+from palinwidth.cli import group_from_def, main
 
 F2_DEF = '{"kind":"free","rank":2,"names":["y1","y2"]}'
 
@@ -297,13 +298,20 @@ REPORT_WITHOUT_INPUTS = {
         (["decompose", "--top", "Z", "--base", F2_DEF, "--mode", "shifted",
           "--commutators", DEEP_LIST], {}),
         (["verify", "--report", "{dir}/report.json"], {"report.json": DEEP_LIST}),
+        (["decompose", "--top", "S3", "--base", '{"kind":"free","rank":-3}',
+          "--mode", "finite-top", "--word", "s*t"], {}),
+        (["decompose", "--top", "S3", "--base", '{"kind":"free","rank":true}',
+          "--mode", "finite-top", "--word", "s*t"], {}),
+        (["pw-exact", "--group", '{"kind":"finite","generators":{"g":true},"table":[[0,1],[1,0]]}'],
+         {}),
     ],
     ids=[
         "abelian-product-without-parts", "site-without-position", "commutators-not-a-list",
         "image-not-an-integer", "group-file-not-an-object", "preset-not-a-string",
         "rank-not-an-integer", "extra-generator-without-value-word", "report-without-inputs",
         "group-nested-inline", "group-nested-in-file", "extra-generator-chain",
-        "top-nested-inline", "commutators-nested", "report-nested",
+        "top-nested-inline", "commutators-nested", "report-nested", "rank-negative",
+        "rank-a-boolean", "generator-a-boolean",
     ],
 )
 def test_malformed_json_exits_2(capsys, tmp_path, argv, files):
@@ -313,6 +321,23 @@ def test_malformed_json_exits_2(capsys, tmp_path, argv, files):
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_readme_group_definitions_load():
+    # every object in README's "Group definitions" block loads, so the
+    # documented examples keep to the rules group_from_def enforces
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Group definitions", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    decoder = json.JSONDecoder()
+    text = block.strip()
+    definitions = []
+    while text:
+        definition, end = decoder.raw_decode(text)
+        definitions.append(definition)
+        text = text[end:].lstrip()
+    assert definitions
+    for definition in definitions:
+        assert group_from_def(definition).source_def == definition
 
 
 # group definitions from the real key vocabulary, small enough for pw-exact
@@ -392,6 +417,14 @@ def test_decomposition_failure_exits_1(capsys):
     )
     assert code == 1
     assert "AbelianGroup" in out
+    # the same abelian top over a base that is not free: an input error,
+    # found before the relation search could fail on the top
+    code, out = run(
+        capsys,
+        "decompose", "--top", "Z2xZ2", "--base", "S3",
+        "--mode", "finite-top", "--word", "a",
+    )
+    assert code == 2
 
 
 def test_deterministic_output(capsys):

@@ -135,9 +135,17 @@ def test_finite_table_validation():
     k4 = presets.klein_four()
     with pytest.raises(GroupDefinitionError):
         FiniteGroup.from_table(["a"], k4._table, [k4.generator_indices[0]])
-    # a Latin square with identity 0, generated by a and b, but not associative
-    with pytest.raises(GroupDefinitionError, match="not associative"):
+    # a Latin square with identity 0, generated by a and b, but not associative:
+    # the closure certificate refuses it, as it does the loop as a payload product
+    with pytest.raises(GroupDefinitionError, match=r"inv\(a\) does not invert it"):
         FiniteGroup.from_table(["a", "b"], LOOP, [1, 3])
+    # a -1 entry would index the last column; it is refused before any lookup
+    with pytest.raises(GroupDefinitionError, match=r"2 rows of 2 entries in 0\.\.1"):
+        FiniteGroup.from_table(["g"], [[0, 1], [1, -1]], [1])
+    # a generator out of range, or whose row holds no 0 (no inverse to close over)
+    for table, generator in (([[0, 1], [1, 0]], 2), ([[0, 1], [1, 1]], 1)):
+        with pytest.raises(GroupDefinitionError, match="whose row holds 0"):
+            FiniteGroup.from_table(["g"], table, [generator])
 
 
 # a loop of order 5: (1·1)·3 = 2·3 = 0 but 1·(1·3) = 1·4 = 3
@@ -246,8 +254,8 @@ def test_action_table_matches_direct_products(name, monkeypatch):
      "lamp(2,5)", "lamp(3,3)", "S4", "S5"],
 )
 def test_closure_and_table_constructors_agree(name, extended):
-    # the closure's certificate and the explicit table's checks accept the
-    # same table, and both handles answer alike from it
+    # the closure's own table, given back as an explicit table, is accepted
+    # unchanged, and both handles answer alike from it
     group = _closure_built(name)
     if extended:
         first, last = group.alphabet.names[0], group.alphabet.names[-1]
@@ -258,6 +266,41 @@ def test_closure_and_table_constructors_agree(name, extended):
     assert again._inv == group._inv
     assert again.geodesics() == group.geodesics()
     assert exact_palindromic_width(again) == exact_palindromic_width(group)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "lamp(2,3)", "S4"])
+def test_shuffled_table_keeps_its_indices(name, seed):
+    # the same group with its elements renumbered, 0 kept fixed: the table
+    # keeps the given numbering, and inverses, geodesics and width move with it
+    group = _closure_built(name)
+    perm = [0] + random.Random(seed).sample(range(1, group.size), group.size - 1)
+    table = [[0] * group.size for _ in range(group.size)]
+    for a in group.elements():
+        for b in group.elements():
+            table[perm[a]][perm[b]] = perm[group.multiply(a, b)]
+    names = list(group.alphabet.names)
+    again = FiniteGroup.from_table(names, table, [perm[g] for g in group.generator_indices])
+    assert [[again.multiply(a, b) for b in again.elements()] for a in again.elements()] == table
+    geodesics, again_geodesics = group.geodesics(), again.geodesics()
+    width, again_width = exact_palindromic_width(group), exact_palindromic_width(again)
+    assert again_width.width == width.width
+    for x in group.elements():
+        assert again.inverse(perm[x]) == perm[group.inverse(x)]
+        assert again_geodesics.words[perm[x]] == geodesics.words[x]
+        assert again_width.distances[perm[x]] == width.distances[x]
+
+
+def test_table_wrong_off_the_generator_columns_is_refused():
+    # two entries of row 3 swapped where no signed letter's column is: the
+    # closure reads only those columns, so only the full comparison sees it
+    S3 = presets.symmetric_3()
+    columns = [c for c in S3.elements() if c not in S3.letter_values().values()]
+    first, second = columns[:2]
+    table = [list(row) for row in S3._table]
+    table[3][first], table[3][second] = table[3][second], table[3][first]
+    with pytest.raises(GroupDefinitionError, match="not the product its generators act by"):
+        FiniteGroup.from_table(list(S3.alphabet.names), table, S3.generator_indices)
 
 
 def _compose(p: tuple, q: tuple) -> tuple:

@@ -33,9 +33,7 @@ from .oracle import (
     PalindromeSet,
     WidthReport,
     build_pair_automaton,
-    decompose_top_element,
     exact_palindromic_width,
-    naive_palindromic_elements,
     oracle_for,
     palindrome_set,
     verify_factorization,

@@ -2,7 +2,8 @@
 
 Reports are deterministic for identical inputs: JSON goes to
 stdout with sorted keys, timing goes to stderr.  Exit codes: 0 success,
-1 verification or decomposition failure, 2 input error.
+1 verification or decomposition failure or a stdout closed before the
+report was written, 2 input error.
 """
 from __future__ import annotations
 
@@ -627,18 +628,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     started = time.perf_counter()
     try:
         report, ok = args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except _INPUT_ERRORS + (OSError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PalinwidthError as exc:
-        failure = {"command": args.subcommand, "failure": f"{type(exc).__name__}: {exc}"}
-        _emit(failure, args.format)
-        print(f"elapsed_ms={1000 * (time.perf_counter() - started):.1f}", file=sys.stderr)
+        report, ok = {"command": args.subcommand, "failure": f"{type(exc).__name__}: {exc}"}, False
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the report was written", file=sys.stderr)
         return 1
-    _emit(report, args.format)
     print(f"elapsed_ms={1000 * (time.perf_counter() - started):.1f}", file=sys.stderr)
     return 0 if ok else 1
 

@@ -23,12 +23,13 @@ class BreadthFirst:
     """Breadth-first search from start, where one step is step(node, move).
 
     The search expands on demand: iterating it discovers nodes only as far
-    as the reader goes, and run() takes it to completion.  Moves are tried
-    in the same order at every node, so they must be a collection rather
-    than a one-shot iterator; discovery order does not depend on how far
-    the search was read.  order holds the nodes discovered so far,
-    parents[node] = (previous node, move) with None at start, and
-    depths[node] = number of steps from start; all three grow as it runs.
+    as the reader goes, and run() takes it to completion or to a node
+    count.  Moves are tried in the same order at every node, so they must
+    be a collection rather than a one-shot iterator; discovery order does
+    not depend on how far the search was read.  order holds the nodes
+    discovered so far, parents[node] = (previous node, move) with None at
+    start, and depths[node] = number of steps from start; all three grow
+    as it runs.
     """
 
     def __init__(self, start: Any, moves: Collection, step: Callable[[Any, Any], Any]):
@@ -58,9 +59,9 @@ class BreadthFirst:
             yield order[index]
             index += 1
 
-    def run(self) -> "BreadthFirst":
-        """Discover every reachable node."""
-        for _ in self._discoveries:
+    def run(self, nodes: Optional[int] = None) -> "BreadthFirst":
+        """Discover nodes until none is left or `nodes` are discovered (|G| over a group)."""
+        while len(self.order) != nodes and next(self._discoveries, False):
             pass
         return self
 
@@ -388,7 +389,7 @@ class FiniteGroup(Group):
         """(order, parents) of the breadth-first search over signed letters from 0."""
         values = self.letter_values()
         table = self._table
-        search = BreadthFirst(0, list(values), lambda x, letter: table[x][values[letter]]).run()
+        search = BreadthFirst(0, list(values), lambda x, m: table[x][values[m]]).run(self.size)
         return search.order, search.parents
 
     def geodesics(self) -> GeodesicTable:

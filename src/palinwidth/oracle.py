@@ -9,23 +9,26 @@ stop early: the palindrome set once every element has a witness, the
 relation search at the first pair (1, x != 1).  The palindrome set reads
 the automaton level by level (no centre before each centre in letter
 order, '+' before '-'), so the first word to reach an element is a
-shortest one; that witness word is built only when its element is new.
-Width is then a breadth-first search where one step multiplies by any
-palindrome-representable element.  All three searches, like the group
-closure and geodesics, run on groups.BreadthFirst; discovery order does
-not depend on how far a search was read, so neither do the answers.
+shortest one; the set records its pair and centre, and builds the word
+only when it is read.  Width is then a breadth-first search where one
+step multiplies by any palindrome-representable element, stopped at the
+|G|-th element.  All three searches, like the group closure and
+geodesics, run on groups.BreadthFirst; discovery order does not depend
+on how far a search was read, so neither do the answers.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExhausted, NotGenerated
 from .groups import BreadthFirst, FiniteGroup
-from .words import Word, is_palindrome, reverse
+from .words import Letter, Word, is_palindrome
 
 Pair = tuple[int, int]
+Source = tuple[Pair, Optional[Letter]]  # pair of u and centre of a witness u.c.reverse(u)
 
 
 class PairAutomaton(BreadthFirst):
@@ -56,12 +59,43 @@ def build_pair_automaton(group: FiniteGroup) -> PairAutomaton:
     return PairAutomaton(group)
 
 
+class Witnesses(Mapping):
+    """Read-only map from element to its shortest palindromic word u.c.reverse(u).
+
+    Keys keep the order palindrome_set found them in.  Each word is built
+    from the automaton's parent links on its first read, then cached.
+    """
+
+    def __init__(self, automaton: PairAutomaton, sources: dict[int, Source]):
+        self._automaton = automaton
+        self._sources = sources
+        self._words: dict[int, Word] = {}
+
+    def __getitem__(self, element: int) -> Word:
+        word = self._words.get(element)
+        if word is None:
+            pair, centre = self._sources[element]
+            u = self._automaton.path(pair)
+            core = [centre] if centre is not None else []
+            word = self._words[element] = Word(self._automaton.group.alphabet, u + core + u[::-1])
+        return word
+
+    def __contains__(self, element: object) -> bool:
+        return element in self._sources
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._sources)
+
+    def __len__(self) -> int:
+        return len(self._sources)
+
+
 @dataclass
 class PalindromeSet:
     """Palindrome-representable elements with shortest palindromic witnesses."""
 
     group: FiniteGroup
-    witnesses: dict  # element index -> palindromic Word, insertion-ordered
+    witnesses: Witnesses
 
 
 def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
@@ -70,66 +104,31 @@ def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
     One pass over the automaton's depth levels, shortest words first: in
     each level every pair with no centre (length 2d), then every pair with
     each centre in letter order, '+' before '-' (length 2d+1).  The first
-    word to reach an element is its witness, and it is built only then.
-    The scan stops once every element of the group has a witness, so the
-    automaton is expanded at most one pair past the last level read.
+    word to reach an element is its witness; its pair and centre are
+    recorded, and the word is built only if it is read.  The scan stops
+    once every element of the group has a witness, so the automaton is
+    expanded at most one pair past the last level read.
     """
     group = automaton.group
     multiply = group.multiply
-    empty = Word(group.alphabet)
-    centres = [
-        (Word(group.alphabet, [letter]), value)
-        for letter, value in group.letter_values().items()
-    ]
+    centres = list(group.letter_values().items())
 
     def candidates(level: list[Pair]):
         for pair in level:
-            yield multiply(*pair), pair, empty
+            yield multiply(*pair), pair, None
         for pair in level:
             g, g_star = pair
             for centre, value in centres:
                 yield multiply(multiply(g, value), g_star), pair, centre
 
-    witnesses: dict[int, Word] = {}
+    sources: dict[int, Source] = {}
     for _, level in groupby(automaton, key=automaton.depths.__getitem__):
         for element, pair, centre in candidates(list(level)):
-            if element not in witnesses:
-                u = automaton.witness(pair)
-                witnesses[element] = u * centre * reverse(u)
-                if len(witnesses) == group.size:
-                    return PalindromeSet(group=group, witnesses=witnesses)
-    return PalindromeSet(group=group, witnesses=witnesses)
-
-
-def naive_palindromic_elements(
-    group: FiniteGroup, max_half_length: Optional[int] = None
-) -> frozenset[int]:
-    """Evaluate every palindromic word up to length 2*cutoff+1, level by level.
-
-    Plain level sets, no predecessor bookkeeping: level k holds the
-    (value, reversed value) evaluations of all words of length exactly k.
-    Independent of the automaton construction above.
-    """
-    if max_half_length is None:
-        max_half_length = group.size
-    letter_values = [
-        group.letter_value(index, sign)
-        for index in range(len(group.alphabet))
-        for sign in (1, -1)
-    ]
-    elements: set[int] = set()
-    level = {(group.identity(), group.identity())}
-    for _ in range(max_half_length + 1):
-        for g, g_star in level:
-            elements.add(group.multiply(g, g_star))
-            for value in letter_values:
-                elements.add(group.multiply(group.multiply(g, value), g_star))
-        level = {
-            (group.multiply(g, value), group.multiply(value, g_star))
-            for g, g_star in level
-            for value in letter_values
-        }
-    return frozenset(elements)
+            if element not in sources:
+                sources[element] = (pair, centre)
+                if len(sources) == group.size:
+                    return PalindromeSet(group=group, witnesses=Witnesses(automaton, sources))
+    return PalindromeSet(group=group, witnesses=Witnesses(automaton, sources))
 
 
 @dataclass
@@ -146,12 +145,13 @@ class WidthReport:
 
 
 def palindrome_width_bfs(group: FiniteGroup, moves: dict) -> BreadthFirst:
-    """The completed search from the identity where one step right-multiplies by a move.
+    """The search from the identity where one step right-multiplies by a move.
 
-    Raises NotGenerated when some element stays unreachable.
+    It stops once all |G| elements are found, and raises NotGenerated when
+    some element stays unreachable.
     """
     move_items = [m for m in moves if not group.is_identity(m)]
-    search = BreadthFirst(group.identity(), move_items, group.multiply).run()
+    search = BreadthFirst(group.identity(), move_items, group.multiply).run(group.size)
     if len(search.order) != group.size:
         raise NotGenerated("palindromic elements do not generate the group")
     return search
@@ -227,10 +227,6 @@ def oracle_for(group: FiniteGroup) -> PalindromeOracle:
 def exact_palindromic_width(group: FiniteGroup) -> WidthReport:
     """Exact width by palindrome-move BFS; errors if not generated."""
     return oracle_for(group).width()
-
-
-def decompose_top_element(group: FiniteGroup, a: int) -> list[Word]:
-    return oracle_for(group).decompose(a)
 
 
 @dataclass

@@ -24,7 +24,6 @@ from palinwidth import (
     express_in_derived,
     find_reversal_asymmetric_relation,
     invert,
-    naive_palindromic_elements,
     oracle_for,
     push_factorization,
     quotient_map,
@@ -35,7 +34,7 @@ from palinwidth import (
 )
 from palinwidth import presets
 from palinwidth.decompose import PalindromeFactorization
-from helpers import random_word, random_zero_sum_word
+from helpers import naive_palindromic_elements, random_word, random_zero_sum_word
 
 
 def _report(number: int, name: str, started: float, limit: float) -> None:

@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from palinwidth import cli
 from palinwidth.cli import group_from_def, main
 
 F2_DEF = '{"kind":"free","rank":2,"names":["y1","y2"]}'
@@ -425,6 +429,24 @@ def test_decomposition_failure_exits_1(capsys):
         "--mode", "finite-top", "--word", "a",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_exits_1_without_a_traceback(fmt):
+    # `palinwidth pw-exact --group S3 | (exec 0<&-; true)`: the reader is gone
+    # before the report is written, here closed before the process starts
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "palinwidth.cli", "--format", fmt, "pw-exact", "--group", "S3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["error: stdout closed before the report was written"]
 
 
 def test_deterministic_output(capsys):

@@ -7,19 +7,20 @@ from palinwidth import (
     FreeGroup,
     Word,
     build_pair_automaton,
-    decompose_top_element,
     exact_palindromic_width,
     find_reversal_asymmetric_relation,
     is_palindrome,
-    naive_palindromic_elements,
     oracle_for,
     palindrome_set,
     reverse,
     verify_factorization,
 )
 from palinwidth import presets
+from palinwidth.cli import group_from_def
 from palinwidth.errors import NotGenerated
+from palinwidth.groups import BreadthFirst
 from palinwidth.oracle import PalindromeOracle, palindrome_width_bfs
+from helpers import naive_palindromic_elements
 
 SMALL_PRESETS = ["Z2xZ2", "S3", "D4", "Q8", "Z/5", "lamp(2,2)", "lamp(3,2)", "lamp(2,3)"]
 
@@ -101,8 +102,8 @@ def symmetric_4() -> FiniteGroup:
 
 
 def with_c(group: FiniteGroup) -> FiniteGroup:
-    """The group with c = (first generator)(second generator) added."""
-    first, second = group.generator_indices[:2]
+    """The group with c = (first generator)(second generator, or the first again) added."""
+    first, second = (group.generator_indices * 2)[:2]
     return group.with_extra_generator("c", group.multiply(first, second))
 
 
@@ -171,10 +172,84 @@ def test_relation_search_discovers_only_the_pairs_it_needs():
 
 
 def test_automaton_matches_naive_enumeration():
+    # the +c extensions read the automaton only until every element has a witness
     for name in SMALL_PRESETS:
-        group = presets.get(name)
-        automaton_elements = frozenset(oracle_for(group).palindromes.witnesses)
-        assert automaton_elements == naive_palindromic_elements(group), name
+        for group in (presets.get(name), with_c(presets.get(name))):
+            automaton_elements = frozenset(oracle_for(group).palindromes.witnesses)
+            assert automaton_elements == naive_palindromic_elements(group), name
+
+
+def relabelled_symmetric(n: int, seed: int) -> FiniteGroup:
+    """S_n on a transposition and an n-cycle, points renamed by a seeded shuffle as in oracle-cold."""
+    rename = list(range(1, n + 1))
+    random.Random(seed).shuffle(rename)  # point p is renamed rename[p - 1]
+
+    def renamed(images: list[int]) -> list[int]:
+        moved = [0] * n
+        for point, image in enumerate(images, 1):
+            moved[rename[point - 1] - 1] = rename[image - 1]
+        return moved
+
+    transposition = [2, 1] + list(range(3, n + 1))
+    cycle = list(range(2, n + 1)) + [1]
+    generators = {"s": renamed(transposition), "t": renamed(cycle)}
+    return group_from_def({"kind": "finite", "generators": generators})
+
+
+STOPPED_GROUPS = {
+    **{
+        name: lambda name=name: presets.get(name)
+        for name in SMALL_PRESETS + ["lamp(2,4)", "lamp(3,3)", "lamp(2,5)"]
+    },
+    "S4": lambda: relabelled_symmetric(4, 7),
+    "S5": lambda: relabelled_symmetric(5, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STOPPED_GROUPS) + [name + "+c" for name in sorted(STOPPED_GROUPS)])
+def test_searches_stop_at_the_group_order(name, monkeypatch):
+    group = STOPPED_GROUPS[name.removesuffix("+c")]()
+    if name.endswith("+c"):
+        group = with_c(group)
+        # an extension's geodesics come from the letter search, stopped at |G|
+        values = group.letter_values()
+        letters = BreadthFirst(0, list(values), lambda x, letter: group.multiply(x, values[letter]))
+        letters.run()
+        assert group.geodesics().words == tuple(
+            Word(group.alphabet, letters.path(x)) for x in group.elements()
+        )
+    witnesses = oracle_for(group).palindromes.witnesses
+    moves = [m for m in witnesses if not group.is_identity(m)]
+    completed = BreadthFirst(group.identity(), moves, group.multiply).run()
+    steps = []
+    multiply = group.multiply
+    monkeypatch.setattr(group, "multiply", lambda a, b: steps.append(a) or multiply(a, b))
+    stopped = palindrome_width_bfs(group, witnesses)
+    assert len(stopped.order) == group.size
+    assert stopped.order == completed.order
+    assert stopped.parents == completed.parents and stopped.depths == completed.depths
+    # the completed search expands all |G| nodes; the stopped one never expands the last
+    assert 0 < len(steps) <= (group.size - 1) * len(moves)
+
+
+@pytest.mark.parametrize("name", ["S5+c", "lamp(2,5)"])
+def test_witness_words_are_built_only_when_read(name):
+    group = STOPPED_GROUPS[name.removesuffix("+c")]()
+    if name.endswith("+c"):
+        group = with_c(group)
+    report = exact_palindromic_width(group)
+    oracle = oracle_for(group)
+    witnesses = oracle.palindromes.witnesses
+    assert len(witnesses) > report.width and len(witnesses._words) == 0
+    factors = oracle.decompose(report.witness)
+    assert verify_factorization(group, report.witness, factors).valid
+    assert 0 < len(witnesses._words) <= report.width
+    automaton = oracle.automaton
+    for element, (pair, centre) in witnesses._sources.items():
+        u = automaton.witness(pair)
+        core = Word(group.alphabet, [centre] if centre is not None else [])
+        assert witnesses[element] == u * core * reverse(u)
+    assert len(witnesses._words) == len(witnesses)
 
 
 def test_width_bounded_by_max_geodesic_length():
@@ -190,25 +265,26 @@ def test_s3_has_no_asymmetric_relation_over_two_generators():
     assert oracle_for(S3).asymmetric_relation() is None
 
 
-def test_decompose_top_element():
+def test_oracle_decompose():
     S3 = presets.symmetric_3()
-    assert decompose_top_element(S3, S3.identity()) == []
+    oracle = oracle_for(S3)
+    assert oracle.decompose(S3.identity()) == []
     s = S3.evaluate(Word.parse(S3.alphabet, "s"))
-    factors = decompose_top_element(S3, s)
+    factors = oracle.decompose(s)
     assert len(factors) == 1 and S3.evaluate(factors[0]) == s
     report = exact_palindromic_width(S3)
-    witness_factors = decompose_top_element(S3, report.witness)
+    witness_factors = oracle.decompose(report.witness)
     assert len(witness_factors) == report.width
     certificate = verify_factorization(S3, report.witness, witness_factors)
     assert certificate.valid
 
 
-def test_decompose_top_element_everywhere():
+def test_oracle_decompose_everywhere():
     for name in SMALL_PRESETS:
         group = presets.get(name)
         report = exact_palindromic_width(group)
         for element in group.elements():
-            factors = decompose_top_element(group, element)
+            factors = oracle_for(group).decompose(element)
             assert len(factors) <= report.width
             assert verify_factorization(group, element, factors).valid
 

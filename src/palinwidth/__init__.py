@@ -24,7 +24,7 @@ from .groups import (
     abelianize,
     quotient_map,
 )
-from .wreath import NormalForm, WreathElement, WreathProduct
+from .wreath import WreathElement, WreathProduct
 from .commutators import commutator_closure, commutator_word, express_in_derived
 from .oracle import (
     FactorizationCertificate,
@@ -43,7 +43,6 @@ from .decompose import (
     CommutatorSite,
     PalindromeFactorization,
     RelationWitness,
-    ShiftParams,
     decompose_abelian_element,
     decompose_commutator_abelian_top,
     decompose_commutator_pair,

@@ -46,7 +46,7 @@ from .groups import (
     Group,
 )
 from .oracle import exact_palindromic_width, oracle_for, verify_factorization
-from .words import Word, reverse
+from .words import MAX_PARSED_LETTERS, Word, reverse
 from .wreath import WreathElement, WreathProduct
 
 _INPUT_ERRORS = (GroupDefinitionError, WordSyntaxError, AlphabetMismatch, ValueError)
@@ -159,16 +159,10 @@ def load_group(source: str) -> Group:
 
 
 def group_def(group: Group) -> dict:
-    definition = getattr(group, "source_def", None)
-    if definition is not None:
-        return definition
-    if isinstance(group, FreeGroup):
-        return {"kind": "free", "names": list(group.alphabet.names)}
-    if isinstance(group, AbelianizedFreeGroup):
-        return {"kind": "abelianized_free", "names": list(group.alphabet.names)}
-    if isinstance(group, FreeAbelianGroup):
-        return {"kind": "free_abelian", "names": list(group.alphabet.names)}
-    raise GroupDefinitionError(f"cannot serialise group {group!r}")
+    """The definition the group was loaded from; every loader above records one."""
+    if group.source_def is None:
+        raise GroupDefinitionError(f"cannot serialise group {group!r}")
+    return group.source_def
 
 
 def _witness_def(witness: RelationWitness, original: Group) -> dict:
@@ -291,6 +285,12 @@ def _mode_calls(
         exponents = _list_of(_field(inputs, "exps", list), int, "exps")
         a_word = Word.parse(wreath.alphabet, _field(inputs, "word", str))
         b_text = _field(inputs, "word_b", str, None)
+        # the power words spell t, and t^2 as well when word_b is given
+        letters = sum(map(abs, exponents)) * (1 if b_text is None else 2)
+        if letters > MAX_PARSED_LETTERS:
+            raise GroupDefinitionError(
+                f"exponents spell {letters} top letters, over the {MAX_PARSED_LETTERS} limit"
+            )
         if b_text is None:
             return (
                 partial(decompose_commutator_abelian_top, wreath, a_word, exponents),

@@ -41,7 +41,6 @@ from .errors import (
     ReverseNotTrivial,
 )
 from .groups import (
-    AbelianProductGroup,
     AbelianizedFreeGroup,
     BaumslagSolitar,
     FiniteGroup,
@@ -91,33 +90,23 @@ class RelationWitness:
     extra_generator: Optional[tuple[str, Any]] = None
 
 
-@dataclass(frozen=True)
-class ShiftParams:
-    """Infinite-order generator index and the two shift exponents q != y."""
-
-    generator_index: int
-    q: int = 1
-    y: int = 2
-
-
 @dataclass
 class PalindromeFactorization:
     """Ordered palindromic factors, their target, and the claimed bound."""
 
     factors: tuple[Word, ...]
     target: Any
-    bound_claimed: Optional[int]
+    bound_claimed: int
     bound_formula: str
-    certificate: Optional[FactorizationCertificate]
+    certificate: FactorizationCertificate
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.factors = tuple(self.factors)
-        if self.bound_claimed is not None and self.bound_claimed >= 0:
-            if len(self.factors) > self.bound_claimed:
-                raise PalinwidthError(
-                    f"{len(self.factors)} factors exceed claimed bound {self.bound_claimed}"
-                )
+        if len(self.factors) > self.bound_claimed:
+            raise PalinwidthError(
+                f"{len(self.factors)} factors exceed claimed bound {self.bound_claimed}"
+            )
 
     @property
     def count(self) -> int:
@@ -125,11 +114,11 @@ class PalindromeFactorization:
 
     @property
     def verified(self) -> bool:
-        return self.certificate is not None and self.certificate.valid
+        return self.certificate.valid
 
 
-def _checked(evaluator, target, factors, bound, formula, meta=None) -> PalindromeFactorization:
-    certificate = verify_factorization(evaluator, target, factors)
+def _checked(group: Group, target, factors, bound, formula, meta=None) -> PalindromeFactorization:
+    certificate = verify_factorization(group, target, factors)
     if not certificate.valid:
         raise PalinwidthError(
             f"internal verification failed: {certificate.reason}"
@@ -149,33 +138,17 @@ def _checked(evaluator, target, factors, bound, formula, meta=None) -> Palindrom
 # abelian elements
 
 
-def _abelian_exponents(group: Group, element) -> list[tuple[int, int]]:
-    """(letter index, exponent) pairs whose ordered product is the element."""
-    if isinstance(group, FreeAbelianGroup):
-        return [(i, e) for i, e in enumerate(element) if e]
-    if isinstance(group, AbelianProductGroup):
-        out = [(i, e) for i, e in enumerate(element[0]) if e]
-        finite = group.finite
-        sums = abelianize(finite.element_word(element[1]))
-        for i, e in enumerate(sums):
-            if e:
-                out.append((group.free_rank + i, e))
-        return out
-    if isinstance(group, FiniteGroup):
-        if not group.is_abelian():
-            raise NotAbelian("abelian handle required")
-        return [(i, e) for i, e in enumerate(abelianize(group.element_word(element))) if e]
-    raise NotAbelian("abelian handle required")
-
-
 def decompose_abelian_element(group: Group, element) -> PalindromeFactorization:
-    """One power-word palindrome per generator with a nonzero exponent."""
-    factors = [
-        Word.from_blocks(group.alphabet, [(index, exponent)])
-        for index, exponent in _abelian_exponents(group, element)
-    ]
-    rank = getattr(group, "rank", len(group.alphabet))
-    return _checked(group, element, factors, rank, "rank")
+    """One power-word palindrome per generator with a nonzero exponent.
+
+    The exponents are those of the element's word: in an abelian group its
+    ordered product of generator powers is the element.
+    """
+    if not group.is_abelian():
+        raise NotAbelian("abelian handle required")
+    exponents = abelianize(group.element_word(element))
+    factors = [Word.from_blocks(group.alphabet, [(i, e)]) for i, e in enumerate(exponents) if e]
+    return _checked(group, element, factors, len(group.alphabet), "rank")
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +415,11 @@ def decompose_derived_wreath(
 # ---------------------------------------------------------------------------
 # shifted commutators over an infinite abelian top
 
+MAX_SHIFT_RETRIES = 16  # doublings of (q, y) = (1, 2) before NoValidShift
+
 
 def decompose_shifted_commutators(
-    wreath: WreathProduct,
-    data: CommutatorData,
-    top_value,
-    shift: Optional[ShiftParams] = None,
-    max_retries: int = 16,
+    wreath: WreathProduct, data: CommutatorData, top_value
 ) -> PalindromeFactorization:
     """Seven palindromes per commutator index, shifted by powers of one generator.
 
@@ -458,23 +429,19 @@ def decompose_shifted_commutators(
         kappa_j^-1 s^-1 rev(kappa_j^-1) . s . tau_j^-1 t^-1 rev(tau_j^-1)
         . t s^-1 . rev(kappa_j) s kappa_j . t^-1 . rev(tau_j) t tau_j
 
-    with s = x^q, t = x^y.  Whether a given (q, y) separates the support is
-    checked by evaluation; on mismatch both exponents double.
+    with s = x^q, t = x^y, x the top's first infinite-order generator.
+    Whether a given (q, y) separates the support is checked by evaluation;
+    starting from (1, 2), both exponents double on each mismatch.
     """
     top = wreath.top
     if not top.is_abelian():
         raise NotAbelian("shifted commutators need an abelian top")
     target = commutator_target(wreath, data, top_value)
-    if shift is None:
-        index = getattr(top, "infinite_order_generator_index", lambda: None)()
-        if index is None:
-            raise NoInfiniteOrderGenerator("top has no infinite-order generator")
-        shift = ShiftParams(generator_index=index)
-    if shift.q == shift.y:
-        raise GroupDefinitionError("shift exponents must differ")
+    index = getattr(top, "infinite_order_generator_index", lambda: None)()
+    if index is None:
+        raise NoInfiniteOrderGenerator("top has no infinite-order generator")
 
     n = data.max_pairs()
-    rank = getattr(top, "rank", len(top.alphabet))
     prefix = [
         relabel(w, wreath.alphabet)
         for w in decompose_abelian_element(top, top_value).factors
@@ -495,10 +462,10 @@ def decompose_shifted_commutators(
     arguments = [(aggregate(j, 0), aggregate(j, 1)) for j in range(n)]
 
     def power(exponent: int) -> Word:
-        return Word.from_blocks(wreath.alphabet, [(shift.generator_index, exponent)])
+        return Word.from_blocks(wreath.alphabet, [(index, exponent)])
 
-    q, y = shift.q, shift.y
-    for attempt in range(max_retries + 1):
+    q, y = 1, 2
+    for attempt in range(MAX_SHIFT_RETRIES + 1):
         factors = list(prefix)
         for kappa, tau in arguments:
             factors.append(sandwich(invert(kappa), power(-q)))
@@ -513,14 +480,14 @@ def decompose_shifted_commutators(
             return PalindromeFactorization(
                 factors=tuple(factors),
                 target=target,
-                bound_claimed=rank + 7 * n,
+                bound_claimed=len(top.alphabet) + 7 * n,
                 bound_formula="r+7n",
                 certificate=certificate,
-                meta={"retries": attempt, "shift": (shift.generator_index, q, y)},
+                meta={"retries": attempt, "shift": (index, q, y)},
             )
         q *= 2
         y *= 2
-    raise NoValidShift(f"no separating shift found in {max_retries} retries")
+    raise NoValidShift(f"no separating shift found in {MAX_SHIFT_RETRIES} retries")
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +627,11 @@ def decompose_full_finite_top(
 def push_factorization(
     hom: Homomorphism, factorization: PalindromeFactorization
 ) -> PalindromeFactorization:
-    """Image of a verified factorization; factor count never changes."""
+    """Image of a verified factorization; factor count never changes.
+
+    The source may be any group, a wreath product included; the image is
+    certified again over the target.
+    """
     factors = tuple(hom.push_word(w) for w in factorization.factors)
     target = hom.image_of_element(factorization.target)
     return _checked(

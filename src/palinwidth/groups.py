@@ -79,6 +79,7 @@ class Group:
     """Shared backend contract: immutable handle, value-like elements."""
 
     alphabet: Alphabet
+    source_def: Optional[dict] = None  # the JSON definition the handle was loaded from
 
     def identity(self):
         raise NotImplementedError
@@ -140,54 +141,22 @@ class FiniteGroup(Group):
     from generators (from_elements) takes breadth-first discovery order:
     generators in alphabet order, positive sign before negative.  Its table
     is filled from the generator action recorded by that search.  An
-    explicit table keeps its given order: the closure runs over its own
-    indices with its rows as the product, and the table must then equal
-    the certified product entry for entry (see __init__).
+    explicit table (from_table) keeps its given order: the closure runs
+    over its own indices with its rows as the product, and the table must
+    then equal the certified product entry for entry.  The constructor
+    itself takes a table one of these has certified.
     """
 
     def __init__(
         self,
         alphabet: Alphabet,
-        table: Sequence[Sequence[int]],
+        rows: list[list[int]],
+        inverses: list[int],
         generator_indices: Sequence[int],
+        payloads: Optional[Sequence[Any]],
         source_def: Optional[dict] = None,
     ):
-        """Certify an explicit table through the closure, O(|G|²) lookups.
-
-        The closure reads only the generators' columns, so each given row
-        is then compared with the certified product under the closure's
-        index map: one C-speed tuple comparison per row.
-        """
-        size = len(table)
-        if size == 0:
-            raise GroupDefinitionError("empty element list")
-        rows = [list(row) for row in table]
-        # the closure indexes rows directly, where a -1 would wrap around
-        if any(len(row) != size for row in rows) or not (
-            0 <= min(map(min, rows)) and max(map(max, rows)) < size
-        ):
-            raise GroupDefinitionError(
-                f"the table must be {size} rows of {size} entries in 0..{size - 1}"
-            )
-        if any(not 0 <= g < size or 0 not in rows[g] for g in generator_indices):
-            raise GroupDefinitionError("each generator must be an element whose row holds 0")
-        closure = FiniteGroup.from_elements(
-            alphabet.names, 0, generator_indices,
-            lambda a, b: rows[a][b], lambda g: rows[g].index(0),
-        )
-        items = closure.payloads  # closure index -> given index
-        if len(items) != size:
-            raise GroupDefinitionError("generators do not generate the group")
-        given = itemgetter(*items)  # a given row, read in closure order
-        if any(given(rows[x]) != itemgetter(*row)(items) for x, row in zip(items, closure._table)):
-            raise GroupDefinitionError("the table is not the product its generators act by")
-        inverses = [0] * size
-        for x, inverse in zip(items, closure._inv):
-            inverses[x] = items[inverse]
-        self._attach(alphabet, rows, inverses, generator_indices, None, source_def)
-
-    def _attach(self, alphabet, rows, inverses, generator_indices, payloads, source_def) -> None:
-        """Take on a certified table whose generators every caller has checked."""
+        """Take on a table that from_elements or from_table has certified."""
         self.alphabet = alphabet
         self.size = len(rows)
         self._table = rows
@@ -288,8 +257,7 @@ class FiniteGroup(Group):
             raise GroupDefinitionError(
                 "mul is not a group product: left multiplications do not reach every element"
             )
-        group = cls.__new__(cls)
-        group._attach(Alphabet(names), rows, inverses, elements[::2], items, source_def)
+        group = cls(Alphabet(names), rows, inverses, elements[::2], items, source_def)
         group._tree = (range(size), [None] + [(x, (m // 2, -1 if m % 2 else 1)) for x, m in links])
         return group
 
@@ -339,7 +307,40 @@ class FiniteGroup(Group):
         generator_indices: Sequence[int],
         source_def: Optional[dict] = None,
     ) -> "FiniteGroup":
-        return cls(Alphabet(names), table, generator_indices, source_def=source_def)
+        """Certify an explicit table through the closure, O(|G|²) lookups.
+
+        The closure reads only the generators' columns, so each given row
+        is then compared with the certified product under the closure's
+        index map: one C-speed tuple comparison per row.
+        """
+        alphabet = Alphabet(names)
+        size = len(table)
+        if size == 0:
+            raise GroupDefinitionError("empty element list")
+        rows = [list(row) for row in table]
+        # the closure indexes rows directly, where a -1 would wrap around
+        if any(len(row) != size for row in rows) or not (
+            0 <= min(map(min, rows)) and max(map(max, rows)) < size
+        ):
+            raise GroupDefinitionError(
+                f"the table must be {size} rows of {size} entries in 0..{size - 1}"
+            )
+        if any(not 0 <= g < size or 0 not in rows[g] for g in generator_indices):
+            raise GroupDefinitionError("each generator must be an element whose row holds 0")
+        closure = cls.from_elements(
+            alphabet.names, 0, generator_indices,
+            lambda a, b: rows[a][b], lambda g: rows[g].index(0),
+        )
+        items = closure.payloads  # closure index -> given index
+        if len(items) != size:
+            raise GroupDefinitionError("generators do not generate the group")
+        given = itemgetter(*items)  # a given row, read in closure order
+        if any(given(rows[x]) != itemgetter(*row)(items) for x, row in zip(items, closure._table)):
+            raise GroupDefinitionError("the table is not the product its generators act by")
+        inverses = [0] * size
+        for x, inverse in zip(items, closure._inv):
+            inverses[x] = items[inverse]
+        return cls(alphabet, rows, inverses, generator_indices, None, source_def)
 
     def with_extra_generator(self, name: str, element_index: int) -> "FiniteGroup":
         """Same group, generating set extended by one named element.
@@ -352,16 +353,13 @@ class FiniteGroup(Group):
             raise GroupDefinitionError(f"element index {element_index} out of range")
         key = (name, element_index)
         if key not in self._extensions:
-            extension = FiniteGroup.__new__(FiniteGroup)
-            extension._attach(
+            self._extensions[key] = FiniteGroup(
                 self.alphabet.extend([name]),
                 self._table,
                 self._inv,
                 self.generator_indices + (element_index,),
                 self.payloads,
-                None,
             )
-            self._extensions[key] = extension
         return self._extensions[key]
 
     def identity(self) -> int:
@@ -575,7 +573,6 @@ class AbelianProductGroup(Group):
         self.free_rank = free_rank
         self.finite = finite
         self.alphabet = Alphabet(tuple(free_names) + finite.alphabet.names)
-        self.rank = free_rank + len(finite.alphabet)
         self.source_def = source_def
 
     def identity(self):
@@ -682,11 +679,13 @@ class BaumslagSolitar(_ReducedWords):
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """Letter substitution from a free source into any backend.
+    """Letter substitution between two groups, wreath products included.
 
-    Any assignment of target words to source generators defines a
-    homomorphism; single-letter images keep the exact letter pattern, so
-    palindromic words stay palindromic.
+    From a free source any assignment of target words to generators is a
+    homomorphism; from any other source the images must satisfy its
+    relations.  An element's image is that of its element word.
+    Single-letter images keep the exact letter pattern, so palindromic
+    words stay palindromic.
     """
 
     source: Group

@@ -24,7 +24,7 @@ from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExhausted, NotGenerated
-from .groups import BreadthFirst, FiniteGroup
+from .groups import BreadthFirst, FiniteGroup, Group
 from .words import Letter, Word, is_palindrome
 
 Pair = tuple[int, int]
@@ -249,41 +249,28 @@ class FactorizationCertificate:
         }
 
 
-def verify_factorization(evaluator, target, factors: Sequence[Word]) -> FactorizationCertificate:
+def verify_factorization(group: Group, target, factors: Sequence[Word]) -> FactorizationCertificate:
     """Check every factor is a structural palindrome and the product matches.
 
-    The evaluator is any handle with alphabet/evaluate/equal (a group or a
-    wreath product); the product is one evaluation of the concatenated
-    factors.  The reported reason is NotPalindrome with the first failing
-    index, or ProductMismatch.
+    The group is any backend, a wreath product included; the product is one
+    evaluation of the concatenated factors.  The reported reason is
+    AlphabetMismatch or NotPalindrome with the first failing index, or
+    ProductMismatch.
     """
     centers: list[Optional[str]] = []
     for i, factor in enumerate(factors):
-        if factor.alphabet != evaluator.alphabet:
-            return FactorizationCertificate(
-                valid=False,
-                product_matches=False,
-                centers=tuple(centers),
-                failing_index=i,
-                reason="AlphabetMismatch",
-            )
+        if factor.alphabet != group.alphabet:
+            return _refused(centers, "AlphabetMismatch", i)
         certificate = is_palindrome(factor)
         if certificate is None:
-            return FactorizationCertificate(
-                valid=False,
-                product_matches=False,
-                centers=tuple(centers),
-                failing_index=i,
-                reason="NotPalindrome",
-            )
+            return _refused(centers, "NotPalindrome", i)
         centers.append(certificate.center_str())
     letters = [letter for factor in factors for letter in factor.letters]
-    product = evaluator.evaluate(Word(evaluator.alphabet, letters))
-    if not evaluator.equal(product, target):
-        return FactorizationCertificate(
-            valid=False,
-            product_matches=False,
-            centers=tuple(centers),
-            reason="ProductMismatch",
-        )
+    product = group.evaluate(Word(group.alphabet, letters))
+    if not group.equal(product, target):
+        return _refused(centers, "ProductMismatch")
     return FactorizationCertificate(valid=True, product_matches=True, centers=tuple(centers))
+
+
+def _refused(centers: list, reason: str, index: Optional[int] = None) -> FactorizationCertificate:
+    return FactorizationCertificate(False, False, tuple(centers), index, reason)

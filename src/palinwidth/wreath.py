@@ -11,10 +11,14 @@ product law is
 
 Evaluation collects each position's base letters in word order and has the
 base group evaluate them once, as one word; identity lamps are dropped.
+
+A wreath product meets the same Group contract as its factors, so anything
+that takes a group (certificates, homomorphisms, push-forwards) takes one
+too.  Its element word is the top's word followed by each lamp's base word,
+conjugated to its position, positions in the top's canonical order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import getitem
 from typing import Any, Iterable, Optional
 
@@ -34,19 +38,7 @@ class WreathElement:
         return f"WreathElement(top={self.top!r}, base={self.base!r})"
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Top component plus ordered (position, value) entries.
-
-    Reassembling  top . prod_i position_i^-1 (value_i, 1) position_i
-    reproduces the element exactly.
-    """
-
-    top: Any
-    entries: tuple[tuple[Any, Any], ...]
-
-
-class WreathProduct:
+class WreathProduct(Group):
     """Handle for base wr top over the combined generating set.
 
     The combined alphabet lists the top generators first, then the base
@@ -146,24 +138,23 @@ class WreathProduct:
     def support(self, g: WreathElement) -> list:
         return sorted(g.base, key=self.top.canonical_key)
 
-    # normal forms
+    def element_word(self, g: WreathElement) -> Word:
+        """The top's word, then each lamp as a conjugated base word.
 
-    def normal_form(self, g: WreathElement) -> NormalForm:
-        entries = [
-            (self.top.multiply(position, g.top), g.base[position])
-            for position in g.base
-        ]
-        entries.sort(key=lambda entry: self.top.canonical_key(entry[0]))
-        return NormalForm(top=g.top, entries=tuple(entries))
-
-    def assemble(self, nf: NormalForm) -> Word:
-        """Word reproducing the element: top word, then conjugated lamps."""
-        letters = list(relabel(self.top.element_word(nf.top), self.alphabet).letters)
-        for position, value in nf.entries:
-            conj = relabel(self.top.element_word(position), self.alphabet)
-            letters += invert(conj).letters
+        With p = position . top for each lamp, in canonical order of p, the
+        word  top . prod_p p^-1 (value, 1) p  evaluates to the element.
+        """
+        top = self.top
+        lamps = sorted(
+            ((top.multiply(position, g.top), value) for position, value in g.base.items()),
+            key=lambda lamp: top.canonical_key(lamp[0]),
+        )
+        letters = list(relabel(top.element_word(g.top), self.alphabet).letters)
+        for position, value in lamps:
+            conjugator = relabel(top.element_word(position), self.alphabet)
+            letters += invert(conjugator).letters
             letters += relabel(self.base.element_word(value), self.alphabet).letters
-            letters += conj.letters
+            letters += conjugator.letters
         return Word(self.alphabet, letters)
 
     # finite materialisation

@@ -207,7 +207,7 @@ def test_criterion_08_quotient_push():
         fact = PalindromeFactorization(
             factors=tuple(factors),
             target=target,
-            bound_claimed=None,
+            bound_claimed=len(factors),
             bound_formula="sample",
             certificate=verify_factorization(free, target, factors),
         )

@@ -247,6 +247,43 @@ def test_input_errors_exit_2(capsys):
     assert out == "" and len(err.strip().splitlines()) == 1 and len(err) < 100
 
 
+ABELIAN_TOP = ["--top", "Z^2", "--base", F2_DEF, "--mode", "abelian-top", "--word", "y1"]
+
+
+@pytest.mark.parametrize(
+    "exps, extra",
+    [("1000001,0", []), ("-600000,400001", []), ("500001,0", ["--word-b", "y2"])],
+    ids=["one", "summed", "doubled-by-word-b"],
+)
+def test_abelian_top_exponents_over_the_letter_limit_exit_2(capsys, tmp_path, exps, extra):
+    # the power words would spell more top letters than a parsed word may hold
+    # (t^2 doubles every exponent); refused at once by decompose and by verify
+    start = time.perf_counter()
+    assert main(["decompose", *ABELIAN_TOP, f"--exps={exps}", *extra]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and len(err.strip().splitlines()) == 1
+    assert "limit" in err
+    code, report = run_json(capsys, "decompose", *ABELIAN_TOP, "--exps", "1,0", *extra)
+    assert code == 0
+    report["inputs"]["exps"] = [int(e) for e in exps.split(",")]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", "--report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("error:") == 1 and "limit" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_abelian_top_exponents_at_the_letter_limit_are_taken():
+    top, base = cli.load_group("Z^2"), cli.load_group(F2_DEF)
+    for inputs in (
+        {"exps": [1000000, 0], "word": "y1"},
+        {"exps": [-250000, 250000], "word": "y1", "word_b": "y2"},
+    ):
+        run, target = cli._mode_calls("abelian-top", inputs, top, base, None)
+        assert callable(run) and callable(target)
+
+
 def test_cyclic_preset_over_the_size_limit_exits_2_at_once(capsys):
     # refused before its 20001-point permutation is multiplied 20000 times
     start = time.perf_counter()

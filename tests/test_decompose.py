@@ -8,10 +8,10 @@ from palinwidth import (
     AbelianizedFreeGroup,
     CommutatorData,
     CommutatorSite,
+    FiniteGroup,
     FreeAbelianGroup,
     FreeGroup,
     RelationWitness,
-    ShiftParams,
     Word,
     WreathProduct,
     commutator_word,
@@ -42,6 +42,7 @@ from palinwidth.errors import (
     InvalidWitness,
     NoInfiniteOrderGenerator,
     NoValidShift,
+    NotAbelian,
     ReverseNotTrivial,
 )
 from helpers import random_word
@@ -90,6 +91,42 @@ def test_abelian_element_product_handle():
         value = group.evaluate(random_word(rng, group.alphabet, 10))
         fact = decompose_abelian_element(group, value)
         assert fact.count <= 2 and fact.verified
+
+
+ABELIAN_BACKENDS = {
+    "Z^3": lambda: FreeAbelianGroup(3),
+    "abelianized F2": lambda: AbelianizedFreeGroup(2),
+    "Z^2 x K4": lambda: AbelianProductGroup(2, presets.klein_four()),
+    "K4": presets.klein_four,
+    "Z/6": lambda: presets.cyclic(6),
+    "F1": lambda: FreeGroup(1),
+    "BS(1,1)": lambda: presets.baumslag_solitar(1, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ABELIAN_BACKENDS))
+def test_abelian_element_every_backend(name):
+    # one power word per generator, its exponent the word's exponent sum
+    group = ABELIAN_BACKENDS[name]()
+    assert group.is_abelian()
+    rng = random.Random(15)
+    for _ in range(40):
+        word = random_word(rng, group.alphabet, 12)
+        fact = decompose_abelian_element(group, group.evaluate(word))
+        assert fact.verified and fact.count <= len(group.alphabet) == fact.bound_claimed
+        for factor in fact.factors:
+            [(_, exponent)] = factor.blocks()
+            assert exponent and len(factor) == abs(exponent)
+    first = group.evaluate(Word.from_blocks(group.alphabet, [(0, 1)]))
+    assert [str(w) for w in decompose_abelian_element(group, first).factors] == [
+        group.alphabet.names[0]
+    ]
+
+
+@pytest.mark.parametrize("group", [presets.symmetric_3(), FreeGroup(2)], ids=["S3", "F2"])
+def test_abelian_element_refuses_non_abelian(group):
+    with pytest.raises(NotAbelian):
+        decompose_abelian_element(group, group.identity())
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +322,7 @@ def counted_products(monkeypatch) -> list:
 def test_carrier_is_joined_once(monkeypatch):
     # h = prod_site pos^-1 (prod_pair f^-1 r^-1 g^-1 r f r^-1 g r) pos, built as one
     # letter list; so are the shifted construction's kappa_j and tau_j, pushed
-    # words and assembled normal forms
+    # words and element words
     wreath, witness = s3_wreath()
     f, g = base_words(wreath, "y1*y2", "y2^-1")
     data = CommutatorData((CommutatorSite(2, ((f, g),)), CommutatorSite(4, ((g, f), (f, f)))))
@@ -321,17 +358,18 @@ def test_carrier_is_joined_once(monkeypatch):
         expected_pushed = expected_pushed * (image if sign > 0 else invert(image))
 
     lamp = wreath.base.evaluate(Word.parse(wreath.base.alphabet, "y1*y2^-1"))
-    normal_form = wreath.normal_form(wreath.element(3, [(p, lamp) for p in range(1, 5)]))
-    expected_assembled = relabel(wreath.top.element_word(normal_form.top), wreath.alphabet)
-    for position, value in normal_form.entries:
+    element = wreath.element(3, [(p, lamp) for p in range(1, 5)])
+    # top word, then each lamp conjugated to its position p.top, in canonical order
+    expected_element_word = relabel(wreath.top.element_word(element.top), wreath.alphabet)
+    for position in sorted(wreath.top.multiply(p, element.top) for p in element.base):
         conj = relabel(wreath.top.element_word(position), wreath.alphabet)
-        value_word = relabel(wreath.base.element_word(value), wreath.alphabet)
-        expected_assembled = expected_assembled * invert(conj) * value_word * conj
+        value_word = relabel(wreath.base.element_word(lamp), wreath.alphabet)
+        expected_element_word = expected_element_word * invert(conj) * value_word * conj
 
     products = counted_products(monkeypatch)
     assert decompose_module._carrier(wreath, data, witness) == expected
     assert hom.push_word(source_word) == expected_pushed
-    assert wreath.assemble(normal_form) == expected_assembled
+    assert wreath.element_word(element) == expected_element_word
     assert products == []
     fact = decompose_shifted_commutators(shifted, shifted_data, (0,))
     # three per commutator word of the target, then only the four sandwiches
@@ -446,7 +484,7 @@ def test_shifted_empty_data():
     assert fact.verified
 
 
-def test_shifted_retries_on_collision():
+def test_shifted_retries_on_collision(monkeypatch):
     # position 1 collides with the first two shifts (y - a = a at q=1, y=2
     # and q - a = a at q=2, y=4), so at least two retries are needed
     wreath = sz_wreath()
@@ -455,24 +493,15 @@ def test_shifted_retries_on_collision():
     fact = decompose_shifted_commutators(wreath, data, (0,))
     assert fact.verified
     assert fact.meta["retries"] >= 1
+    monkeypatch.setattr(decompose_module, "MAX_SHIFT_RETRIES", 0)
     with pytest.raises(NoValidShift):
-        decompose_shifted_commutators(wreath, data, (0,), max_retries=0)
+        decompose_shifted_commutators(wreath, data, (0,))
 
 
 def test_shifted_needs_infinite_order_generator():
     finite_top = WreathProduct(presets.cyclic(3, "z"), presets.symmetric_3())
     with pytest.raises(NoInfiniteOrderGenerator):
         decompose_shifted_commutators(finite_top, CommutatorData(()), finite_top.top.identity())
-
-
-def test_shifted_respects_supplied_params():
-    wreath = sz_wreath()
-    f, g = base_words(wreath, "s*t", "t^-1")
-    data = CommutatorData((CommutatorSite((0,), ((f, g),)),))
-    fact = decompose_shifted_commutators(
-        wreath, data, (0,), shift=ShiftParams(generator_index=0, q=5, y=11)
-    )
-    assert fact.verified and fact.meta["shift"] == (0, 5, 11)
 
 
 def test_shifted_abelian_product_top():
@@ -603,7 +632,7 @@ def test_full_finite_top_degenerate_bound_fallback():
     wreath = WreathProduct(s3_all, FreeGroup(names=["y1"]))
     y = wreath.base.evaluate(Word.parse(wreath.base.alphabet, "y1"))
     element = wreath.element(3, [(p, y) for p in range(6)])
-    word = wreath.assemble(wreath.normal_form(element))
+    word = wreath.element_word(element)
     fact = decompose_full_finite_top(wreath, word)
     assert fact.verified
     assert fact.count > 1 * (1 * 6 + 1) + 1
@@ -633,13 +662,38 @@ def test_push_factorization():
             fact = decompose_module.PalindromeFactorization(
                 factors=tuple(factors),
                 target=target,
-                bound_claimed=None,
+                bound_claimed=len(factors),
                 bound_formula="ad hoc",
                 certificate=verify_factorization(F, target, factors),
             )
             assert fact.verified
             pushed = push_factorization(hom, fact)
             assert pushed.verified and pushed.count == fact.count
+
+
+def test_push_factorization_from_a_wreath_product():
+    # a finite-top factorization over F2 wr S3, whose top the relation search
+    # extends by c, pushed onto A5 wr S3(+c): top letters fixed, y1 -> a, y2 -> b
+    source = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+    a5 = FiniteGroup.from_permutations([("a", [2, 3, 4, 5, 1]), ("b", [2, 3, 1, 4, 5])])
+    assert a5.size == 60
+    rng = random.Random(20)
+    for _ in range(5):
+        fact = decompose_full_finite_top(source, random_word(rng, source.alphabet, 12))
+        wide = fact.meta["wreath"]
+        assert wide.top.alphabet.names == ("s", "t", "c")
+        target = WreathProduct(wide.top, a5)
+        hom = quotient_map(wide, target, ["s", "t", "c", "a", "b"])
+        pushed = push_factorization(hom, fact)
+        assert pushed.verified
+        assert pushed.count == fact.count and pushed.bound_claimed == fact.bound_claimed
+        # any word for an element has the image of the element's own word
+        word = random_word(rng, wide.alphabet, 12)
+        assert target.equal(hom.image_of_element(wide.evaluate(word)), hom.image_of_word(word))
+    # a lamp y1 at position s goes to the lamp a at position s
+    s = wide.top.evaluate(Word.parse(wide.top.alphabet, "s"))
+    image = hom.image_of_element(wide.evaluate(Word.parse(wide.alphabet, "s^-1*y1*s")))
+    assert target.equal(image, target.lamp(s, a5.evaluate(Word.parse(a5.alphabet, "a"))))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,104 @@
+"""Byte-identity of CLI reports.
+
+Each case pins the SHA-256 of one invocation's stdout.  A refactor that
+keeps behaviour must keep every digest; a change that alters a report on
+purpose updates the digest and says why.  Timing goes to stderr and is
+not pinned.
+"""
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from palinwidth.cli import main
+
+F2_DEF = '{"kind":"free","rank":2,"names":["y1","y2"]}'
+X_DEF = '{"kind":"free_abelian","rank":1,"names":["x"]}'
+S3_TABLE = (
+    '{"kind":"finite","generators":{"s":1,"t":3},"table":'
+    "[[0,1,2,3,4,5],[1,0,4,5,2,3],[2,3,0,1,5,4],[3,2,5,4,0,1],[4,5,1,0,3,2],[5,4,3,2,1,0]]}"
+)
+TORSION_TOP = (
+    '{"kind":"abelian_product","free_rank":1,"free_names":["x"],'
+    '"finite":{"kind":"finite","generators":{"u":[2,1]}}}'
+)
+FINITE_TOP = [
+    "decompose", "--top", "S3", "--base", F2_DEF,
+    "--mode", "finite-top", "--word", "t*y1^2*s*y2^-1*t^-1*y1",
+]
+
+CASES = {
+    "pw-exact": ["pw-exact", "--group", "D4"],
+    "pw-exact-extend-gens": ["pw-exact", "--group", "S3", "--extend-gens", "c=s*t"],
+    "pw-exact-table": ["pw-exact", "--group", S3_TABLE],
+    "pw-exact-text": ["--format", "text", "pw-exact", "--group", "lamp(2,3)"],
+    "find-relation-s3": ["find-relation", "--group", "S3"],
+    "find-relation-bs": ["find-relation", "--group", "BS(1,2)"],
+    "decompose-finite-top": FINITE_TOP,
+    "decompose-abelian-top": [
+        "decompose", "--top", "Z^2", "--base", F2_DEF, "--mode", "abelian-top",
+        "--word", "y1*y2^-1", "--exps", "2,-3",
+    ],
+    "decompose-pair": [
+        "decompose", "--top", "Z^2", "--base", F2_DEF, "--mode", "abelian-top",
+        "--word", "y1*y2^-1", "--exps", "2,-3", "--word-b", "y2",
+    ],
+    "decompose-shifted": [
+        "decompose", "--top", X_DEF, "--base", "S3", "--mode", "shifted",
+        "--commutators", '[{"position": "x^-1", "pairs": [["s*t", "t"]]}]', "--a-top", "x",
+    ],
+    "decompose-shifted-torsion": [
+        "decompose", "--top", TORSION_TOP, "--base", "S3", "--mode", "shifted",
+        "--commutators", '[{"position": "x*u", "pairs": [["s", "t"]]}]', "--a-top", "x^2*u",
+    ],
+    "decompose-derived": [
+        "decompose", "--top", "S3", "--base", F2_DEF, "--mode", "derived",
+        "--commutators", '[{"position": "t", "pairs": [["y1", "y2"], ["y2", "y1*y2"]]}]',
+        "--a-top", "t^-1",
+    ],
+    "decompose-text": ["--format", "text", *FINITE_TOP],
+    "verify": ["verify", "--report", "report.json"],  # the finite-top report, written first
+    "bench": ["bench", "--samples", "3"],
+    "bench-text": ["--format", "text", "bench", "--samples", "3", "--seed", "7"],
+}
+
+# SHA-256 of each case's stdout
+DIGESTS = {
+    "bench": "718dc7f89c05e717920c621c3fffbecb04fd4fc536ac531ce00664b7a027d860",
+    "bench-text": "c0a531d4bbecf3384e6d94592379afeff7cdc3216be5a8f0a7e516d3406aaac6",
+    "decompose-abelian-top": "186d8d73691edc5ef653e2dc8accb70ec39ede57ec37c51031c6b5d9da7002a4",
+    "decompose-derived": "7c77d0bca9afe6e19af6fe1dd1959080582a7390be03d225f3aa7b703b01241a",
+    "decompose-finite-top": "9fcc501b07f3d9ce3c4ed1b8a84f431c08200c7f4cf967d56ba5aec2c415b35d",
+    "decompose-pair": "5fa861a1d036f7d3908d416590a7ec387471614fde12ecfc85d1267465a6d826",
+    "decompose-shifted": "0ce1c29c0bd95d667969038570c52e2eb092e3c507469e4b82adeb21c0936d23",
+    "decompose-shifted-torsion": "2cf05a7becb8b95b1a9bdb42c139655641f327ce554a4746ca108e3b7c24acbd",
+    "decompose-text": "a0b6c3e6b4b2bac31d7df9e9213b15504549c8ea7836ba92b88d9f0bcffef67c",
+    "find-relation-bs": "3fce7a223414eae21a5be1380bc6c96373e31c00acb76371275d90a89a7359b9",
+    "find-relation-s3": "c79b44c35b01d10b501b105c370e97b6bc88a60e5327932dcde1ccdeab6762bd",
+    "pw-exact": "1b8647cc2cca937e5df4f672cd2dd9414a0fa396f7078a79c295c3b1dc9fb4a8",
+    "pw-exact-extend-gens": "161f0f094513fd6de708c810d800ccfa30d3d6bbe99098dcb15f56dab156e013",
+    "pw-exact-table": "f4a4e3210ea70d2dbe4ee1699496584102abc582877c4f2c32dbc7e7ff8475ee",
+    "pw-exact-text": "7833019a1bacebd090bb8b2ed1a2c52952cd19d4944f51338694d1285aaa8636",
+    "verify": "d9bddc5dab0133ad9eba5e517c500424ff2f5e37bc0821ad00a3249b8d06c1fa",
+}
+
+
+def stdout_of(argv: list) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    assert code == 0, (argv, out.getvalue())
+    return out.getvalue()
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_bytes_are_pinned(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if case == "verify":
+        (tmp_path / "report.json").write_text(stdout_of(FINITE_TOP))
+    assert digest(stdout_of(CASES[case])) == DIGESTS[case]

@@ -8,6 +8,7 @@ from palinwidth import (
     FreeGroup,
     Word,
     WreathProduct,
+    invert,
     presets,
     relabel,
     reverse,
@@ -153,24 +154,33 @@ def test_product_support_containment():
         assert set(product.base) <= set(g.base) | translated
 
 
-def test_normal_form_round_trip():
+def test_element_word_round_trip():
     rng = random.Random(10)
     for wreath in (lamplighter_wreath(), s3_free_wreath()):
-        assert wreath.assemble(wreath.normal_form(wreath.identity())) == Word(wreath.alphabet)
+        assert wreath.element_word(wreath.identity()) == Word(wreath.alphabet)
         for _ in range(50):
             g = wreath.evaluate(random_word(rng, wreath.alphabet, 20))
-            nf = wreath.normal_form(g)
-            positions = [wreath.top.canonical_key(p) for p, _ in nf.entries]
-            assert positions == sorted(positions)
-            assert wreath.equal(wreath.evaluate(wreath.assemble(nf)), g)
+            word = wreath.element_word(g)
+            assert wreath.equal(wreath.evaluate(word), g)
+            # the top's word, then one conjugated lamp per position, in canonical order
+            expected = list(relabel(wreath.top.element_word(g.top), wreath.alphabet).letters)
+            positions = sorted(
+                (wreath.top.multiply(p, g.top) for p in g.base), key=wreath.top.canonical_key
+            )
+            for position in positions:
+                conj = relabel(wreath.top.element_word(position), wreath.alphabet)
+                value = g.base[wreath.top.multiply(position, wreath.top.inverse(g.top))]
+                expected += invert(conj).letters
+                expected += relabel(wreath.base.element_word(value), wreath.alphabet).letters
+                expected += conj.letters
+            assert list(word.letters) == expected
 
 
-def test_normal_form_single_lamp_at_identity():
+def test_element_word_single_lamp_at_identity():
     wreath = s3_free_wreath()
     f = wreath.base.evaluate(Word.parse(wreath.base.alphabet, "y1"))
-    nf = wreath.normal_form(wreath.lamp(wreath.top.identity(), f))
-    assert nf.top == wreath.top.identity()
-    assert nf.entries == ((wreath.top.identity(), f),)
+    word = wreath.element_word(wreath.lamp(wreath.top.identity(), f))
+    assert str(word) == "y1"
 
 
 def test_abelian_pair_reverse_same_value_does_not_hold_in_wreath():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -379,6 +380,28 @@ def test_readme_group_definitions_load():
     assert definitions
     for definition in definitions:
         assert group_from_def(definition).source_def == definition
+
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").strip().splitlines()
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        program, *argv = shlex.split(line)
+        assert program == "palinwidth", line
+        target = None
+        if ">" in argv:
+            at = argv.index(">")
+            argv, target = argv[:at], argv[at + 1]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0, (line, out.getvalue())
+        if target is not None:
+            (tmp_path / target).write_text(out.getvalue())
 
 
 # group definitions from the real key vocabulary, small enough for pw-exact

@@ -90,48 +90,49 @@ def _is(value: Any, kind: type) -> bool:
 
 
 def group_from_def(definition: dict) -> Group:
+    """The group a JSON definition describes, recording that definition.
+
+    A preset records its canonical name instead (see presets.get).
+    """
     if not isinstance(definition, dict):
         raise GroupDefinitionError("a group definition is a JSON object")
     if "preset" in definition:
         return presets.get(_field(definition, "preset", str))
+    group = _build(definition)
+    group.source_def = definition
+    return group
+
+
+def _build(definition: dict) -> Group:
     if "extra_generator" in definition:
+        # the inner group is fresh, so no other holder of the extension sees its definition
         inner = group_from_def(_field(definition, "base", dict))
-        extended = _extend(inner, _field(definition, "extra_generator", dict))[0]
-        # inner is fresh, so no other holder of this handle sees the definition
-        extended.source_def = definition
-        return extended
+        return _extend(inner, _field(definition, "extra_generator", dict))[0]
     kind = _field(definition, "kind", str, None)
     if kind == "finite":
         gens = _field(definition, "generators", dict)
         if "table" not in definition:
             for name in gens:
                 _list_of(_field(gens, name, list), int, f"generator {name!r}")
-            return FiniteGroup.from_permutations(list(gens.items()), source_def=definition)
+            return FiniteGroup.from_permutations(list(gens.items()))
         rows = _list_of(_field(definition, "table", list), list, "table")
         for row in rows:
             _list_of(row, int, "table row")
         _list_of(list(gens.values()), int, "generators")
-        return FiniteGroup.from_table(
-            list(gens.keys()), rows, list(gens.values()), source_def=definition
-        )
+        return FiniteGroup.from_table(list(gens.keys()), rows, list(gens.values()))
     backends = {
         "free": FreeGroup,
         "free_abelian": FreeAbelianGroup,
         "abelianized_free": AbelianizedFreeGroup,
     }
     if kind in backends:
-        return backends[kind](
-            _field(definition, "rank", int, None),
-            _names(definition, "names"),
-            source_def=definition,
-        )
+        return backends[kind](_field(definition, "rank", int, None), _names(definition, "names"))
     if kind == "abelian_product":
         finite = group_from_def(_field(definition, "finite", dict))
         if not isinstance(finite, FiniteGroup):
             raise GroupDefinitionError("abelian product needs a finite part")
         return AbelianProductGroup(
-            _field(definition, "free_rank", int), finite, _names(definition, "free_names"),
-            source_def=definition,
+            _field(definition, "free_rank", int), finite, _names(definition, "free_names")
         )
     raise GroupDefinitionError(f"unknown group kind {kind!r}")
 
@@ -159,7 +160,7 @@ def load_group(source: str) -> Group:
 
 
 def group_def(group: Group) -> dict:
-    """The definition the group was loaded from; every loader above records one."""
+    """The definition the group was loaded from; group_from_def and presets.get record it."""
     if group.source_def is None:
         raise GroupDefinitionError(f"cannot serialise group {group!r}")
     return group.source_def

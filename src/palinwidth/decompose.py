@@ -41,7 +41,6 @@ from .errors import (
     ReverseNotTrivial,
 )
 from .groups import (
-    AbelianizedFreeGroup,
     BaumslagSolitar,
     FiniteGroup,
     FreeAbelianGroup,
@@ -211,12 +210,7 @@ def decompose_commutator_abelian_top(
     wreath: WreathProduct, base_word: Word, exponents: Sequence[int]
 ) -> PalindromeFactorization:
     """[a, t1^i1 ... tn^in] as 2n palindromes (2n+1 for odd n)."""
-    target = abelian_top_target(wreath, base_word, exponents)
-    n = len(wreath.top.alphabet)
-    factors = _unrolled_commutator(wreath, relabel(base_word, wreath.alphabet), list(exponents))
-    bound = 2 * n if n % 2 == 0 else 2 * n + 1
-    formula = "2n" if n % 2 == 0 else "2n+1"
-    return _checked(wreath, target, factors, bound, formula)
+    return _unrolled_commutators(wreath, base_word, exponents)
 
 
 def decompose_commutator_pair(
@@ -226,16 +220,26 @@ def decompose_commutator_pair(
     exponents: Sequence[int],
 ) -> PalindromeFactorization:
     """[a, t][b, t^2] via two commutator unrollings; t^2 doubles every exponent."""
+    return _unrolled_commutators(wreath, first_word, exponents, second_word)
+
+
+def _unrolled_commutators(
+    wreath: WreathProduct,
+    first_word: Word,
+    exponents: Sequence[int],
+    second_word: Optional[Word] = None,
+) -> PalindromeFactorization:
+    """[a, t], times [b, t^2] when b is given: 2n palindromes per commutator, 2n+1 for odd n."""
     exponents = list(exponents)
     target = abelian_top_target(wreath, first_word, exponents, second_word)
-    factors = _unrolled_commutator(wreath, relabel(first_word, wreath.alphabet), exponents)
-    factors += _unrolled_commutator(
-        wreath, relabel(second_word, wreath.alphabet), [2 * e for e in exponents]
-    )
-    n = len(exponents)
-    bound = 4 * n if n % 2 == 0 else 4 * n + 2
-    formula = "4n" if n % 2 == 0 else "4n+2"
-    return _checked(wreath, target, factors, bound, formula)
+    factors: list[Word] = []
+    for scale, word in ((1, first_word), (2, second_word)):
+        if word is not None:
+            scaled = [scale * e for e in exponents]
+            factors += _unrolled_commutator(wreath, relabel(word, wreath.alphabet), scaled)
+    n, k = len(exponents), 1 if second_word is None else 2
+    formula = f"{2 * k}n" + (f"+{k}" if n % 2 else "")
+    return _checked(wreath, target, factors, k * (2 * n + n % 2), formula)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +374,13 @@ def _carrier(wreath: WreathProduct, data: CommutatorData, witness: RelationWitne
     r_inv = invert(r)
     letters: list = []
     for site in data.sites:
-        conjugator = relabel(top.element_word(site.position), wreath.alphabet)
-        letters += invert(conjugator).letters
+        lamp: list = []
         for f_word, g_word in site.pairs:
             f = relabel(f_word, wreath.alphabet)
             g = relabel(g_word, wreath.alphabet)
             for part in (invert(f), r_inv, invert(g), r, f, r_inv, g, r):
-                letters += part.letters
-        letters += conjugator.letters
+                lamp += part.letters
+        letters += wreath.placed(site.position, lamp)
     h = Word(wreath.alphabet, letters)
 
     if not wreath.is_identity(wreath.evaluate(reverse(h))):
@@ -447,15 +450,12 @@ def decompose_shifted_commutators(
         for w in decompose_abelian_element(top, top_value).factors
     ]
 
-    conjugators = [relabel(top.element_word(site.position), wreath.alphabet) for site in data.sites]
-
     def aggregate(j: int, which: int) -> Word:
         letters: list = []
-        for site, conjugator in zip(data.sites, conjugators):
+        for site in data.sites:
             if j < len(site.pairs):
-                letters += invert(conjugator).letters
-                letters += relabel(site.pairs[j][which], wreath.alphabet).letters
-                letters += conjugator.letters
+                argument = relabel(site.pairs[j][which], wreath.alphabet)
+                letters += wreath.placed(site.position, argument.letters)
         return Word(wreath.alphabet, letters)
 
     # kappa_j and tau_j do not depend on the shift, so retries reuse them
@@ -497,6 +497,8 @@ def decompose_shifted_commutators(
 def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
     """Geodesic cursor moves over the support, with power-word deposits.
 
+    Each lamp deposits its exponent sums, the image of its value in the
+    abelianized base; a lamp whose sums are all zero is not visited.
     Every move letter is its own single-letter palindrome; each support
     value costs at most d power words.
     """
@@ -513,8 +515,11 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
         prefix = goal
 
     for position in wreath.support(element):
+        exponents = abelianize(wreath.base.element_word(element.base[position]))
+        if not any(exponents):
+            continue
         move_to(top.inverse(position))
-        for index, exponent in enumerate(element.base[position]):
+        for index, exponent in enumerate(exponents):
             if exponent:
                 factors.append(
                     Word.from_blocks(wreath.alphabet, [(len(top.alphabet) + index, exponent)])
@@ -544,13 +549,6 @@ def decompose_finite_top_abelianized(
     bound = _cursor_walk_bound(top, base.rank)
     factors = _cursor_walk(wreath, element)
     return _checked(wreath, element, factors, bound, _CURSOR_WALK_FORMULA)
-
-
-def _abelianized(wreath: WreathProduct, element: WreathElement) -> tuple[WreathProduct, WreathElement]:
-    """The element's image in (abelianized free base) wr top, with that handle."""
-    vector_wreath = WreathProduct(wreath.top, AbelianizedFreeGroup(names=wreath.base.alphabet.names))
-    lamps = [(position, abelianize(value)) for position, value in element.base.items()]
-    return vector_wreath, vector_wreath.element(element.top, lamps)
 
 
 def _residual(wreath: WreathProduct, factors: Sequence[Word], target: WreathElement) -> WreathElement:
@@ -591,8 +589,7 @@ def decompose_full_finite_top(
     # the cursor walk's bound plus the one derived palindrome
     bound = _cursor_walk_bound(wide.top, base.rank) + 1
 
-    # the vector wreath has wide's generator names, so its words are wide's
-    factors = _cursor_walk(*_abelianized(wide, target))
+    factors = _cursor_walk(wide, target)
     abelian_count = len(factors)
     residual = _residual(wide, factors, target)
     if not wide.top.is_identity(residual.top):

@@ -79,7 +79,7 @@ class Group:
     """Shared backend contract: immutable handle, value-like elements."""
 
     alphabet: Alphabet
-    source_def: Optional[dict] = None  # the JSON definition the handle was loaded from
+    source_def: Optional[dict] = None  # set by presets.get and cli.group_from_def only
 
     def identity(self):
         raise NotImplementedError
@@ -154,7 +154,6 @@ class FiniteGroup(Group):
         inverses: list[int],
         generator_indices: Sequence[int],
         payloads: Optional[Sequence[Any]],
-        source_def: Optional[dict] = None,
     ):
         """Take on a table that from_elements or from_table has certified."""
         self.alphabet = alphabet
@@ -163,7 +162,6 @@ class FiniteGroup(Group):
         self._inv = inverses
         self.generator_indices = tuple(generator_indices)
         self.payloads = tuple(payloads) if payloads is not None else None
-        self.source_def = source_def
         # (order, parents) of the closure's letter search, until geodesics() reads it
         self._tree: Optional[tuple[Sequence[int], Any]] = None
         self._geodesics: Optional[GeodesicTable] = None
@@ -177,7 +175,6 @@ class FiniteGroup(Group):
         generators: Sequence[Any],
         mul: Callable[[Any, Any], Any],
         inv: Callable[[Any], Any],
-        source_def: Optional[dict] = None,
     ) -> "FiniteGroup":
         """Closure of abstract generator payloads under mul; BFS order.
 
@@ -257,15 +254,13 @@ class FiniteGroup(Group):
             raise GroupDefinitionError(
                 "mul is not a group product: left multiplications do not reach every element"
             )
-        group = cls(Alphabet(names), rows, inverses, elements[::2], items, source_def)
+        group = cls(Alphabet(names), rows, inverses, elements[::2], items)
         group._tree = (range(size), [None] + [(x, (m // 2, -1 if m % 2 else 1)) for x, m in links])
         return group
 
     @classmethod
     def from_permutations(
-        cls,
-        generators: "dict[str, Sequence[int]] | Iterable[tuple[str, Sequence[int]]]",
-        source_def: Optional[dict] = None,
+        cls, generators: "dict[str, Sequence[int]] | Iterable[tuple[str, Sequence[int]]]"
     ) -> "FiniteGroup":
         """Generators as one-line permutation images, 1-based."""
         items = list(generators.items()) if isinstance(generators, dict) else list(generators)
@@ -290,14 +285,7 @@ class FiniteGroup(Group):
                 out[image] = i
             return tuple(out)
 
-        return cls.from_elements(
-            [name for name, _ in items],
-            tuple(range(degree)),
-            payloads,
-            mul,
-            inv,
-            source_def=source_def,
-        )
+        return cls.from_elements([name for name, _ in items], tuple(range(degree)), payloads, mul, inv)
 
     @classmethod
     def from_table(
@@ -305,7 +293,6 @@ class FiniteGroup(Group):
         names: Sequence[str],
         table: Sequence[Sequence[int]],
         generator_indices: Sequence[int],
-        source_def: Optional[dict] = None,
     ) -> "FiniteGroup":
         """Certify an explicit table through the closure, O(|G|²) lookups.
 
@@ -340,7 +327,7 @@ class FiniteGroup(Group):
         inverses = [0] * size
         for x, inverse in zip(items, closure._inv):
             inverses[x] = items[inverse]
-        return cls(alphabet, rows, inverses, generator_indices, None, source_def)
+        return cls(alphabet, rows, inverses, generator_indices, None)
 
     def with_extra_generator(self, name: str, element_index: int) -> "FiniteGroup":
         """Same group, generating set extended by one named element.
@@ -456,19 +443,13 @@ class _ReducedWords(Group):
 class FreeGroup(_ReducedWords):
     """Free group; elements are freely reduced words."""
 
-    def __init__(
-        self,
-        rank: Optional[int] = None,
-        names: Optional[Sequence[str]] = None,
-        source_def: Optional[dict] = None,
-    ):
+    def __init__(self, rank: Optional[int] = None, names: Optional[Sequence[str]] = None):
         if names is None:
             if rank is None or rank < 0:
                 raise GroupDefinitionError("free group needs a non-negative rank or names")
             names = tuple(f"x{i + 1}" for i in range(rank))
         self.alphabet = Alphabet(names)
         self.rank = len(self.alphabet)
-        self.source_def = source_def
 
     def canonical_key(self, a: Word):
         return a.letters
@@ -485,19 +466,13 @@ class FreeAbelianGroup(Group):
 
     _default_prefix = "t"
 
-    def __init__(
-        self,
-        rank: Optional[int] = None,
-        names: Optional[Sequence[str]] = None,
-        source_def: Optional[dict] = None,
-    ):
+    def __init__(self, rank: Optional[int] = None, names: Optional[Sequence[str]] = None):
         if names is None:
             if rank is None or rank < 0:
                 raise GroupDefinitionError("free abelian group needs a non-negative rank or names")
             names = tuple(f"{self._default_prefix}{i + 1}" for i in range(rank))
         self.alphabet = Alphabet(names)
         self.rank = len(self.alphabet)
-        self.source_def = source_def
 
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.rank
@@ -562,7 +537,6 @@ class AbelianProductGroup(Group):
         free_rank: int,
         finite: FiniteGroup,
         free_names: Optional[Sequence[str]] = None,
-        source_def: Optional[dict] = None,
     ):
         if not finite.is_abelian():
             raise GroupDefinitionError("finite part must be abelian")
@@ -573,7 +547,6 @@ class AbelianProductGroup(Group):
         self.free_rank = free_rank
         self.finite = finite
         self.alphabet = Alphabet(tuple(free_names) + finite.alphabet.names)
-        self.source_def = source_def
 
     def identity(self):
         return ((0,) * self.free_rank, 0)
@@ -626,7 +599,6 @@ class BaumslagSolitar(_ReducedWords):
         self.n = n
         self.m = m
         self.alphabet = Alphabet(("a", "b"))
-        self.source_def = {"preset": f"BS({n},{m})"}
 
     def equal(self, a: Word, b: Word) -> bool:
         return self.is_trivial(self.multiply(a, invert(b)))

@@ -14,17 +14,19 @@ base group evaluate them once, as one word; identity lamps are dropped.
 
 A wreath product meets the same Group contract as its factors, so anything
 that takes a group (certificates, homomorphisms, push-forwards) takes one
-too.  Its element word is the top's word followed by each lamp's base word,
-conjugated to its position, positions in the top's canonical order.
+too.  placed(p, w) writes the conjugation p^-1 . w . p that puts a base
+word's value at position p; the element word and every construction place
+their lamps through it.  The element word is the top's word followed by
+each lamp's base word, placed, positions in the top's canonical order.
 """
 from __future__ import annotations
 
 from operator import getitem
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 from .errors import AlphabetMismatch, GroupDefinitionError
 from .groups import BaumslagSolitar, FiniteGroup, Group
-from .words import Alphabet, Word, invert, relabel
+from .words import Alphabet, Letter, Word, relabel
 
 
 class WreathElement:
@@ -138,23 +140,29 @@ class WreathProduct(Group):
     def support(self, g: WreathElement) -> list:
         return sorted(g.base, key=self.top.canonical_key)
 
-    def element_word(self, g: WreathElement) -> Word:
-        """The top's word, then each lamp as a conjugated base word.
+    def placed(self, position: Any, letters: Sequence[Letter]) -> list[Letter]:
+        """The letters of p^-1 . w . p for w's letters over the wreath alphabet.
 
-        With p = position . top for each lamp, in canonical order of p, the
-        word  top . prod_p p^-1 (value, 1) p  evaluates to the element.
+        With w a base word, that is its value as a lamp at position p.
+        """
+        # top letters keep their indices in the combined alphabet
+        conjugator = self.top.element_word(position).letters
+        return [(index, -sign) for index, sign in reversed(conjugator)] + [*letters, *conjugator]
+
+    def element_word(self, g: WreathElement) -> Word:
+        """The top's word, then each lamp's base word placed at p = position . top.
+
+        Lamps come in canonical order of p; the word evaluates to the element.
         """
         top = self.top
         lamps = sorted(
             ((top.multiply(position, g.top), value) for position, value in g.base.items()),
             key=lambda lamp: top.canonical_key(lamp[0]),
         )
-        letters = list(relabel(top.element_word(g.top), self.alphabet).letters)
+        letters = list(top.element_word(g.top).letters)
         for position, value in lamps:
-            conjugator = relabel(top.element_word(position), self.alphabet)
-            letters += invert(conjugator).letters
-            letters += relabel(self.base.element_word(value), self.alphabet).letters
-            letters += conjugator.letters
+            base_word = relabel(self.base.element_word(value), self.alphabet)
+            letters += self.placed(position, base_word.letters)
         return Word(self.alphabet, letters)
 
     # finite materialisation

@@ -653,11 +653,15 @@ class BaumslagSolitar(_ReducedWords):
 class Homomorphism:
     """Letter substitution between two groups, wreath products included.
 
-    From a free source any assignment of target words to generators is a
-    homomorphism; from any other source the images must satisfy its
-    relations.  An element's image is that of its element word.
-    Single-letter images keep the exact letter pattern, so palindromic
-    words stay palindromic.
+    The images are checked to define a homomorphism, or GroupDefinitionError
+    is raised: any images do from a free group; from a free abelian group
+    they must commute pairwise; from a finite group, image(x.m) must equal
+    image(x).image(m) for every element x and generator m, which makes the
+    image of an element, that of its element word, a homomorphism.  A wreath
+    product must fix its top letters, mapping onto a wreath product over the
+    same top handle, and its base letters must define such a map between the
+    bases.  Any other source is refused.  Single-letter images keep the
+    exact letter pattern, so palindromic words stay palindromic.
     """
 
     source: Group
@@ -667,6 +671,48 @@ class Homomorphism:
     def __post_init__(self):
         if any(image.alphabet != self.target.alphabet for image in self.images):
             raise AlphabetMismatch("image word is not over the target alphabet")
+        if len(self.images) != len(self.source.alphabet):
+            raise GroupDefinitionError("one image per source generator required")
+        source, target = self.source, self.target
+        if isinstance(source, FreeGroup):
+            return
+        if not isinstance(source, (FreeAbelianGroup, FiniteGroup)):
+            return self._check_wreath()
+        values = [target.evaluate(image) for image in self.images]
+        if isinstance(source, FreeAbelianGroup):
+            if any(
+                not target.equal(target.multiply(g, h), target.multiply(h, g))
+                for g in values
+                for h in values
+            ):
+                raise GroupDefinitionError("the images of a free abelian group must commute")
+        else:
+            image = [self.image_of_element(x) for x in source.elements()]
+            if any(
+                not target.equal(image[source.multiply(x, g)], target.multiply(image[x], value))
+                for x in source.elements()
+                for g, value in zip(source.generator_indices, values)
+            ):
+                raise GroupDefinitionError("the images do not satisfy the source's relations")
+
+    def _check_wreath(self) -> None:
+        from .wreath import WreathProduct  # wreath.py imports this module
+
+        source, target = self.source, self.target
+        if not isinstance(source, WreathProduct):
+            raise GroupDefinitionError(f"cannot check a homomorphism from {source!r}")
+        if not (isinstance(target, WreathProduct) and target.top is source.top):
+            raise GroupDefinitionError("a wreath product maps onto one over the same top handle")
+        split = len(source.top.alphabet)
+        # the shared top comes first in both alphabets, so its letters keep their indices
+        if any(image.letters != ((i, 1),) for i, image in enumerate(self.images[:split])):
+            raise GroupDefinitionError("a wreath product's top letters must map to themselves")
+        base_images = []
+        for image in self.images[split:]:
+            if any(index < split for index, _ in image.letters):
+                raise GroupDefinitionError("a base letter must map to a word over the target base")
+            base_images.append(relabel(image, target.base.alphabet))
+        Homomorphism(source.base, target.base, tuple(base_images))
 
     def push_word(self, w: Word) -> Word:
         if w.alphabet != self.source.alphabet:
@@ -688,8 +734,6 @@ def quotient_map(
     source: Group, target: Group, images: Sequence["Word | str"]
 ) -> Homomorphism:
     """Homomorphism sending each source generator to a target word."""
-    if len(images) != len(source.alphabet):
-        raise GroupDefinitionError("one image per source generator required")
     words = tuple(
         Word.parse(target.alphabet, im) if isinstance(im, str) else im for im in images
     )

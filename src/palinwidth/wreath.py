@@ -137,6 +137,12 @@ class WreathProduct(Group):
     def letter_value(self, index: int, sign: int) -> WreathElement:
         return self.evaluate(Word(self.alphabet, [(index, sign)]))
 
+    def is_abelian(self) -> bool:
+        """Abelian exactly when one factor is trivial and the other abelian."""
+        return (_is_trivial(self.top) and self.base.is_abelian()) or (
+            _is_trivial(self.base) and self.top.is_abelian()
+        )
+
     def support(self, g: WreathElement) -> list:
         return sorted(g.base, key=self.top.canonical_key)
 
@@ -205,3 +211,8 @@ class WreathProduct(Group):
 
     def __repr__(self) -> str:
         return f"WreathProduct(top={self.top!r}, base={self.base!r})"
+
+
+def _is_trivial(group: Group) -> bool:
+    """Whether every generator evaluates to the identity."""
+    return all(group.is_identity(group.letter_value(i, 1)) for i in range(len(group.alphabet)))

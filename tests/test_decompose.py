@@ -101,6 +101,8 @@ ABELIAN_BACKENDS = {
     "Z/6": lambda: presets.cyclic(6),
     "F1": lambda: FreeGroup(1),
     "BS(1,1)": lambda: presets.baumslag_solitar(1, 1),
+    "Z/3 wr Z^0": lambda: WreathProduct(FreeAbelianGroup(0), presets.cyclic(3, "y")),
+    "Z/1 wr Z/3": lambda: WreathProduct(presets.cyclic(3, "z"), presets.cyclic(1, "e")),
 }
 
 
@@ -123,7 +125,11 @@ def test_abelian_element_every_backend(name):
     ]
 
 
-@pytest.mark.parametrize("group", [presets.symmetric_3(), FreeGroup(2)], ids=["S3", "F2"])
+@pytest.mark.parametrize(
+    "group",
+    [presets.symmetric_3(), FreeGroup(2), WreathProduct(presets.cyclic(3, "z"), presets.cyclic(2, "y"))],
+    ids=["S3", "F2", "Z/2 wr Z/3"],
+)
 def test_abelian_element_refuses_non_abelian(group):
     with pytest.raises(NotAbelian):
         decompose_abelian_element(group, group.identity())
@@ -670,6 +676,20 @@ def test_push_factorization():
             pushed = push_factorization(hom, fact)
             assert pushed.verified and pushed.count == fact.count
 
+
+
+def test_push_factorization_from_a_finite_group():
+    # Z/4 -> Z/2 through b is a homomorphism, so a^3 = a^-1 pushes to b^-1 = b
+    z4, z2 = presets.cyclic(4, "a"), presets.cyclic(2, "b")
+    hom = quotient_map(z4, z2, ["b"])
+    factors = (Word.parse(z4.alphabet, "a^-1"),)
+    target = z4.evaluate(Word.parse(z4.alphabet, "a^3"))
+    fact = decompose_module.PalindromeFactorization(
+        factors, target, 1, "ad hoc", verify_factorization(z4, target, factors)
+    )
+    pushed = push_factorization(hom, fact)
+    assert pushed.verified and [str(w) for w in pushed.factors] == ["b^-1"]
+    assert pushed.target == z2.evaluate(Word.parse(z2.alphabet, "b"))
 
 def test_push_factorization_from_a_wreath_product():
     # a finite-top factorization over F2 wr S3, whose top the relation search

@@ -20,6 +20,7 @@ from palinwidth import (
     reverse,
 )
 from palinwidth import presets
+from palinwidth.wreath import WreathProduct
 from palinwidth.errors import AlphabetMismatch, GroupDefinitionError
 from palinwidth.groups import MAX_GROUP_SIZE
 from palinwidth.oracle import exact_palindromic_width
@@ -355,6 +356,34 @@ def test_quotient_map_is_homomorphism():
             hom.image_of_word(u), hom.image_of_word(v)
         )
 
+
+
+def test_quotient_map_refuses_images_that_break_relations():
+    z4 = presets.cyclic(4, "a")
+    with pytest.raises(GroupDefinitionError):
+        quotient_map(z4, presets.cyclic(3, "b"), ["b"])  # a^4 = 1 but b^4 = b
+    with pytest.raises(GroupDefinitionError):
+        quotient_map(FreeAbelianGroup(2), presets.symmetric_3(), ["s", "t"])  # s, t do not commute
+    assert quotient_map(FreeAbelianGroup(2), presets.klein_four(), ["a", "b"])
+    with pytest.raises(GroupDefinitionError):
+        quotient_map(BaumslagSolitar(1, 2), FreeGroup(names=["a", "b"]), ["a", "b"])
+
+
+def test_quotient_map_from_a_wreath_product_checks_top_and_base():
+    s3 = presets.symmetric_3()
+    source = WreathProduct(s3, presets.cyclic(4, "a"))
+    z2 = WreathProduct(s3, presets.cyclic(2, "b"))
+    assert quotient_map(source, z2, ["s", "t", "b"])
+    refused = [
+        (WreathProduct(s3, presets.cyclic(3, "b")), ["s", "t", "b"]),  # the base map is not one
+        (z2, ["t", "s", "b"]),  # top letters moved
+        (WreathProduct(presets.symmetric_3(), presets.cyclic(2, "b")), ["s", "t", "b"]),  # another top
+        (z2, ["s", "t", "s*b"]),  # a base letter leaves the base
+        (presets.cyclic(2, "b"), ["1", "1", "b"]),  # not a wreath product
+    ]
+    for target, images in refused:
+        with pytest.raises(GroupDefinitionError):
+            quotient_map(source, target, images)
 
 def test_alphabet_mismatch_raises():
     F = FreeGroup(2)

@@ -56,6 +56,17 @@ def test_conjugation_places_lamp_at_position():
         assert wreath.base.equal(value.base[a], wreath.base.letter_value(0, 1))
 
 
+
+def test_placed_puts_a_base_word_at_each_position():
+    wreath = s3_free_wreath()
+    base_word = Word.parse(wreath.alphabet, "y1^2*y2^-1")
+    lamp = wreath.base.evaluate(relabel(base_word, wreath.base.alphabet))
+    for position in wreath.top.elements():
+        word = Word(wreath.alphabet, wreath.placed(position, base_word.letters))
+        assert wreath.equal(wreath.evaluate(word), wreath.lamp(position, lamp))
+        conjugator = relabel(wreath.top.element_word(position), wreath.alphabet)
+        assert word == invert(conjugator) * base_word * conjugator
+
 def test_top_only_word_has_empty_base():
     wreath = lamplighter_wreath()
     value = wreath.evaluate(Word.parse(wreath.alphabet, "z^2"))

@@ -104,6 +104,7 @@ def group_from_def(definition: dict) -> Group:
 
 
 def _build(definition: dict) -> Group:
+    """The group a definition other than a preset describes, not yet recorded."""
     if "extra_generator" in definition:
         # the inner group is fresh, so no other holder of the extension sees its definition
         inner = group_from_def(_field(definition, "base", dict))

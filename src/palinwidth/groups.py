@@ -5,7 +5,9 @@ finite groups (Cayley table or permutation generators), free groups,
 free abelian groups, abelianized free groups, a free-abelian x finite-abelian
 product for infinite abelian groups with torsion, and the Baumslag-Solitar
 one-relator family for relation experiments.  Every finite group's table,
-explicit or built by closure, is certified from its generator action.
+explicit or built by closure, is certified from its generator action, which
+the closure reads one element at a time: a permutation product in C for
+permutation groups, wreath products included, a row lookup for tables.
 """
 from __future__ import annotations
 
@@ -67,12 +69,17 @@ class BreadthFirst:
 
     def path(self, node: Any) -> list:
         """The moves from start to an already discovered node, in order."""
-        moves = []
-        while (link := self.parents[node]) is not None:
-            node, move = link
-            moves.append(move)
-        moves.reverse()
-        return moves
+        return _path(self.parents, node)
+
+
+def _path(parents: Any, node: Any) -> list:
+    """The moves from the root to node, where parents[node] = (previous node, move)."""
+    moves = []
+    while (link := parents[node]) is not None:
+        node, move = link
+        moves.append(move)
+    moves.reverse()
+    return moves
 
 
 class Group:
@@ -162,38 +169,35 @@ class FiniteGroup(Group):
         self._inv = inverses
         self.generator_indices = tuple(generator_indices)
         self.payloads = tuple(payloads) if payloads is not None else None
-        # (order, parents) of the closure's letter search, until geodesics() reads it
+        # (order, parents) of a search over signed letter numbers, built once (see _search_tree)
         self._tree: Optional[tuple[Sequence[int], Any]] = None
         self._geodesics: Optional[GeodesicTable] = None
         self._extensions: dict[tuple[str, int], FiniteGroup] = {}
 
     @classmethod
     def from_elements(
-        cls,
-        names: Sequence[str],
-        identity: Any,
-        generators: Sequence[Any],
-        mul: Callable[[Any, Any], Any],
-        inv: Callable[[Any], Any],
+        cls, names: Sequence[str], identity: Any, step: Callable[[Any], Iterable[Any]]
     ) -> "FiniteGroup":
-        """Closure of abstract generator payloads under mul; BFS order.
+        """Closure of abstract payloads under the generator action; BFS order.
 
-        The search right-multiplies each element by every signed letter m
-        (alphabet order, '+' before '-'), so mul runs |G|·2k times.  It
-        records that action as indices, action[m][x] = index of items[x]
-        times letter m, and the link (x, m) that first reached each
-        element: a shortlex geodesic tree.  The closure stays a loop of its
-        own so that it stops at MAX_GROUP_SIZE before any table.
+        step(x) gives x times every signed letter m, in alphabet order with
+        '+' before '-', so step(identity) gives the letters themselves.  The
+        search asks for all 2k successors of an element at once, and looks
+        them up in one pass.  It records that action as indices,
+        action[m][x] = index of items[x] times letter m, and the link
+        (x, m) that first reached each element: a shortlex geodesic tree.
+        The closure stays a loop of its own so that it stops at
+        MAX_GROUP_SIZE before any table.
 
-        With e_m the index of letter m, left[m] (c -> e_m·c) follows the
-        tree: left[m][x·m'] = action[m'][left[m][x]].  Row b of the table,
-        for b = x·m, is row x after left[m], and b's inverse is
+        With e_m = action[m][0], the index of letter m, left[m] (c -> e_m·c)
+        follows the tree: left[m][x·m'] = action[m'][left[m][x]].  Row b of
+        the table, for b = x·m, is row x after left[m], and b's inverse is
         left[m⁻¹][x⁻¹].  That is |G|² integer lookups and no further
         payload products.
 
         Certificate, O(|G|·k²) for k generators:
-          (a) each action[m] is a permutation sending 0 to e_m, and
-              action[m⁻¹] sends e_m to 0;
+          (a) each action[m] is a permutation, and action[m⁻¹] sends e_m
+              to 0;
           (b) each left[m] commutes with each action[m'];
           (c) row b sends 0 to b, so the identity's orbit under the
               left[m] is every element.
@@ -202,32 +206,33 @@ class FiniteGroup(Group):
         stabiliser of 0 is trivial, so the action is regular and the table
         is a group's Cayley table.
         """
-        if len(generators) != len(names):
-            raise GroupDefinitionError("one generator payload per name required")
-        letters = [p for g in generators for p in (g, inv(g))]
         index = {identity: 0}
         items = [identity]
-        action: list[list[int]] = [[] for _ in letters]
+        successors: list[list] = []  # successors[x][m] = index of items[x] times letter m
         links: list[tuple[int, int]] = []  # (x, m) for items[1], items[2], ...
+        get = index.get
         for x, payload in enumerate(items):  # items grows behind the cursor
-            for m, letter in enumerate(letters):
-                y = mul(payload, letter)
-                j = index.get(y)
-                if j is None:
-                    if len(items) >= MAX_GROUP_SIZE:
-                        raise GroupDefinitionError(f"closure exceeded {MAX_GROUP_SIZE} elements")
-                    j = index[y] = len(items)
-                    items.append(y)
-                    links.append((x, m))
-                action[m].append(j)
+            products = list(step(payload))
+            row = list(map(get, products))
+            if None in row:
+                for m, y in enumerate(products):
+                    if row[m] is None:  # new, unless an earlier letter of this row found it
+                        row[m] = j = index.setdefault(y, len(items))
+                        if j == len(items):
+                            items.append(y)
+                            links.append((x, m))
+                if len(items) > MAX_GROUP_SIZE:
+                    raise GroupDefinitionError(f"closure exceeded {MAX_GROUP_SIZE} elements")
+            successors.append(row)
         size = len(items)
+        action = [list(column) for column in zip(*successors)]
         signed = [f"{name}{sign}" for name in names for sign in ("", "^-1")]
-        elements = [index.get(letter) for letter in letters]
+        elements = successors[0]
+        if len(elements) != 2 * len(names):
+            raise GroupDefinitionError("step must give one product per signed letter")
         for m, moved in enumerate(action):
             if len(set(moved)) != size:
                 raise GroupDefinitionError(f"{signed[m]} does not act as a permutation")
-            if moved[0] != elements[m]:
-                raise GroupDefinitionError(f"the identity times {signed[m]} is not {signed[m]}")
             if action[m ^ 1][moved[0]] != 0:
                 raise GroupDefinitionError(f"inv({names[m // 2]}) does not invert it")
         # itemgetter(*f)(g) is g after f, as a tuple: composition at C speed
@@ -235,12 +240,12 @@ class FiniteGroup(Group):
         left, after_left = [], []
         for m, e in enumerate(elements):
             row = [e]
-            for x, step in links:
-                row.append(action[step][row[x]])
+            for x, n in links:
+                row.append(action[n][row[x]])
             after_row = itemgetter(*row)
             if any(after_action[n](row) != after_row(action[n]) for n in range(len(action))):
                 raise GroupDefinitionError(
-                    f"mul is not a group product: left multiplication by {signed[m]}"
+                    f"not a group product: left multiplication by {signed[m]}"
                     " does not commute with the generator action"
                 )
             left.append(row)
@@ -252,40 +257,36 @@ class FiniteGroup(Group):
             inverses.append(left[m ^ 1][inverses[x]])
         if [row[0] for row in rows] != rows[0]:
             raise GroupDefinitionError(
-                "mul is not a group product: left multiplications do not reach every element"
+                "not a group product: left multiplications do not reach every element"
             )
         group = cls(Alphabet(names), rows, inverses, elements[::2], items)
-        group._tree = (range(size), [None] + [(x, (m // 2, -1 if m % 2 else 1)) for x, m in links])
+        group._tree = (range(size), [None, *links])
         return group
 
     @classmethod
     def from_permutations(
         cls, generators: "dict[str, Sequence[int]] | Iterable[tuple[str, Sequence[int]]]"
     ) -> "FiniteGroup":
-        """Generators as one-line permutation images, 1-based."""
+        """Generators as one-line permutation images, 1-based.
+
+        A payload p holds 0-based images; p times q is itemgetter(*p)(q), one C call.
+        """
         items = list(generators.items()) if isinstance(generators, dict) else list(generators)
         if not items:
             raise GroupDefinitionError("at least one permutation generator required")
         degree = len(items[0][1])
-        payloads = []
+        letters = []
         for name, images in items:
             images = list(images)
             if sorted(images) != list(range(1, degree + 1)):
                 raise GroupDefinitionError(
                     f"generator {name!r} is not a permutation of 1..{degree}"
                 )
-            payloads.append(tuple(i - 1 for i in images))
-
-        def mul(p: tuple, q: tuple) -> tuple:
-            return tuple(map(q.__getitem__, p))
-
-        def inv(p: tuple) -> tuple:
-            out = [0] * degree
-            for i, image in enumerate(p):
-                out[image] = i
-            return tuple(out)
-
-        return cls.from_elements([name for name, _ in items], tuple(range(degree)), payloads, mul, inv)
+            inverse = sorted(range(degree), key=images.__getitem__)  # points in image order
+            letters += [tuple(i - 1 for i in images), tuple(inverse)]
+        # itemgetter(0) returns a scalar: below degree 2, range(degree) is the only payload
+        step = (lambda p: letters) if degree <= 1 else (lambda p: map(itemgetter(*p), letters))
+        return cls.from_elements([name for name, _ in items], tuple(range(degree)), step)
 
     @classmethod
     def from_table(
@@ -314,9 +315,9 @@ class FiniteGroup(Group):
             )
         if any(not 0 <= g < size or 0 not in rows[g] for g in generator_indices):
             raise GroupDefinitionError("each generator must be an element whose row holds 0")
+        letters = [h for g in generator_indices for h in (g, rows[g].index(0))]
         closure = cls.from_elements(
-            alphabet.names, 0, generator_indices,
-            lambda a, b: rows[a][b], lambda g: rows[g].index(0),
+            alphabet.names, 0, lambda a: map(rows[a].__getitem__, letters)
         )
         items = closure.payloads  # closure index -> given index
         if len(items) != size:
@@ -370,33 +371,39 @@ class FiniteGroup(Group):
             for sign in (1, -1)
         }
 
-    def _letter_tree(self) -> tuple[list, dict]:
-        """(order, parents) of the breadth-first search over signed letters from 0."""
-        values = self.letter_values()
-        table = self._table
-        search = BreadthFirst(0, list(values), lambda x, m: table[x][values[m]]).run(self.size)
-        return search.order, search.parents
+    def _search_tree(self) -> tuple[Sequence[int], Any]:
+        """(order, parents) of the letter search from 0, parents[y] = (x, letter number).
+
+        A closure keeps its own search's tree; a table or an extension,
+        whose alphabet is new, searches again, stopped at |G|.
+        """
+        if self._tree is None:
+            values = list(self.letter_values().values())
+            table = self._table
+            search = BreadthFirst(0, range(len(values)), lambda x, m: table[x][values[m]])
+            self._tree = search.run(self.size).order, search.parents
+        return self._tree
 
     def geodesics(self) -> GeodesicTable:
-        """Shortlex geodesics from the letter search; alphabet order, '+' before '-'.
-
-        A closure kept the tree of its own search; an explicit table or an
-        extension, whose alphabet is new, searches again.
-        """
+        """Shortlex geodesics from the letter search; alphabet order, '+' before '-'."""
         if self._geodesics is None:
-            order, parents = self._tree or self._letter_tree()
-            self._tree = None  # nothing else reads it
+            order, parents = self._search_tree()
+            signed = list(self.letter_values())
             letters: list[tuple] = [()] * self.size
             for y in order[1:]:
-                x, letter = parents[y]
-                letters[y] = letters[x] + (letter,)
+                x, m = parents[y]
+                letters[y] = letters[x] + (signed[m],)
             self._geodesics = GeodesicTable(
                 tuple(map(len, letters)), tuple(Word(self.alphabet, w) for w in letters)
             )
         return self._geodesics
 
     def element_word(self, a: int) -> Word:
-        return self.geodesics().words[a]
+        """a's shortlex geodesic: the one word is built from the search tree on each read."""
+        if self._geodesics is not None:
+            return self._geodesics.words[a]
+        signed = list(self.letter_values())
+        return Word(self.alphabet, [signed[m] for m in _path(self._search_tree()[1], a)])
 
     def canonical_key(self, a: int) -> int:
         return a

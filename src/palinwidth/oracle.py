@@ -12,9 +12,10 @@ order, '+' before '-'), so the first word to reach an element is a
 shortest one; the set records its pair and centre, and builds the word
 only when it is read.  Width is then a breadth-first search where one
 step multiplies by any palindrome-representable element, stopped at the
-|G|-th element.  All three searches, like the group closure and
-geodesics, run on groups.BreadthFirst; discovery order does not depend
-on how far a search was read, so neither do the answers.
+|G|-th element.  All three searches, like the letter search behind a
+table's geodesics, run on groups.BreadthFirst and read the Cayley table
+directly; discovery order does not depend on how far a search was read,
+so neither do the answers.
 """
 from __future__ import annotations
 
@@ -39,14 +40,17 @@ class PairAutomaton(BreadthFirst):
     """
 
     def __init__(self, group: FiniteGroup):
+        table = group._table
         values = group.letter_values()
-        multiply = group.multiply
+        # per letter x: its column (g -> g.x), which palindrome_set reads too, and its row
+        self.columns = {x: [row[v] for row in table] for x, v in values.items()}
+        moves = {x: (self.columns[x], table[v]) for x, v in values.items()}
 
         def step(pair: Pair, letter) -> Pair:
-            value = values[letter]
-            return multiply(pair[0], value), multiply(value, pair[1])
+            column, row = moves[letter]
+            return column[pair[0]], row[pair[1]]
 
-        super().__init__((group.identity(), group.identity()), list(values), step)
+        super().__init__((0, 0), list(moves), step)
         self.group = group
 
     def witness(self, pair: Pair) -> Word:
@@ -110,16 +114,16 @@ def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
     expanded at most one pair past the last level read.
     """
     group = automaton.group
-    multiply = group.multiply
-    centres = list(group.letter_values().items())
+    table = group._table
+    centres = list(automaton.columns.items())
 
     def candidates(level: list[Pair]):
         for pair in level:
-            yield multiply(*pair), pair, None
+            yield table[pair[0]][pair[1]], pair, None
         for pair in level:
             g, g_star = pair
-            for centre, value in centres:
-                yield multiply(multiply(g, value), g_star), pair, centre
+            for centre, column in centres:
+                yield table[column[g]][g_star], pair, centre
 
     sources: dict[int, Source] = {}
     for _, level in groupby(automaton, key=automaton.depths.__getitem__):

@@ -18,10 +18,11 @@ too.  placed(p, w) writes the conjugation p^-1 . w . p that puts a base
 word's value at position p; the element word and every construction place
 their lamps through it.  The element word is the top's word followed by
 each lamp's base word, placed, positions in the top's canonical order.
+Over finite factors, as_finite_group builds the permutation group of the
+faithful right action (p, x).(phi, a) = (p*a, x*phi(p)) on top x base.
 """
 from __future__ import annotations
 
-from operator import getitem
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import AlphabetMismatch, GroupDefinitionError
@@ -47,14 +48,13 @@ class WreathProduct(Group):
     generators; the two name sets must be disjoint.  Lamps are keyed by the
     top element as given, so the top's elements must be canonical: a
     Baumslag-Solitar top, whose equal elements can differ as words, is
-    refused.
+    refused, and so is a wreath-product top, whose elements hash by identity.
     """
 
     def __init__(self, top: Group, base: Group):
-        if isinstance(top, BaumslagSolitar):
-            raise GroupDefinitionError(
-                "a Baumslag-Solitar top has no canonical elements to key lamps by"
-            )
+        if isinstance(top, (BaumslagSolitar, WreathProduct)):
+            kind = "Baumslag-Solitar" if isinstance(top, BaumslagSolitar) else "wreath-product"
+            raise GroupDefinitionError(f"a {kind} top has no canonical elements to key lamps by")
         overlap = set(top.alphabet.names) & set(base.alphabet.names)
         if overlap:
             raise GroupDefinitionError(
@@ -174,39 +174,27 @@ class WreathProduct(Group):
     # finite materialisation
 
     def as_finite_group(self) -> FiniteGroup:
-        """Enumerate the whole wreath product as a finite group handle.
+        """The whole wreath product as a permutation group, built by from_permutations.
 
-        An element is packed as (top index, lamps), where lamps holds one
-        base index per top element; products run through the top's and the
-        base's Cayley tables, with no WreathElement round trips.
+        (phi, a) moves the point (p, x) of top x base to (p*a, x*phi(p)), a
+        faithful right action; the point (p, x) is number p*|base| + x, so a
+        payload lists those numbers' images.  Discovery order depends only
+        on the labelled Cayley graph, not on how elements are written.
         """
         top, base = self.top, self.base
         if not isinstance(top, FiniteGroup) or not isinstance(base, FiniteGroup):
             raise GroupDefinitionError("finite materialisation needs finite top and base")
-        top_table, base_rows = top._table, base._table
-        positions = top.elements()
-        shifted = [[top_table[p][a] for p in positions] for a in positions]  # [a][p] = p·a
+        points = [(p, x) for p in top.elements() for x in base.elements()]
 
-        def pack(g: WreathElement) -> tuple:
-            return g.top, tuple(g.base.get(p, 0) for p in positions)
+        def images(g: WreathElement) -> list[int]:
+            lamp = g.base.get
+            return [
+                top.multiply(p, g.top) * base.size + base.multiply(x, lamp(p, 0)) + 1
+                for p, x in points
+            ]
 
-        unlit = pack(self.identity())[1]
-
-        def mul(g: tuple, h: tuple) -> tuple:
-            (a, phi), (b, psi) = g, h  # p -> phi(p)·psi(p·a)
-            if psi == unlit:  # h is a top element, a top letter say: phi stays
-                return top_table[a][b], phi
-            lamps = map(getitem, map(base_rows.__getitem__, phi), map(psi.__getitem__, shifted[a]))
-            return top_table[a][b], tuple(lamps)
-
-        def inv(g: tuple) -> tuple:
-            a, phi = g  # p -> phi(p·a⁻¹)⁻¹
-            back = top.inverse(a)
-            return back, tuple(map(base.inverse, map(phi.__getitem__, shifted[back])))
-
-        generators = [pack(self.letter_value(i, 1)) for i in range(len(self.alphabet))]
-        return FiniteGroup.from_elements(
-            self.alphabet.names, pack(self.identity()), generators, mul, inv
+        return FiniteGroup.from_permutations(
+            (name, images(self.letter_value(i, 1))) for i, name in enumerate(self.alphabet.names)
         )
 
     def __repr__(self) -> str:

@@ -153,26 +153,37 @@ def test_finite_table_validation():
 LOOP = [[0, 1, 2, 3, 4], [1, 2, 0, 4, 3], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 0, 3, 1, 2]]
 
 
+def _letter_step(mul, inv, generators):
+    """The step from_elements takes: a payload times every signed letter, by mul."""
+    letters = [p for g in generators for p in (g, inv(g))]
+    return lambda a: [mul(a, letter) for letter in letters]
+
+
 def test_closure_refuses_products_that_are_not_group_products():
     # the loop as a payload product: a·2 = 0 but 2·a = 3, so a has no inverse
     def right_inverse(a):
         return LOOP[a].index(0)
 
     with pytest.raises(GroupDefinitionError, match=r"inv\(a\) does not invert it"):
-        FiniteGroup.from_elements(["a", "b"], 0, [1, 3], lambda a, b: LOOP[a][b], right_inverse)
+        FiniteGroup.from_elements(
+            ["a", "b"], 0, _letter_step(lambda a, b: LOOP[a][b], right_inverse, [1, 3])
+        )
     # a loop with two-sided inverses: each letter acts as a permutation and
     # inv inverts, but left multiplication does not commute with the action
     inverse_loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
     with pytest.raises(GroupDefinitionError, match="not a group product"):
         FiniteGroup.from_elements(
-            ["a", "b"], 0, [1, 2], lambda a, b: inverse_loop[a][b], lambda a: inverse_loop[a].index(0)
+            ["a", "b"], 0,
+            _letter_step(lambda a, b: inverse_loop[a][b], lambda a: inverse_loop[a].index(0), [1, 2]),
         )
     # multiplication mod 4: the letter 2 sends both 0 and 2 to 0
     with pytest.raises(GroupDefinitionError, match="does not act as a permutation"):
-        FiniteGroup.from_elements(["g"], 1, [2], lambda a, b: a * b % 4, lambda a: a)
+        FiniteGroup.from_elements(["g"], 1, _letter_step(lambda a, b: a * b % 4, lambda a: a, [2]))
     # an inv that returns its argument: the 3-cycle t is not its own inverse
     with pytest.raises(GroupDefinitionError, match=r"inv\(t\) does not invert it"):
-        FiniteGroup.from_elements(["s", "t"], (0, 1, 2), [(1, 0, 2), (1, 2, 0)], _compose, lambda p: p)
+        FiniteGroup.from_elements(
+            ["s", "t"], (0, 1, 2), _letter_step(_compose, lambda p: p, [(1, 0, 2), (1, 2, 0)])
+        )
 
 
 def test_finite_from_table_round_trip():
@@ -211,10 +222,62 @@ def test_closure_stops_at_the_size_limit():
         presets.get("lamp(2,12)")
 
 
+@pytest.mark.parametrize(
+    "name, order", [("Z/1", 1), ("lamp(1,1)", 1), ("lamp(1,3)", 3), ("lamp(3,1)", 3)]
+)
+def test_trivial_and_degree_one_groups_build(name, order):
+    # Z/1 and lamp(1,1) are permutation groups of degree 1, where every
+    # payload is (0,); lamp(1,3) and lamp(3,1) have a trivial factor
+    group = presets.get(name)
+    assert group.size == order
+    assert [group.element_word(x) for x in group.elements()] == list(group.geodesics().words)
+
+
+def test_degree_zero_permutation_group_is_trivial():
+    group = FiniteGroup.from_permutations({"g": []})
+    assert group.size == 1 and group.element_word(0) == Word(group.alphabet)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["S3", "D4", "Q8", "Z2xZ2", "Z/1", "Z/5", "lamp(2,2)", "lamp(2,3)", "lamp(3,3)", "S3+c", "table"],
+)
+def test_element_word_is_the_geodesic(name):
+    # one word built from the search tree on each read equals the geodesic
+    # table's, before the table is built and after
+    def build():
+        if name == "S3+c":
+            s3 = presets.get("S3")
+            return s3.with_extra_generator("c", s3.evaluate(Word.parse(s3.alphabet, "s*t")))
+        if name == "table":
+            d4 = presets.get("D4")
+            return FiniteGroup.from_table(list(d4.alphabet.names), d4._table, d4.generator_indices)
+        return presets.get(name)
+
+    group = build()
+    before = [group.element_word(x) for x in group.elements()]
+    words = group.geodesics().words
+    assert before == list(words)
+    assert [group.element_word(x) for x in group.elements()] == list(words)
+
+
 def _direct_table(group: FiniteGroup, mul) -> list[list[int]]:
     """The Cayley table from one payload product per cell."""
     index = {payload: i for i, payload in enumerate(group.payloads)}
     return [[index[mul(a, b)] for b in group.payloads] for a in group.payloads]
+
+
+def _stepped_table(group: FiniteGroup, step) -> list[list[int]]:
+    """The Cayley table from payload products: a times b's element word, one step per letter."""
+    index = {payload: i for i, payload in enumerate(group.payloads)}
+    words = [[2 * i + (sign < 0) for i, sign in group.element_word(b).letters] for b in group.elements()]
+
+    def times(a, moves):
+        for m in moves:
+            a = list(step(a))[m]
+        return index[a]
+
+    return [[times(a, moves) for moves in words] for a in group.payloads]
 
 
 _SYMMETRIC = {
@@ -234,18 +297,18 @@ def _closure_built(name: str) -> FiniteGroup:
     ["S3", "D4", "Q8", "Z2xZ2", "Z/5", "lamp(2,2)", "lamp(2,3)", "lamp(3,3)", "lamp(2,5)", "S4", "S5"],
 )
 def test_action_table_matches_direct_products(name, monkeypatch):
-    # keep the payload product each build hands to from_elements; the last
-    # one is the group's own (a lamplighter builds its top and base first)
+    # keep the step each build hands to from_elements; the last one is the
+    # group's own (a lamplighter builds its top and base first)
     build = FiniteGroup.from_elements.__func__
-    products = []
+    steps = []
 
-    def spy(cls, names, identity, generators, mul, inv, **options):
-        products.append(mul)
-        return build(cls, names, identity, generators, mul, inv, **options)
+    def spy(cls, names, identity, step):
+        steps.append(step)
+        return build(cls, names, identity, step)
 
     monkeypatch.setattr(FiniteGroup, "from_elements", classmethod(spy))
     group = _closure_built(name)
-    assert group._table == _direct_table(group, products[-1])
+    assert group._table == _stepped_table(group, steps[-1])
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["", "+c"])

@@ -23,6 +23,7 @@ TORSION_TOP = (
     '{"kind":"abelian_product","free_rank":1,"free_names":["x"],'
     '"finite":{"kind":"finite","generators":{"u":[2,1]}}}'
 )
+RELABELLED_S5 = '{"kind":"finite","generators":{"v":[3,4,5,1,2],"w":[1,5,3,4,2]}}'
 EXTRA_GENERATOR_DEF = (
     '{"base":{"preset":"D4"},"extra_generator":{"name":"c","value_word":"r*s"}}'
 )
@@ -34,16 +35,17 @@ FINITE_TOP = [
 CASES = {
     "pw-exact": ["pw-exact", "--group", "D4"],
     "pw-exact-extend-gens": ["pw-exact", "--group", "S3", "--extend-gens", "c=s*t"],
-    "pw-exact-extra-generator-def": "a7080acfb55dba5ce234045b9765efc2d18b2f702aafb0e2299030e2c405aaaa",
-    "pw-exact-padded-cyclic": "08c467bd2e664147a906e6e835924acf88821eeaca435246df4cdd42df42885c",
-    "pw-exact-q8": "9bf13ef1de04df4f01145e39df27bbd9a78d0262706a0be0063bfc8c87a142c0",
     "pw-exact-table": ["pw-exact", "--group", S3_TABLE],
     "pw-exact-text": ["--format", "text", "pw-exact", "--group", "lamp(2,3)"],
     "pw-exact-q8": ["pw-exact", "--group", "Q8"],
     "pw-exact-padded-cyclic": ["pw-exact", "--group", "Z/05"],
     "pw-exact-extra-generator-def": ["pw-exact", "--group", EXTRA_GENERATOR_DEF],
+    "pw-exact-lamp-2-5": ["pw-exact", "--group", "lamp(2,5)"],
+    "pw-exact-lamp-3-3": ["pw-exact", "--group", "lamp(3,3)"],
+    "pw-exact-relabelled-s5": ["pw-exact", "--group", RELABELLED_S5],
     "find-relation-s3": ["find-relation", "--group", "S3"],
     "find-relation-q8": ["find-relation", "--group", "Q8"],
+    "find-relation-lamp": ["find-relation", "--group", "lamp(2,3)"],
     "find-relation-bs": ["find-relation", "--group", "BS(1,2)"],
     "find-relation-bs-padded": ["find-relation", "--group", "BS(01,2)"],
     "decompose-finite-top": FINITE_TOP,
@@ -87,13 +89,17 @@ DIGESTS = {
     "decompose-text": "a0b6c3e6b4b2bac31d7df9e9213b15504549c8ea7836ba92b88d9f0bcffef67c",
     "find-relation-bs": "3fce7a223414eae21a5be1380bc6c96373e31c00acb76371275d90a89a7359b9",
     "find-relation-bs-padded": "3fce7a223414eae21a5be1380bc6c96373e31c00acb76371275d90a89a7359b9",
+    "find-relation-lamp": "77f3d279c59fca09343e10cdf0216ebb23840e5480bc02c5117f3f65ed9f61b1",
     "find-relation-q8": "001d41bfbab2d06dcd0215df04709c159420caa6cdb84142ef4773962ff63d03",
     "find-relation-s3": "c79b44c35b01d10b501b105c370e97b6bc88a60e5327932dcde1ccdeab6762bd",
     "pw-exact": "1b8647cc2cca937e5df4f672cd2dd9414a0fa396f7078a79c295c3b1dc9fb4a8",
     "pw-exact-extend-gens": "161f0f094513fd6de708c810d800ccfa30d3d6bbe99098dcb15f56dab156e013",
     "pw-exact-extra-generator-def": "a7080acfb55dba5ce234045b9765efc2d18b2f702aafb0e2299030e2c405aaaa",
+    "pw-exact-lamp-2-5": "6ef2bf8c4882880862a6e023c24483179cf8d07b9c77d318a6b112d706eeb8db",
+    "pw-exact-lamp-3-3": "1b99362451d84d6f1b99e20d4b2ebc76f0d50c13e7cf3f96b383363017f13643",
     "pw-exact-padded-cyclic": "08c467bd2e664147a906e6e835924acf88821eeaca435246df4cdd42df42885c",
     "pw-exact-q8": "9bf13ef1de04df4f01145e39df27bbd9a78d0262706a0be0063bfc8c87a142c0",
+    "pw-exact-relabelled-s5": "cadb53393efadbde7179738adff10f141f0886d24133c18ce4e4d0dd4b4762a0",
     "pw-exact-table": "f4a4e3210ea70d2dbe4ee1699496584102abc582877c4f2c32dbc7e7ff8475ee",
     "pw-exact-text": "7833019a1bacebd090bb8b2ed1a2c52952cd19d4944f51338694d1285aaa8636",
     "verify": "d9bddc5dab0133ad9eba5e517c500424ff2f5e37bc0821ad00a3249b8d06c1fa",

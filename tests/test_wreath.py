@@ -41,6 +41,14 @@ def test_baumslag_solitar_top_refused():
         WreathProduct(bs, FreeGroup(names=["y"]))
 
 
+def test_wreath_product_top_refused():
+    # wreath elements hash by identity, so two evaluations of one lamp
+    # position would key two different lamps
+    inner = WreathProduct(presets.cyclic(2, "u"), presets.cyclic(2, "w"))
+    with pytest.raises(GroupDefinitionError, match="wreath-product top"):
+        WreathProduct(inner, presets.cyclic(3, "y"))
+
+
 def test_conjugation_places_lamp_at_position():
     # the convention test: a^-1 f a puts the lamp at the value of a
     from palinwidth import invert
@@ -219,13 +227,23 @@ def test_alphabet_check_on_evaluate():
 
 
 def test_wreath_evaluation_matches_finite_materialisation():
-    # dual route: symbolic wreath arithmetic against the enumerated table
-    wreath = lamplighter_wreath()
-    finite = wreath.as_finite_group()
+    # dual route: symbolic wreath arithmetic against the enumerated table,
+    # over Z/2 wr Z/3, S3 wr Z/2 and Z/2 wr S3
+    s3 = presets.symmetric_3()
     rng = random.Random(20)
-    for _ in range(200):
-        word = random_word(rng, wreath.alphabet, 16)
-        symbolic = wreath.evaluate(word)
-        # a payload packs the top index and one lamp per top element
-        packed = (symbolic.top, tuple(symbolic.base.get(p, 0) for p in wreath.top.elements()))
-        assert finite.payloads[finite.evaluate(word)] == packed
+    for top, base in [(presets.cyclic(3, "z"), presets.cyclic(2, "y")),
+                      (presets.cyclic(2, "z"), s3), (s3, presets.cyclic(2, "y"))]:
+        wreath = WreathProduct(top, base)
+        finite = wreath.as_finite_group()
+        for _ in range(200):
+            word = random_word(rng, wreath.alphabet, 16)
+            symbolic = wreath.evaluate(word)
+            # a payload is the permutation (p, x) -> (p·a, x·phi(p)) of the
+            # points numbered p·|base| + x, 0-based
+            permutation = tuple(
+                top.multiply(p, symbolic.top) * base.size
+                + base.multiply(x, symbolic.base.get(p, base.identity()))
+                for p in top.elements()
+                for x in base.elements()
+            )
+            assert finite.payloads[finite.evaluate(word)] == permutation

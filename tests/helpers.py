@@ -59,3 +59,43 @@ def naive_palindromic_elements(
             for value in letter_values
         }
     return frozenset(elements)
+
+
+def restart_loop_is_trivial(n: int, m: int, w: Word) -> bool:
+    """Reference triviality test in BS(n, m) = <a, b | a^-1 b^n a = b^m>.
+
+    The earlier restart-loop pinch reduction, kept to check the one-pass
+    reduction against: reduce freely, write the word in syllables
+    b^k0 a^e1 b^k1 ..., then repeatedly pinch the first a^-1 b^(qn) a
+    (to b^(qm)) or a b^(qm) a^-1 (to b^(qn)) and rescan from the start.
+    """
+    w = reduce_free(w)
+    syllables: list[list] = [["b", 0]]
+    for index, sign in w.letters:
+        if index == 0:
+            syllables.append(["a", sign])
+            syllables.append(["b", 0])
+        else:
+            syllables[-1][1] += sign
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(syllables) - 2):
+            kind, e1 = syllables[i]
+            if kind != "a":
+                continue
+            _, k = syllables[i + 1]
+            e2 = syllables[i + 2][1]
+            if syllables[i + 2][0] != "a" or e2 != -e1:
+                continue
+            if e1 == -1 and k % n == 0:
+                new_exp = k // n * m
+            elif e1 == 1 and k % m == 0:
+                new_exp = k // m * n
+            else:
+                continue
+            syllables[i - 1][1] += new_exp + syllables[i + 3][1]
+            del syllables[i : i + 4]
+            changed = True
+            break
+    return len(syllables) == 1 and syllables[0][1] == 0

@@ -24,7 +24,7 @@ from palinwidth.wreath import WreathProduct
 from palinwidth.errors import AlphabetMismatch, GroupDefinitionError
 from palinwidth.groups import MAX_GROUP_SIZE
 from palinwidth.oracle import exact_palindromic_width
-from helpers import random_word
+from helpers import random_word, restart_loop_is_trivial
 
 
 def test_free_evaluate():
@@ -495,3 +495,28 @@ def test_bs_flags():
     assert not BaumslagSolitar(2, 3).is_abelian()
     with pytest.raises(GroupDefinitionError):
         BaumslagSolitar(0, 2)
+
+
+def _conjugate_product(rng: random.Random, bs: BaumslagSolitar) -> Word:
+    """A product of conjugates u . r^(+-1) . u^-1 of the relator: always trivial."""
+    relator = bs.relation()
+    word = Word(bs.alphabet)
+    for _ in range(rng.randint(1, 3)):
+        u = random_word(rng, bs.alphabet, 5)
+        word = word * u * (relator if rng.random() < 0.5 else invert(relator)) * invert(u)
+    return word
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 3), (-2, 3), (3, 5), (2, 2), (1, 1)])
+def test_bs_one_pass_reduction_matches_restart_loop(n, m):
+    # 5,000 words per pair, half random and half products of conjugates of
+    # r^+-1, neither freely reduced; the conjugate products are trivial
+    bs = BaumslagSolitar(n, m)
+    rng = random.Random(1000 * n + m)
+    trivial = 0
+    for i in range(5000):
+        word = random_word(rng, bs.alphabet, 16) if i % 2 else _conjugate_product(rng, bs)
+        expected = restart_loop_is_trivial(n, m, word)
+        assert bs.is_trivial(word) == expected, (n, m, str(word))
+        trivial += expected
+    assert trivial >= 2500

@@ -8,6 +8,7 @@ not pinned.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -39,6 +40,7 @@ CASES = {
     "pw-exact-text": ["--format", "text", "pw-exact", "--group", "lamp(2,3)"],
     "pw-exact-q8": ["pw-exact", "--group", "Q8"],
     "pw-exact-padded-cyclic": ["pw-exact", "--group", "Z/05"],
+    "pw-exact-cyclic-12": ["pw-exact", "--group", "Z/12"],
     "pw-exact-extra-generator-def": ["pw-exact", "--group", EXTRA_GENERATOR_DEF],
     "pw-exact-lamp-2-5": ["pw-exact", "--group", "lamp(2,5)"],
     "pw-exact-lamp-3-3": ["pw-exact", "--group", "lamp(3,3)"],
@@ -48,6 +50,8 @@ CASES = {
     "find-relation-lamp": ["find-relation", "--group", "lamp(2,3)"],
     "find-relation-bs": ["find-relation", "--group", "BS(1,2)"],
     "find-relation-bs-padded": ["find-relation", "--group", "BS(01,2)"],
+    "find-relation-bs-2-3": ["find-relation", "--group", "BS(2,3)"],
+    "find-relation-bs-minus-2-3": ["find-relation", "--group", "BS(-2,3)"],
     "decompose-finite-top": FINITE_TOP,
     "decompose-abelian-top": [
         "decompose", "--top", "Z^2", "--base", F2_DEF, "--mode", "abelian-top",
@@ -72,6 +76,8 @@ CASES = {
     ],
     "decompose-text": ["--format", "text", *FINITE_TOP],
     "verify": ["verify", "--report", "report.json"],  # the finite-top report, written first
+    # the same report with its last factor dropped: the product no longer matches
+    "verify-dropped-factor": ["verify", "--report", "dropped.json"],
     "bench": ["bench", "--samples", "3"],
     "bench-text": ["--format", "text", "bench", "--samples", "3", "--seed", "7"],
 }
@@ -88,11 +94,14 @@ DIGESTS = {
     "decompose-shifted-torsion": "2cf05a7becb8b95b1a9bdb42c139655641f327ce554a4746ca108e3b7c24acbd",
     "decompose-text": "a0b6c3e6b4b2bac31d7df9e9213b15504549c8ea7836ba92b88d9f0bcffef67c",
     "find-relation-bs": "3fce7a223414eae21a5be1380bc6c96373e31c00acb76371275d90a89a7359b9",
+    "find-relation-bs-2-3": "7950502ebc0621d5e02936fe6f33db09df888d9e3106fbacd17ab675dd17fac2",
+    "find-relation-bs-minus-2-3": "cc07e05a795a76a75fba910e2952a4c5d6f8f969ab3a280aad63f00c15820e39",
     "find-relation-bs-padded": "3fce7a223414eae21a5be1380bc6c96373e31c00acb76371275d90a89a7359b9",
     "find-relation-lamp": "77f3d279c59fca09343e10cdf0216ebb23840e5480bc02c5117f3f65ed9f61b1",
     "find-relation-q8": "001d41bfbab2d06dcd0215df04709c159420caa6cdb84142ef4773962ff63d03",
     "find-relation-s3": "c79b44c35b01d10b501b105c370e97b6bc88a60e5327932dcde1ccdeab6762bd",
     "pw-exact": "1b8647cc2cca937e5df4f672cd2dd9414a0fa396f7078a79c295c3b1dc9fb4a8",
+    "pw-exact-cyclic-12": "b455fcb35eee417d465c6188089fdd2718d951cc25be802d7935cc9d706625b1",
     "pw-exact-extend-gens": "161f0f094513fd6de708c810d800ccfa30d3d6bbe99098dcb15f56dab156e013",
     "pw-exact-extra-generator-def": "a7080acfb55dba5ce234045b9765efc2d18b2f702aafb0e2299030e2c405aaaa",
     "pw-exact-lamp-2-5": "6ef2bf8c4882880862a6e023c24483179cf8d07b9c77d318a6b112d706eeb8db",
@@ -103,14 +112,19 @@ DIGESTS = {
     "pw-exact-table": "f4a4e3210ea70d2dbe4ee1699496584102abc582877c4f2c32dbc7e7ff8475ee",
     "pw-exact-text": "7833019a1bacebd090bb8b2ed1a2c52952cd19d4944f51338694d1285aaa8636",
     "verify": "d9bddc5dab0133ad9eba5e517c500424ff2f5e37bc0821ad00a3249b8d06c1fa",
+    "verify-dropped-factor": "ddd24586004f5f786bb36ced74d09d3b8367fd2604acdbfeb7a38cdac95aab61",
 }
 
 
-def stdout_of(argv: list) -> str:
+# cases whose report is a failure, with the exit code it comes with
+EXIT_CODES = {"verify-dropped-factor": 1}
+
+
+def stdout_of(argv: list, expected_code: int = 0) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(argv))
-    assert code == 0, (argv, out.getvalue())
+    assert code == expected_code, (argv, out.getvalue())
     return out.getvalue()
 
 
@@ -123,4 +137,8 @@ def test_report_bytes_are_pinned(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if case == "verify":
         (tmp_path / "report.json").write_text(stdout_of(FINITE_TOP))
-    assert digest(stdout_of(CASES[case])) == DIGESTS[case]
+    if case == "verify-dropped-factor":
+        report = json.loads(stdout_of(FINITE_TOP))
+        report["factors"].pop()
+        (tmp_path / "dropped.json").write_text(json.dumps(report))
+    assert digest(stdout_of(CASES[case], EXIT_CODES.get(case, 0))) == DIGESTS[case]

@@ -46,7 +46,7 @@ from .groups import (
     Group,
 )
 from .oracle import exact_palindromic_width, oracle_for, verify_factorization
-from .words import MAX_PARSED_LETTERS, Word, reverse
+from .words import MAX_PARSED_LETTERS, Word
 from .wreath import WreathElement, WreathProduct
 
 _INPUT_ERRORS = (GroupDefinitionError, WordSyntaxError, AlphabetMismatch, ValueError)
@@ -189,12 +189,7 @@ def _witness(definition: Optional[dict], top: Group) -> Optional[RelationWitness
         group, value = _extend(top, extra_def)
         extra = (extra_def["name"], value)
     relation = Word.parse(group.alphabet, _field(definition, "relation", str))
-    return RelationWitness(
-        group=group,
-        relation=relation,
-        reverse_value=group.evaluate(reverse(relation)),
-        extra_generator=extra,
-    )
+    return RelationWitness(group=group, relation=relation, extra_generator=extra)
 
 
 # ---------------------------------------------------------------------------

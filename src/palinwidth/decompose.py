@@ -26,6 +26,7 @@ The constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Optional, Sequence
 
 from .commutators import commutator_word, express_in_derived
@@ -85,8 +86,12 @@ class RelationWitness:
 
     group: Group
     relation: Word
-    reverse_value: Any
     extra_generator: Optional[tuple[str, Any]] = None
+
+    @property
+    def reverse_value(self) -> Any:
+        """The value of reverse(relation), not the identity for a valid witness."""
+        return self.group.evaluate(reverse(self.relation))
 
 
 @dataclass
@@ -146,7 +151,7 @@ def decompose_abelian_element(group: Group, element) -> PalindromeFactorization:
     if not group.is_abelian():
         raise NotAbelian("abelian handle required")
     exponents = abelianize(group.element_word(element))
-    factors = [Word.from_blocks(group.alphabet, [(i, e)]) for i, e in enumerate(exponents) if e]
+    factors = [Word.letter(group.alphabet, i, e) for i, e in enumerate(exponents) if e]
     return _checked(group, element, factors, len(group.alphabet), "rank")
 
 
@@ -189,20 +194,16 @@ def _unrolled_commutator(wreath: WreathProduct, a: Word, exponents: Sequence[int
     """Factors of [a, t]: alternating sandwiches around the inverted power
     words collapse to a^-1 t^-1 a, then the power words supply t."""
     n = len(exponents)
-
-    def top_power(index: int, exponent: int) -> Word:
-        return Word.from_blocks(wreath.alphabet, [(index, exponent)])
-
     factors: list[Word] = []
     for k in range(n - 1, -1, -1):
-        core = top_power(k, -exponents[k])
+        core = Word.letter(wreath.alphabet, k, -exponents[k])
         if (n - 1 - k) % 2 == 0:
             factors.append(sandwich(invert(a), core))
         else:
             factors.append(sandwich(reverse(a), core))
     if n % 2 == 1:
         factors.append(reverse(a) * a)
-    factors.extend(top_power(k, exponents[k]) for k in range(n))
+    factors.extend(Word.letter(wreath.alphabet, k, exponents[k]) for k in range(n))
     return factors
 
 
@@ -267,10 +268,10 @@ def find_reversal_asymmetric_relation(
         r = group.relation()
         if budget is not None and len(r) > budget:
             raise BudgetExhausted(f"the defining relator has length {len(r)}, over budget {budget}")
-        reverse_value = group.evaluate(reverse(r))
-        if group.is_identity(reverse_value):
+        witness = RelationWitness(group=group, relation=r)
+        if group.is_identity(witness.reverse_value):
             raise InvalidWitness("defining relator unexpectedly reverses to a relation")
-        return RelationWitness(group=group, relation=r, reverse_value=reverse_value)
+        return witness
     if not isinstance(group, FiniteGroup):
         raise GroupDefinitionError(
             "relation search needs a finite group or a Baumslag-Solitar handle"
@@ -279,9 +280,7 @@ def find_reversal_asymmetric_relation(
         raise AbelianGroup("every relation of an abelian group reverses to one")
     r = oracle_for(group).asymmetric_relation(budget)
     if r is not None:
-        return RelationWitness(
-            group=group, relation=r, reverse_value=group.evaluate(reverse(r))
-        )
+        return RelationWitness(group=group, relation=r)
     pair = _first_non_commuting_pair(group)
     name = _fresh_name(group, "c")
     value = group.multiply(
@@ -291,12 +290,7 @@ def find_reversal_asymmetric_relation(
     r = oracle_for(extended).asymmetric_relation(budget)
     if r is None:
         raise BudgetExhausted("no asymmetric relation found even after extending by c")
-    return RelationWitness(
-        group=extended,
-        relation=r,
-        reverse_value=extended.evaluate(reverse(r)),
-        extra_generator=(name, value),
-    )
+    return RelationWitness(group=extended, relation=r, extra_generator=(name, value))
 
 
 def _first_non_commuting_pair(group: FiniteGroup) -> tuple[int, int]:
@@ -461,8 +455,7 @@ def decompose_shifted_commutators(
     # kappa_j and tau_j do not depend on the shift, so retries reuse them
     arguments = [(aggregate(j, 0), aggregate(j, 1)) for j in range(n)]
 
-    def power(exponent: int) -> Word:
-        return Word.from_blocks(wreath.alphabet, [(index, exponent)])
+    power = partial(Word.letter, wreath.alphabet, index)
 
     q, y = 1, 2
     for attempt in range(MAX_SHIFT_RETRIES + 1):
@@ -503,13 +496,12 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
     value costs at most d power words.
     """
     top = wreath.top
-    geodesics = top.geodesics()
     factors: list[Word] = []
     prefix = top.identity()
 
     def move_to(goal: int) -> None:
         nonlocal prefix
-        step = geodesics.words[top.multiply(top.inverse(prefix), goal)]
+        step = top.element_word(top.multiply(top.inverse(prefix), goal))
         # top letters keep their indices in the combined alphabet
         factors.extend(Word(wreath.alphabet, [letter]) for letter in step.letters)
         prefix = goal
@@ -521,9 +513,7 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
         move_to(top.inverse(position))
         for index, exponent in enumerate(exponents):
             if exponent:
-                factors.append(
-                    Word.from_blocks(wreath.alphabet, [(len(top.alphabet) + index, exponent)])
-                )
+                factors.append(Word.letter(wreath.alphabet, len(top.alphabet) + index, exponent))
     move_to(element.top)
     return factors
 

@@ -171,7 +171,7 @@ class FiniteGroup(Group):
         self.payloads = tuple(payloads) if payloads is not None else None
         # (order, parents) of a search over signed letter numbers, built once (see _search_tree)
         self._tree: Optional[tuple[Sequence[int], Any]] = None
-        self._geodesics: Optional[GeodesicTable] = None
+        self._words: dict[int, Word] = {}  # element -> its geodesic, built on first read
         self._extensions: dict[tuple[str, int], FiniteGroup] = {}
 
     @classmethod
@@ -385,25 +385,21 @@ class FiniteGroup(Group):
         return self._tree
 
     def geodesics(self) -> GeodesicTable:
-        """Shortlex geodesics from the letter search; alphabet order, '+' before '-'."""
-        if self._geodesics is None:
-            order, parents = self._search_tree()
-            signed = list(self.letter_values())
-            letters: list[tuple] = [()] * self.size
-            for y in order[1:]:
-                x, m = parents[y]
-                letters[y] = letters[x] + (signed[m],)
-            self._geodesics = GeodesicTable(
-                tuple(map(len, letters)), tuple(Word(self.alphabet, w) for w in letters)
-            )
-        return self._geodesics
+        """Every element's word (element_word), in element order."""
+        words = tuple(map(self.element_word, self.elements()))
+        return GeodesicTable(tuple(map(len, words)), words)
 
     def element_word(self, a: int) -> Word:
-        """a's shortlex geodesic: the one word is built from the search tree on each read."""
-        if self._geodesics is not None:
-            return self._geodesics.words[a]
-        signed = list(self.letter_values())
-        return Word(self.alphabet, [signed[m] for m in _path(self._search_tree()[1], a)])
+        """a's shortlex geodesic from the letter search; alphabet order, '+' before '-'.
+
+        Built from the search tree on its first read, then kept.
+        """
+        word = self._words.get(a)
+        if word is None:
+            signed = list(self.letter_values())
+            path = _path(self._search_tree()[1], a)
+            word = self._words[a] = Word(self.alphabet, [signed[m] for m in path])
+        return word
 
     def canonical_key(self, a: int) -> int:
         return a
@@ -611,39 +607,24 @@ class BaumslagSolitar(_ReducedWords):
         return self.is_trivial(self.multiply(a, invert(b)))
 
     def is_trivial(self, w: Word) -> bool:
-        # Syllable form b^k0 a^e1 b^k1 ... ; pinches a^-1 b^(qn) a -> b^(qm)
-        # and a b^(qm) a^-1 -> b^(qn) shrink the stable-letter count, so the
-        # loop terminates; a pinch-free word with stable letters is nontrivial.
-        w = reduce_free(w)
-        syllables: list[list] = [["b", 0]]
+        # One pass: the stack holds b^k0 a^e1 b^k1 ... as [a-exponent, b-exponent]
+        # pairs.  a^-e closing a^e b^k pops the pair when the pinch a^-1 b^(qn) a ->
+        # b^(qm) or a b^(qm) a^-1 -> b^(qn) applies (q = 0 is free cancellation).
+        # The stack stays pinch-free, so by Britton's lemma it ends at [[0, 0]]
+        # exactly when the word is trivial.
+        stack = [[0, 0]]  # the first a-exponent is a placeholder
         for index, sign in w.letters:
-            if index == 0:
-                syllables.append(["a", sign])
-                syllables.append(["b", 0])
+            if index:
+                stack[-1][1] += sign
+                continue
+            e, k = stack[-1]
+            over, under = (self.n, self.m) if e < 0 else (self.m, self.n)
+            if e == -sign and k % over == 0:
+                stack.pop()
+                stack[-1][1] += k // over * under
             else:
-                syllables[-1][1] += sign
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(syllables) - 2):
-                kind, e1 = syllables[i]
-                if kind != "a":
-                    continue
-                _, k = syllables[i + 1]
-                e2 = syllables[i + 2][1]
-                if syllables[i + 2][0] != "a" or e2 != -e1:
-                    continue
-                if e1 == -1 and k % self.n == 0:
-                    new_exp = k // self.n * self.m
-                elif e1 == 1 and k % self.m == 0:
-                    new_exp = k // self.m * self.n
-                else:
-                    continue
-                syllables[i - 1][1] += new_exp + syllables[i + 3][1]
-                del syllables[i : i + 4]
-                changed = True
-                break
-        return len(syllables) == 1 and syllables[0][1] == 0
+                stack.append([sign, 0])
+        return stack == [[0, 0]]
 
     def is_abelian(self) -> bool:
         return self.n == 1 and self.m == 1

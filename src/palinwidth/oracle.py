@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
@@ -98,7 +99,6 @@ class Witnesses(Mapping):
 class PalindromeSet:
     """Palindrome-representable elements with shortest palindromic witnesses."""
 
-    group: FiniteGroup
     witnesses: Witnesses
 
 
@@ -131,8 +131,8 @@ def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
             if element not in sources:
                 sources[element] = (pair, centre)
                 if len(sources) == group.size:
-                    return PalindromeSet(group=group, witnesses=Witnesses(automaton, sources))
-    return PalindromeSet(group=group, witnesses=Witnesses(automaton, sources))
+                    return PalindromeSet(Witnesses(automaton, sources))
+    return PalindromeSet(Witnesses(automaton, sources))
 
 
 @dataclass
@@ -162,33 +162,25 @@ def palindrome_width_bfs(group: FiniteGroup, moves: dict) -> BreadthFirst:
 
 
 class PalindromeOracle:
-    """Cached automaton, palindrome set and width search for one handle."""
+    """Automaton, palindrome set and width search for one handle, each built on first read."""
 
     def __init__(self, group: FiniteGroup):
         self.group = group
-        self._automaton: Optional[PairAutomaton] = None
-        self._palindromes: Optional[PalindromeSet] = None
-        self._bfs: Optional[BreadthFirst] = None
 
-    @property
+    @cached_property
     def automaton(self) -> PairAutomaton:
-        if self._automaton is None:
-            self._automaton = build_pair_automaton(self.group)
-        return self._automaton
+        return build_pair_automaton(self.group)
 
-    @property
+    @cached_property
     def palindromes(self) -> PalindromeSet:
-        if self._palindromes is None:
-            self._palindromes = palindrome_set(self.automaton)
-        return self._palindromes
+        return palindrome_set(self.automaton)
 
+    @cached_property
     def _width_bfs(self) -> BreadthFirst:
-        if self._bfs is None:
-            self._bfs = palindrome_width_bfs(self.group, self.palindromes.witnesses)
-        return self._bfs
+        return palindrome_width_bfs(self.group, self.palindromes.witnesses)
 
     def width(self) -> WidthReport:
-        depths = self._width_bfs().depths
+        depths = self._width_bfs.depths
         distances = [depths[x] for x in self.group.elements()]
         top = max(distances)
         witness = distances.index(top)
@@ -197,7 +189,7 @@ class PalindromeOracle:
     def decompose(self, a: int) -> list[Word]:
         """At most width palindromic words multiplying to the element."""
         witnesses = self.palindromes.witnesses
-        return [witnesses[move] for move in self._width_bfs().path(a)]
+        return [witnesses[move] for move in self._width_bfs.path(a)]
 
     def asymmetric_relation(self, budget: Optional[int] = None) -> Optional[Word]:
         """Shortest word r with r = 1 but reverse(r) != 1, if one exists.
@@ -238,10 +230,14 @@ class FactorizationCertificate:
     """Machine-checkable result of verifying factors against a target."""
 
     valid: bool
-    product_matches: bool
     centers: tuple[Optional[str], ...]
     failing_index: Optional[int] = None
     reason: Optional[str] = None
+
+    @property
+    def product_matches(self) -> bool:
+        """Whether the product matched: it is compared only once every factor passed."""
+        return self.valid
 
     def to_dict(self) -> dict:
         return {
@@ -273,8 +269,8 @@ def verify_factorization(group: Group, target, factors: Sequence[Word]) -> Facto
     product = group.evaluate(Word(group.alphabet, letters))
     if not group.equal(product, target):
         return _refused(centers, "ProductMismatch")
-    return FactorizationCertificate(valid=True, product_matches=True, centers=tuple(centers))
+    return FactorizationCertificate(valid=True, centers=tuple(centers))
 
 
 def _refused(centers: list, reason: str, index: Optional[int] = None) -> FactorizationCertificate:
-    return FactorizationCertificate(False, False, tuple(centers), index, reason)
+    return FactorizationCertificate(False, tuple(centers), index, reason)

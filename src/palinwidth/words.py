@@ -165,8 +165,12 @@ class PalindromeCertificate:
     """Witness that word = left . center . reverse(left), letter for letter."""
 
     word: Word
-    left: Word
     center: Optional[Letter]
+
+    @property
+    def left(self) -> Word:
+        """The first half of the word, before the center."""
+        return Word(self.word.alphabet, self.word.letters[: len(self.word) // 2])
 
     def reconstruct(self) -> Word:
         middle = Word(self.word.alphabet, [self.center] if self.center else [])
@@ -214,10 +218,8 @@ def is_palindrome(w: Word) -> Optional[PalindromeCertificate]:
     letters = w.letters
     if letters != tuple(reversed(letters)):
         return None
-    half = len(letters) // 2
-    left = Word(w.alphabet, letters[:half])
-    center = letters[half] if len(letters) % 2 else None
-    return PalindromeCertificate(word=w, left=left, center=center)
+    center = letters[len(letters) // 2] if len(letters) % 2 else None
+    return PalindromeCertificate(word=w, center=center)
 
 
 def sandwich(u: Word, p: Word) -> Word:

@@ -23,7 +23,7 @@ faithful right action (p, x).(phi, a) = (p*a, x*phi(p)) on top x base.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import AlphabetMismatch, GroupDefinitionError
 from .groups import BaumslagSolitar, FiniteGroup, Group
@@ -70,14 +70,10 @@ class WreathProduct(Group):
     def identity(self) -> WreathElement:
         return WreathElement(self.top.identity(), {})
 
-    def element(self, top_value: Any, lamps: Optional[Iterable] = None) -> WreathElement:
-        base: dict = {}
-        if lamps:
-            items = lamps.items() if isinstance(lamps, dict) else lamps
-            for position, value in items:
-                if not self.base.is_identity(value):
-                    base[position] = value
-        return WreathElement(top_value, base)
+    def element(self, top_value: Any, lamps: Iterable[tuple[Any, Any]] = ()) -> WreathElement:
+        """The element with this top and these (position, value) lamps, identity lamps dropped."""
+        is_identity = self.base.is_identity
+        return WreathElement(top_value, {p: v for p, v in lamps if not is_identity(v)})
 
     def lamp(self, position: Any, value: Any) -> WreathElement:
         return self.element(self.top.identity(), [(position, value)])

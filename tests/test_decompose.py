@@ -442,7 +442,6 @@ def test_derived_wreath_rejects_bad_witness():
     bogus = RelationWitness(
         group=wreath.top,
         relation=Word.parse(wreath.top.alphabet, "s*s"),
-        reverse_value=wreath.top.identity(),
     )
     with pytest.raises(InvalidWitness):
         decompose_derived_wreath(wreath, CommutatorData(()), 0, bogus)
@@ -457,7 +456,6 @@ def test_derived_wreath_reverse_check_guards_bad_relations(monkeypatch):
     broken = RelationWitness(
         group=witness.group,
         relation=Word.parse(witness.group.alphabet, "s*s"),
-        reverse_value=witness.reverse_value,
     )
     f, g = base_words(wreath, "y1", "y2")
     data = CommutatorData((CommutatorSite(0, ((f, g),)),))

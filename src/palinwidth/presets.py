@@ -31,13 +31,22 @@ def cyclic(order: int, name: str = "z") -> FiniteGroup:
     if order < 1:
         raise GroupDefinitionError("cyclic order must be positive")
     if order > MAX_GROUP_SIZE:
-        # the closure would multiply |G| permutations of `order` points before refusing
         raise GroupDefinitionError(f"cyclic order {order} exceeds {MAX_GROUP_SIZE} elements")
-    return FiniteGroup.from_permutations([(name, [i % order + 1 for i in range(1, order + 1)])])
+    # the residue a steps to a+1 and a-1: one integer per element, not a permutation
+    return FiniteGroup.from_elements([name], 0, lambda a: ((a + 1) % order, (a - 1) % order))
 
 
 def lamplighter(base_order: int, top_order: int) -> FiniteGroup:
-    """Finite truncation Z/m wr Z/k of a lamplighter-style wreath product."""
+    """Finite truncation Z/m wr Z/k of a lamplighter-style wreath product.
+
+    Its order m^k*k is known before either factor is built, so an order
+    over MAX_GROUP_SIZE is refused at once.  A factor over the limit is
+    left to cyclic to refuse, which keeps the power small.
+    """
+    if max(base_order, top_order) <= MAX_GROUP_SIZE < base_order**top_order * top_order:
+        raise GroupDefinitionError(
+            f"lamplighter order {base_order}^{top_order}*{top_order} exceeds {MAX_GROUP_SIZE} elements"
+        )
     return WreathProduct(cyclic(top_order, "z"), cyclic(base_order, "y")).as_finite_group()
 
 

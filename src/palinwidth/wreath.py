@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from .errors import AlphabetMismatch, GroupDefinitionError
-from .groups import BaumslagSolitar, FiniteGroup, Group
+from .groups import MAX_GROUP_SIZE, BaumslagSolitar, FiniteGroup, Group
 from .words import Alphabet, Letter, Word, relabel
 
 
@@ -180,6 +180,11 @@ class WreathProduct(Group):
         top, base = self.top, self.base
         if not isinstance(top, FiniteGroup) or not isinstance(base, FiniteGroup):
             raise GroupDefinitionError("finite materialisation needs finite top and base")
+        if base.size**top.size * top.size > MAX_GROUP_SIZE:  # refused before any point is listed
+            raise GroupDefinitionError(
+                f"wreath product order {base.size}^{top.size}*{top.size}"
+                f" exceeds {MAX_GROUP_SIZE} elements"
+            )
         points = [(p, x) for p in top.elements() for x in base.elements()]
 
         def images(g: WreathElement) -> list[int]:

@@ -286,7 +286,7 @@ def test_abelian_top_exponents_at_the_letter_limit_are_taken():
 
 
 def test_cyclic_preset_over_the_size_limit_exits_2_at_once(capsys):
-    # refused before its 20001-point permutation is multiplied 20000 times
+    # refused by its order, before the closure runs
     start = time.perf_counter()
     assert main(["pw-exact", "--group", "Z/20001"]) == 2
     assert time.perf_counter() - start < 2
@@ -295,10 +295,20 @@ def test_cyclic_preset_over_the_size_limit_exits_2_at_once(capsys):
 
 
 def test_group_over_the_closure_limit_exits_2(capsys):
-    # lamp(2,12) has 49,152 elements; the closure stops at 20000
+    # lamp(2,12) has 49,152 elements; its order is refused before anything is built
     assert main(["pw-exact", "--group", "lamp(2,12)"]) == 2
     err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and "closure exceeded 20000 elements" in err
+    assert len(err.strip().splitlines()) == 1 and "order 2^12*12 exceeds 20000 elements" in err
+
+
+@pytest.mark.parametrize("name", ["lamp(300,300)", "lamp(20000,2)"])
+def test_large_lamplighter_presets_exit_2_at_once(capsys, name):
+    # lamp(300,300) would need about 14 GB of permutations before the closure refused it
+    start = time.perf_counter()
+    assert main(["pw-exact", "--group", name]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "exceeds 20000 elements" in err
 
 
 # nested past the interpreter's recursion limit; on the extra-generator chain

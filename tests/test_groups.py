@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -216,10 +217,42 @@ def test_extra_generator_shares_the_checked_table():
 
 
 def test_closure_stops_at_the_size_limit():
-    # lamp(2,12) has 2^12 * 12 = 49,152 elements: the closure refuses it
-    # once it passes the limit, before any Cayley table is built
-    with pytest.raises(GroupDefinitionError, match=f"closure exceeded {MAX_GROUP_SIZE} elements"):
+    # lamp(2,12) has 2^12 * 12 = 49,152 elements: its order is refused
+    # before either factor is built
+    with pytest.raises(GroupDefinitionError, match=rf"order 2\^12\*12 exceeds {MAX_GROUP_SIZE} elements"):
         presets.get("lamp(2,12)")
+
+
+def test_closure_of_an_infinite_step_stops_at_the_size_limit():
+    # steps a -> a+1, a-1 over the integers never close
+    with pytest.raises(GroupDefinitionError, match=f"closure exceeded {MAX_GROUP_SIZE} elements"):
+        FiniteGroup.from_elements(["z"], 0, lambda a: (a + 1, a - 1))
+
+
+@pytest.mark.parametrize("name", ["lamp(300,300)", "lamp(20000,2)"])
+def test_large_lamplighters_are_refused_at_once(name):
+    # lamp(300,300) would list 90,000 points per permutation, and Z/20000
+    # alone is a 20,000-element build
+    start = time.perf_counter()
+    with pytest.raises(GroupDefinitionError, match=f"exceeds {MAX_GROUP_SIZE} elements"):
+        presets.get(name)
+    assert time.perf_counter() - start < 1
+
+
+def test_wreath_materialisation_is_refused_by_its_order():
+    wreath = WreathProduct(presets.cyclic(3, "z"), presets.cyclic(300, "y"))  # 300^3 * 3 elements
+    with pytest.raises(GroupDefinitionError, match=rf"order 300\^3\*3 exceeds {MAX_GROUP_SIZE}"):
+        wreath.as_finite_group()
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 12, 60])
+def test_cyclic_integer_step_matches_the_permutation_build(order):
+    cyclic = presets.cyclic(order, "z")
+    cycle = FiniteGroup.from_permutations([("z", [i % order + 1 for i in range(1, order + 1)])])
+    assert cyclic._table == cycle._table
+    assert cyclic._inv == cycle._inv
+    assert cyclic.generator_indices == cycle.generator_indices
+    assert cyclic.geodesics() == cycle.geodesics()
 
 
 @pytest.mark.parametrize(

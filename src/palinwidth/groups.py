@@ -396,9 +396,9 @@ class FiniteGroup(Group):
         """
         word = self._words.get(a)
         if word is None:
-            signed = list(self.letter_values())
+            # letter number m is generator m // 2, '+' for even m (see letter_values)
             path = _path(self._search_tree()[1], a)
-            word = self._words[a] = Word(self.alphabet, [signed[m] for m in path])
+            word = self._words[a] = Word(self.alphabet, [(m // 2, 1 - 2 * (m % 2)) for m in path])
         return word
 
     def canonical_key(self, a: int) -> int:

@@ -28,9 +28,9 @@ def express_in_derived(w: Word) -> list[tuple[Word, Word]]:
         first = current.letters[0]
         matching = (first[0], -first[1])
         split = current.letters.index(matching, 1)
-        u = Word(alphabet, current.letters[1:split])
-        v = Word(alphabet, current.letters[split + 1 :])
-        pairs.append((Word(alphabet, [matching]), invert(u)))
+        u = Word._unchecked(alphabet, current.letters[1:split])
+        v = Word._unchecked(alphabet, current.letters[split + 1 :])
+        pairs.append((Word._unchecked(alphabet, [matching]), invert(u)))
         current = reduce_free(u * v)
     return pairs
 

@@ -523,7 +523,7 @@ _CURSOR_WALK_FORMULA = "maxlen*(|top|+1) + d*|top|"
 
 def _cursor_walk_bound(top: FiniteGroup, base_rank: int) -> int:
     """Most factors _cursor_walk emits: |top|+1 geodesic moves, d deposits per position."""
-    return top.geodesics().max_length * (top.size + 1) + base_rank * top.size
+    return top.max_word_length() * (top.size + 1) + base_rank * top.size
 
 
 def decompose_finite_top_abelianized(

@@ -398,8 +398,14 @@ class FiniteGroup(Group):
         if word is None:
             # letter number m is generator m // 2, '+' for even m (see letter_values)
             path = _path(self._search_tree()[1], a)
-            word = self._words[a] = Word(self.alphabet, [(m // 2, 1 - 2 * (m % 2)) for m in path])
+            word = self._words[a] = Word._unchecked(
+                self.alphabet, [(m // 2, 1 - 2 * (m % 2)) for m in path]
+            )
         return word
+
+    def max_word_length(self) -> int:
+        """The longest element word: breadth-first search finds a deepest element last."""
+        return len(self.element_word(self._search_tree()[0][-1]))
 
     def canonical_key(self, a: int) -> int:
         return a
@@ -453,6 +459,10 @@ class FreeGroup(_ReducedWords):
             names = tuple(f"x{i + 1}" for i in range(rank))
         self.alphabet = Alphabet(names)
         self.rank = len(self.alphabet)
+
+    def is_identity(self, a: Word) -> bool:
+        """A reduced word is the identity exactly when it is empty."""
+        return not a.letters
 
     def canonical_key(self, a: Word):
         return a.letters

@@ -265,8 +265,9 @@ def verify_factorization(group: Group, target, factors: Sequence[Word]) -> Facto
         if certificate is None:
             return _refused(centers, "NotPalindrome", i)
         centers.append(certificate.center_str())
+    # every factor is over the group's alphabet (checked above)
     letters = [letter for factor in factors for letter in factor.letters]
-    product = group.evaluate(Word(group.alphabet, letters))
+    product = group.evaluate(Word._unchecked(group.alphabet, letters))
     if not group.equal(product, target):
         return _refused(centers, "ProductMismatch")
     return FactorizationCertificate(valid=True, centers=tuple(centers))

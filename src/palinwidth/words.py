@@ -5,6 +5,13 @@ and palindrome certification all read the literal letter sequence; free
 reduction is the only operation that rewrites it.  Palindromes are never
 detected "up to reduction": reduction can destroy palindromicity, so the
 certificate always refers to the unreduced word.
+
+Letters are checked once, where they enter: Word(alphabet, letters),
+Word.parse and Word.from_blocks refuse an index outside the alphabet or
+a sign other than +1 or -1.  A word built from the letters of checked
+words over the same alphabet (products, powers, reversal, inversion,
+free reduction, slices, relabelling by name) can hold no letter they
+did not, so it is made by Word._unchecked without a second check.
 """
 from __future__ import annotations
 
@@ -86,6 +93,14 @@ class Word:
         self.letters = letters
 
     @classmethod
+    def _unchecked(cls, alphabet: Alphabet, letters: Iterable[Letter]) -> "Word":
+        """Word(alphabet, letters) without the check, for letters taken from checked words."""
+        word = object.__new__(cls)
+        word.alphabet = alphabet
+        word.letters = tuple(letters)
+        return word
+
+    @classmethod
     def from_blocks(cls, alphabet: Alphabet, blocks: Iterable[tuple[str | int, int]]) -> "Word":
         letters: list[Letter] = []
         for gen, exponent in blocks:
@@ -121,12 +136,12 @@ class Word:
             raise AlphabetMismatch(
                 f"cannot concatenate words over {self.alphabet!r} and {other.alphabet!r}"
             )
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word._unchecked(self.alphabet, self.letters + other.letters)
 
     def __pow__(self, k: int) -> "Word":
         if k < 0:
             return invert(self) ** (-k)
-        return Word(self.alphabet, self.letters * k)
+        return Word._unchecked(self.alphabet, self.letters * k)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -170,7 +185,7 @@ class PalindromeCertificate:
     @property
     def left(self) -> Word:
         """The first half of the word, before the center."""
-        return Word(self.word.alphabet, self.word.letters[: len(self.word) // 2])
+        return Word._unchecked(self.word.alphabet, self.word.letters[: len(self.word) // 2])
 
     def reconstruct(self) -> Word:
         middle = Word(self.word.alphabet, [self.center] if self.center else [])
@@ -189,12 +204,12 @@ def reverse(w: Word) -> Word:
 
     Each letter keeps its own sign; only the order flips.  Involutive.
     """
-    return Word(w.alphabet, tuple(reversed(w.letters)))
+    return Word._unchecked(w.alphabet, w.letters[::-1])
 
 
 def invert(w: Word) -> Word:
     """Formal inverse: reversed order, flipped signs."""
-    return Word(w.alphabet, tuple((i, -s) for i, s in reversed(w.letters)))
+    return Word._unchecked(w.alphabet, [(i, -s) for i, s in reversed(w.letters)])
 
 
 def reduce_free(w: Word) -> Word:
@@ -207,7 +222,7 @@ def reduce_free(w: Word) -> Word:
             stack.append((index, sign))
     if len(stack) == len(w.letters):
         return w
-    return Word(w.alphabet, stack)
+    return Word._unchecked(w.alphabet, stack)
 
 
 def is_palindrome(w: Word) -> Optional[PalindromeCertificate]:
@@ -216,7 +231,7 @@ def is_palindrome(w: Word) -> Optional[PalindromeCertificate]:
     The empty word is a palindrome with empty left part and no center.
     """
     letters = w.letters
-    if letters != tuple(reversed(letters)):
+    if letters != letters[::-1]:
         return None
     center = letters[len(letters) // 2] if len(letters) % 2 else None
     return PalindromeCertificate(word=w, center=center)
@@ -232,9 +247,9 @@ def sandwich(u: Word, p: Word) -> Word:
 
 
 def relabel(w: Word, alphabet: Alphabet) -> Word:
-    """The same word over another alphabet, letters matched by name."""
+    """The same word over another alphabet, letters matched by name (Alphabet.index checks)."""
     names = w.alphabet.names
-    return Word(alphabet, tuple((alphabet.index(names[i]), s) for i, s in w.letters))
+    return Word._unchecked(alphabet, [(alphabet.index(names[i]), s) for i, s in w.letters])
 
 
 MAX_PARSED_LETTERS = 1_000_000  # a parsed word is refused before it grows past this

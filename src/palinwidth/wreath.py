@@ -11,6 +11,8 @@ product law is
 
 Evaluation collects each position's base letters in word order and has the
 base group evaluate them once, as one word; identity lamps are dropped.
+The top's signed letter values are looked up once per handle, and a run of
+base letters computes its position once.
 
 A wreath product meets the same Group contract as its factors, so anything
 that takes a group (certificates, homomorphisms, push-forwards) takes one
@@ -64,6 +66,9 @@ class WreathProduct(Group):
         self.base = base
         self.alphabet = Alphabet(top.alphabet.names + base.alphabet.names)
         self._split = len(top.alphabet)
+        self._top_values = {  # every signed top letter's value, looked up once for evaluate
+            (i, s): top.letter_value(i, s) for i in range(self._split) for s in (1, -1)
+        }
 
     # element arithmetic
 
@@ -114,19 +119,34 @@ class WreathProduct(Group):
         return not g.base and self.top.is_identity(g.top)
 
     def evaluate(self, word: Word) -> WreathElement:
+        """The element a word over the combined alphabet spells, read left to right.
+
+        Top letters step the running prefix u; each run of base letters
+        between two top letters deposits at u^-1, which is computed once per
+        run.  Each position's base letters, in word order, are evaluated by
+        the base group as one word, and identity lamps are dropped.
+        """
         if word.alphabet != self.alphabet:
             raise AlphabetMismatch(
                 f"word over {word.alphabet!r} fed to wreath product over {self.alphabet!r}"
             )
-        prefix = self.top.identity()
+        top, split, top_values = self.top, self._split, self._top_values
+        multiply = top.multiply
+        prefix = top.identity()
         deposits: dict = {}  # position -> its base letters, in word order
-        for index, sign in word.letters:
-            if index < self._split:
-                prefix = self.top.multiply(prefix, self.top.letter_value(index, sign))
+        run = None  # the letter list of the current run's position
+        for letter in word.letters:
+            index, sign = letter
+            if index < split:
+                prefix = multiply(prefix, top_values[letter])
+                run = None
             else:
-                deposits.setdefault(self.top.inverse(prefix), []).append((index - self._split, sign))
+                if run is None:
+                    run = deposits.setdefault(top.inverse(prefix), [])
+                run.append((index - split, sign))
+        # a base run is the word's own letters shifted down by the top's rank: no check
         return self.element(prefix, [
-            (position, self.base.evaluate(Word(self.base.alphabet, letters)))
+            (position, self.base.evaluate(Word._unchecked(self.base.alphabet, letters)))
             for position, letters in deposits.items()
         ])
 

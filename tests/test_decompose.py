@@ -617,6 +617,43 @@ def test_full_finite_top_bound_is_stated_up_front():
         assert fact.bound_formula == "maxlen*(|top|+1) + d*|top| + 1"
 
 
+def _finite_top(case: str) -> FiniteGroup:
+    """A preset, its +c extension (c = first * last letter), or a renumbered D4 table."""
+    if case == "D4-table":
+        d4 = presets.dihedral_4()
+        perm = [0] + random.Random(16).sample(range(1, d4.size), d4.size - 1)
+        table = [[0] * d4.size for _ in range(d4.size)]
+        for a in d4.elements():
+            for b in d4.elements():
+                table[perm[a]][perm[b]] = perm[d4.multiply(a, b)]
+        generators = [perm[g] for g in d4.generator_indices]
+        return FiniteGroup.from_table(list(d4.alphabet.names), table, generators)
+    name, extended = case.removesuffix("+c"), case.endswith("+c")
+    top = presets.get(name)
+    if extended:
+        first, last = top.alphabet.names[0], top.alphabet.names[-1]
+        value = top.evaluate(Word.parse(top.alphabet, f"{first}*{last}"))
+        top = top.with_extra_generator("c", value)
+    return top
+
+
+_FINITE_PRESETS = ["S3", "D4", "Q8", "Z2xZ2", "Z/5", "Z/12", "lamp(2,2)", "lamp(2,3)",
+                   "lamp(2,4)", "lamp(3,3)"]
+
+
+@pytest.mark.parametrize(
+    "case", _FINITE_PRESETS + [f"{name}+c" for name in _FINITE_PRESETS] + ["D4-table", "Z/1"]
+)
+def test_cursor_walk_bound_reads_the_longest_geodesic(case):
+    # the last element the breadth-first search finds is a deepest one
+    top = _finite_top(case)
+    maxlen = top.geodesics().max_length
+    assert top.max_word_length() == maxlen
+    for rank in (1, 2, 3):
+        bound = decompose_module._cursor_walk_bound(top, rank)
+        assert bound == maxlen * (top.size + 1) + rank * top.size
+
+
 def test_full_finite_top_degenerate_bound_fallback():
     # every element a single letter (maxlen 1) and d = 1: moves dominate
     # deposits and the construction exceeds maxlen*(d*|top|+1)+1 = 8, which

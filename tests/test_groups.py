@@ -504,6 +504,28 @@ def test_bs_relation_and_reverse():
     assert _affine_eval(reverse(relation)) != (Fraction(1), Fraction(0))
 
 
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 3)])
+def test_bs_is_identity_reads_the_relation(n, m):
+    # a Baumslag-Solitar element is a reduced word that can still be trivial:
+    # emptiness is the free group's test only
+    bs = BaumslagSolitar(n, m)
+    relation = bs.relation()
+    conjugate = Word.parse(bs.alphabet, "a*b^-1") * relation * Word.parse(bs.alphabet, "b*a^-1")
+    assert bs.is_identity(relation) and bs.is_identity(bs.evaluate(relation))
+    assert bs.is_identity(conjugate) and bs.is_identity(bs.evaluate(conjugate))
+    assert not bs.is_identity(reverse(relation))
+    assert not bs.is_identity(bs.evaluate(reverse(relation)))
+
+
+def test_free_is_identity_matches_equality_with_the_identity():
+    F = FreeGroup(2)
+    rng = random.Random(16)
+    for _ in range(300):
+        element = F.evaluate(random_word(rng, F.alphabet, 8))
+        assert F.is_identity(element) == F.equal(element, F.identity())
+    assert F.is_identity(F.identity())
+
+
 def test_bs_triviality_matches_affine_model():
     bs = BaumslagSolitar(1, 2)
     rng = random.Random(6)

@@ -32,6 +32,15 @@ FINITE_TOP = [
     "decompose", "--top", "S3", "--base", F2_DEF,
     "--mode", "finite-top", "--word", "t*y1^2*s*y2^-1*t^-1*y1",
 ]
+# 150 letters over F2 wr lamp(2,3): relation=auto adds the extra generator c
+LONG_FINITE_TOP = [
+    "decompose", "--top", "lamp(2,3)", "--base", F2_DEF, "--mode", "finite-top", "--word",
+    "y1^2*y2^-1*y2*y2*y2^3*y1*y*y1^-1*y1^3*y^3*y1*y^-2*y1*y^-2*z^2*y2^-2*y1*y1^-1*y1^2*z^-1"
+    "*y2^2*y^-2*y1^-2*z^-1*z*y1*y2*y1^-1*y1^2*y2*y^3*y2^3*z^2*y2*y2^3*z^2*z^2*z*y^2*y1*z^3"
+    "*y2^-2*y1^2*z*y1*z^-2*z*z^2*z*z^2*y^3*y1*y^-2*z*y*z^3*y^-1*y2^2*z^2*y2^3*y2^2*y1*z*y^2"
+    "*y1^-2*y2*y*y2^3*z^-1*z^2*y2*y2*y*y2^2*y^2*y^-1*y2*y2*y2*y2^-1*y1*z^-1*y2*y2*y2^-2*y^2"
+    "*z^3*z^3*y1*y2*y2^3*z",
+]
 
 CASES = {
     "pw-exact": ["pw-exact", "--group", "D4"],
@@ -75,9 +84,11 @@ CASES = {
         "--a-top", "t^-1",
     ],
     "decompose-text": ["--format", "text", *FINITE_TOP],
+    "decompose-finite-top-long": LONG_FINITE_TOP,
     "verify": ["verify", "--report", "report.json"],  # the finite-top report, written first
     # the same report with its last factor dropped: the product no longer matches
     "verify-dropped-factor": ["verify", "--report", "dropped.json"],
+    "verify-finite-top-long": ["verify", "--report", "long.json"],  # written first
     "bench": ["bench", "--samples", "3"],
     "bench-text": ["--format", "text", "bench", "--samples", "3", "--seed", "7"],
 }
@@ -88,6 +99,7 @@ DIGESTS = {
     "bench-text": "c0a531d4bbecf3384e6d94592379afeff7cdc3216be5a8f0a7e516d3406aaac6",
     "decompose-abelian-top": "186d8d73691edc5ef653e2dc8accb70ec39ede57ec37c51031c6b5d9da7002a4",
     "decompose-derived": "7c77d0bca9afe6e19af6fe1dd1959080582a7390be03d225f3aa7b703b01241a",
+    "decompose-finite-top-long": "9d509cb6e987d5a8829f509d4f601e61f7fb83030189fda178e171cc67d55d87",
     "decompose-finite-top": "9fcc501b07f3d9ce3c4ed1b8a84f431c08200c7f4cf967d56ba5aec2c415b35d",
     "decompose-pair": "5fa861a1d036f7d3908d416590a7ec387471614fde12ecfc85d1267465a6d826",
     "decompose-shifted": "0ce1c29c0bd95d667969038570c52e2eb092e3c507469e4b82adeb21c0936d23",
@@ -112,6 +124,7 @@ DIGESTS = {
     "pw-exact-table": "f4a4e3210ea70d2dbe4ee1699496584102abc582877c4f2c32dbc7e7ff8475ee",
     "pw-exact-text": "7833019a1bacebd090bb8b2ed1a2c52952cd19d4944f51338694d1285aaa8636",
     "verify": "d9bddc5dab0133ad9eba5e517c500424ff2f5e37bc0821ad00a3249b8d06c1fa",
+    "verify-finite-top-long": "a344569f6dba36bc3d21b1754d87d822cee246b85abd6af5cfe6c67757e295ba",
     "verify-dropped-factor": "ddd24586004f5f786bb36ced74d09d3b8367fd2604acdbfeb7a38cdac95aab61",
 }
 
@@ -137,6 +150,8 @@ def test_report_bytes_are_pinned(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     if case == "verify":
         (tmp_path / "report.json").write_text(stdout_of(FINITE_TOP))
+    if case == "verify-finite-top-long":
+        (tmp_path / "long.json").write_text(stdout_of(LONG_FINITE_TOP))
     if case == "verify-dropped-factor":
         report = json.loads(stdout_of(FINITE_TOP))
         report["factors"].pop()

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palinwidth import (
     Alphabet,
+    FreeGroup,
     Word,
     invert,
     is_palindrome,
@@ -12,7 +14,9 @@ from palinwidth import (
     reverse,
     sandwich,
 )
+from palinwidth.commutators import commutator_word, express_in_derived
 from palinwidth.errors import AlphabetMismatch, NotAPalindrome, WordSyntaxError
+from palinwidth.oracle import verify_factorization
 
 AB = Alphabet(["x1", "x2", "x3", "x4"])
 
@@ -145,3 +149,65 @@ def test_alphabet_validation():
         Alphabet(["a", "a"])
     with pytest.raises(ValueError):
         Alphabet(["2bad"])
+
+
+@pytest.mark.parametrize(
+    "letter, message",
+    [
+        ((4, 1), "letter index 4 out of range"),
+        ((-1, 1), "letter index -1 out of range"),
+        ((0, 0), "letter sign must be \\+1 or -1, got 0"),
+        ((0, 2), "letter sign must be \\+1 or -1, got 2"),
+    ],
+    ids=["index-past-end", "index-minus-one", "sign-0", "sign-2"],
+)
+def test_public_constructor_refuses_bad_letters(letter, message):
+    # the only check on letters from outside the package: derived words skip it
+    with pytest.raises(ValueError, match=message):
+        Word(AB, [(0, 1), letter])
+
+
+@pytest.mark.parametrize("index", [4, -1])
+def test_from_blocks_refuses_indices_outside_the_alphabet(index):
+    with pytest.raises(ValueError, match=f"letter index {index} out of range"):
+        Word.from_blocks(AB, [(index, 2)])
+
+
+_letters = st.tuples(st.integers(0, len(AB) - 1), st.sampled_from((1, -1)))
+_words = st.lists(_letters, max_size=24).map(lambda letters: Word(AB, letters))
+
+
+def _rechecked(word: Word) -> Word:
+    """The same letters through the public, checking constructor."""
+    return Word(word.alphabet, word.letters)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=_words, v=_words, k=st.integers(-3, 3))
+def test_derived_words_equal_their_checked_rebuild(u, v, k):
+    # every operation that builds a word from checked words' letters, without
+    # a second check, gives exactly what the checking constructor would
+    bigger = Alphabet(["z", "x4", "x3", "x2", "x1"])
+    core = u * reverse(u)
+    derived = [
+        u * v, u**k, reverse(u), invert(u), reduce_free(u * v), relabel(u, bigger),
+        sandwich(v, core), commutator_word(u, v), is_palindrome(core).left,
+    ]
+    for a, b in express_in_derived(u * v * invert(reverse(u * v))):
+        derived += [a, b]
+    for word in derived:
+        assert type(word.letters) is tuple
+        assert word == _rechecked(word)
+        assert hash(word) == hash(_rechecked(word))
+
+
+def test_verify_refuses_a_factor_over_another_alphabet():
+    # the same names in another order would give other letters if concatenated
+    group = FreeGroup(names=AB.names)
+    shuffled = Alphabet(["x2", "x1", "x3", "x4"])
+    factors = [w("x1*x2*x1"), Word.parse(shuffled, "x3")]
+    target = group.evaluate(w("x1*x2*x1*x3"))
+    certificate = verify_factorization(group, target, factors)
+    assert not certificate.valid
+    assert (certificate.reason, certificate.failing_index) == ("AlphabetMismatch", 1)
+    assert verify_factorization(group, target, [factors[0], w("x3")]).valid

@@ -10,27 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from functools import partial
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from . import presets
-from .decompose import (
-    CommutatorData,
-    CommutatorSite,
-    PalindromeFactorization,
-    RelationWitness,
-    abelian_top_target,
-    commutator_target,
-    decompose_commutator_abelian_top,
-    decompose_commutator_pair,
-    decompose_derived_wreath,
-    decompose_full_finite_top,
-    decompose_shifted_commutators,
-    find_reversal_asymmetric_relation,
-)
 from .errors import (
     AlphabetMismatch,
     GroupDefinitionError,
@@ -45,9 +30,15 @@ from .groups import (
     FreeGroup,
     Group,
 )
-from .oracle import exact_palindromic_width, oracle_for, verify_factorization
 from .words import MAX_PARSED_LETTERS, Word
-from .wreath import WreathElement, WreathProduct
+
+# The oracle and the constructions are imported by the commands that run them,
+# so a process compiles only the modules its subcommand needs.
+if TYPE_CHECKING:
+    import random
+
+    from .decompose import CommutatorData, PalindromeFactorization, RelationWitness
+    from .wreath import WreathElement, WreathProduct
 
 _INPUT_ERRORS = (GroupDefinitionError, WordSyntaxError, AlphabetMismatch, ValueError)
 
@@ -180,6 +171,8 @@ def _witness_def(witness: RelationWitness, original: Group) -> dict:
 
 def _witness(definition: Optional[dict], top: Group) -> Optional[RelationWitness]:
     """The witness a `relation_used` block describes, over the top it extends."""
+    from .decompose import RelationWitness
+
     if definition is None:
         return None
     group = top
@@ -207,6 +200,8 @@ def _parse_exponents(text: str) -> list[int]:
 
 
 def _parse_commutators(text: str, wreath: WreathProduct) -> CommutatorData:
+    from .decompose import CommutatorData, CommutatorSite
+
     if text.startswith("@"):
         with open(text[1:]) as handle:
             raw = json.load(handle)
@@ -235,6 +230,8 @@ def _decompose_inputs(args, top: Group, wreath: WreathProduct) -> tuple[dict, Op
     The finite-top and derived modes need a relation over a finite top;
     with relation=auto it is found here, before the construction runs.
     """
+    from .decompose import find_reversal_asymmetric_relation
+
     if args.mode == "abelian-top":
         if args.exps is None:
             raise GroupDefinitionError("--exps is required for abelian-top mode")
@@ -277,6 +274,13 @@ def _mode_calls(
     it out first would report some bad inputs with the target's error
     rather than the construction's.
     """
+    from .decompose import (
+        abelian_top_target, commutator_target, decompose_commutator_abelian_top,
+        decompose_commutator_pair, decompose_derived_wreath, decompose_full_finite_top,
+        decompose_shifted_commutators,
+    )
+    from .wreath import WreathProduct
+
     if mode == "abelian-top":
         wreath = WreathProduct(top, base)
         exponents = _list_of(_field(inputs, "exps", list), int, "exps")
@@ -335,6 +339,8 @@ def _factorization_report(fact) -> dict:
 
 
 def cmd_pw_exact(args) -> tuple[dict, bool]:
+    from .oracle import exact_palindromic_width, oracle_for
+
     group = load_group(args.group)
     if not isinstance(group, FiniteGroup):
         raise GroupDefinitionError("pw-exact needs a finite group")
@@ -365,6 +371,8 @@ def cmd_pw_exact(args) -> tuple[dict, bool]:
 
 
 def cmd_find_relation(args) -> tuple[dict, bool]:
+    from .decompose import find_reversal_asymmetric_relation
+
     group = load_group(args.group)
     witness = find_reversal_asymmetric_relation(group, args.budget)
     return (
@@ -380,6 +388,8 @@ def cmd_find_relation(args) -> tuple[dict, bool]:
 
 
 def cmd_decompose(args) -> tuple[dict, bool]:
+    from .wreath import WreathProduct
+
     top = load_group(args.top)
     base = load_group(args.base)
     inputs, relation_used = _decompose_inputs(args, top, WreathProduct(top, base))
@@ -403,6 +413,9 @@ def cmd_decompose(args) -> tuple[dict, bool]:
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
+    from .oracle import verify_factorization
+    from .wreath import WreathProduct
+
     with open(args.report) as handle:
         stored = json.load(handle)
     if not isinstance(stored, dict) or stored.get("command") != "decompose":
@@ -430,6 +443,13 @@ def cmd_verify(args) -> tuple[dict, bool]:
 
 
 def _bench_rows(suite: str, samples: int, rng: random.Random) -> list[dict]:
+    from .decompose import (
+        CommutatorData, CommutatorSite, decompose_commutator_abelian_top,
+        decompose_derived_wreath, decompose_full_finite_top, decompose_shifted_commutators,
+        find_reversal_asymmetric_relation,
+    )
+    from .wreath import WreathProduct
+
     rows = []
     if suite == "abelian-top":
         wreath = WreathProduct(FreeAbelianGroup(2), FreeGroup(names=["y1", "y2"]))
@@ -489,6 +509,8 @@ def _random_word(rng: random.Random, alphabet, max_len: int) -> Word:
 
 
 def _random_commutator_data(rng: random.Random, wreath: WreathProduct, top_size: int) -> CommutatorData:
+    from .decompose import CommutatorData, CommutatorSite
+
     positions = rng.sample(range(top_size), rng.randint(0, 3))
     sites = tuple(
         CommutatorSite(
@@ -518,6 +540,8 @@ def _bench_row(suite: str, index: int, fact) -> dict:
 
 
 def cmd_bench(args) -> tuple[dict, bool]:
+    import random
+
     suites = (
         ["abelian-top", "shifted", "derived", "finite-top"]
         if args.suite == "all"

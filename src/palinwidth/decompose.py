@@ -25,9 +25,8 @@ The constructions:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Optional, Sequence
+from typing import Any, NamedTuple, Optional, Sequence
 
 from .commutators import commutator_word, express_in_derived
 from .errors import (
@@ -55,28 +54,25 @@ from .oracle import (
     oracle_for,
     verify_factorization,
 )
-from .words import Word, invert, relabel, reverse, sandwich
+from .words import Record, Word, invert, relabel, reverse, sandwich
 from .wreath import WreathElement, WreathProduct
 
 
-@dataclass(frozen=True)
-class CommutatorSite:
+class CommutatorSite(NamedTuple):
     """One support position with its list of commutator argument pairs."""
 
     position: Any
     pairs: tuple[tuple[Word, Word], ...]
 
 
-@dataclass(frozen=True)
-class CommutatorData:
+class CommutatorData(NamedTuple):
     sites: tuple[CommutatorSite, ...]
 
     def max_pairs(self) -> int:
         return max((len(site.pairs) for site in self.sites), default=0)
 
 
-@dataclass(frozen=True)
-class RelationWitness:
+class RelationWitness(NamedTuple):
     """A relation r with r = 1 but reverse(r) != 1 in the group.
 
     When the original generating set admits no such relation, the group
@@ -94,23 +90,30 @@ class RelationWitness:
         return self.group.evaluate(reverse(self.relation))
 
 
-@dataclass
-class PalindromeFactorization:
+class PalindromeFactorization(Record):
     """Ordered palindromic factors, their target, and the claimed bound."""
 
-    factors: tuple[Word, ...]
-    target: Any
-    bound_claimed: int
-    bound_formula: str
-    certificate: FactorizationCertificate
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("factors", "target", "bound_claimed", "bound_formula", "certificate", "meta")
 
-    def __post_init__(self):
-        self.factors = tuple(self.factors)
-        if len(self.factors) > self.bound_claimed:
+    def __init__(
+        self,
+        factors: Sequence[Word],
+        target: Any,
+        bound_claimed: int,
+        bound_formula: str,
+        certificate: FactorizationCertificate,
+        meta: Optional[dict] = None,
+    ):
+        self.factors = tuple(factors)
+        if len(self.factors) > bound_claimed:
             raise PalinwidthError(
-                f"{len(self.factors)} factors exceed claimed bound {self.bound_claimed}"
+                f"{len(self.factors)} factors exceed claimed bound {bound_claimed}"
             )
+        self.target = target
+        self.bound_claimed = bound_claimed
+        self.bound_formula = bound_formula
+        self.certificate = certificate
+        self.meta = {} if meta is None else meta
 
     @property
     def count(self) -> int:
@@ -134,7 +137,7 @@ def _checked(group: Group, target, factors, bound, formula, meta=None) -> Palind
         bound_claimed=bound,
         bound_formula=formula,
         certificate=certificate,
-        meta=meta or {},
+        meta=meta,
     )
 
 
@@ -493,17 +496,19 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
     Each lamp deposits its exponent sums, the image of its value in the
     abelianized base; a lamp whose sums are all zero is not visited.
     Every move letter is its own single-letter palindrome; each support
-    value costs at most d power words.
+    value costs at most d power words.  Both take their letters from the
+    checked words of the top and the base, so neither is checked again.
     """
     top = wreath.top
+    alphabet = wreath.alphabet
+    split = len(top.alphabet)  # top letters keep their indices; base letters follow them
     factors: list[Word] = []
     prefix = top.identity()
 
     def move_to(goal: int) -> None:
         nonlocal prefix
         step = top.element_word(top.multiply(top.inverse(prefix), goal))
-        # top letters keep their indices in the combined alphabet
-        factors.extend(Word(wreath.alphabet, [letter]) for letter in step.letters)
+        factors.extend(Word._unchecked(alphabet, (letter,)) for letter in step.letters)
         prefix = goal
 
     for position in wreath.support(element):
@@ -513,7 +518,8 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
         move_to(top.inverse(position))
         for index, exponent in enumerate(exponents):
             if exponent:
-                factors.append(Word.letter(wreath.alphabet, len(top.alphabet) + index, exponent))
+                letter = (split + index, 1 if exponent > 0 else -1)
+                factors.append(Word._unchecked(alphabet, (letter,) * abs(exponent)))
     move_to(element.top)
     return factors
 

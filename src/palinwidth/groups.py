@@ -11,12 +11,11 @@ permutation groups, wreath products included, a row lookup for tables.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import AlphabetMismatch, GroupDefinitionError
-from .words import Alphabet, Letter, Word, invert, reduce_free, relabel
+from .words import Alphabet, Letter, Record, Word, invert, reduce_free, relabel
 
 MAX_GROUP_SIZE = 20000  # default limit on the elements a finite group is built with
 
@@ -69,17 +68,13 @@ class BreadthFirst:
 
     def path(self, node: Any) -> list:
         """The moves from start to an already discovered node, in order."""
-        return _path(self.parents, node)
-
-
-def _path(parents: Any, node: Any) -> list:
-    """The moves from the root to node, where parents[node] = (previous node, move)."""
-    moves = []
-    while (link := parents[node]) is not None:
-        node, move = link
-        moves.append(move)
-    moves.reverse()
-    return moves
+        parents = self.parents
+        moves = []
+        while (link := parents[node]) is not None:
+            node, move = link
+            moves.append(move)
+        moves.reverse()
+        return moves
 
 
 class Group:
@@ -128,8 +123,7 @@ class Group:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class GeodesicTable:
+class GeodesicTable(NamedTuple):
     """Per element: word length and one shortlex geodesic."""
 
     lengths: tuple[int, ...]
@@ -392,15 +386,27 @@ class FiniteGroup(Group):
     def element_word(self, a: int) -> Word:
         """a's shortlex geodesic from the letter search; alphabet order, '+' before '-'.
 
-        Built from the search tree on its first read, then kept.
+        Built on its first read by extending the word of a's nearest ancestor
+        in the search tree that has one, keeping the word of each step.
         """
-        word = self._words.get(a)
+        words = self._words
+        word = words.get(a)
         if word is None:
-            # letter number m is generator m // 2, '+' for even m (see letter_values)
-            path = _path(self._search_tree()[1], a)
-            word = self._words[a] = Word._unchecked(
-                self.alphabet, [(m // 2, 1 - 2 * (m % 2)) for m in path]
-            )
+            parents = self._search_tree()[1]
+            chain = []  # a and its ancestors below the nearest one with a word
+            node = a
+            while node not in words and parents[node] is not None:
+                chain.append(node)
+                node = parents[node][0]
+            word = words.get(node)
+            if word is None:  # node is the identity, the root
+                word = words[node] = Word._unchecked(self.alphabet, ())
+            for node in reversed(chain):
+                m = parents[node][1]
+                # letter number m is generator m // 2, '+' for even m (see letter_values)
+                word = words[node] = Word._unchecked(
+                    self.alphabet, word.letters + ((m // 2, 1 - 2 * (m % 2)),)
+                )
         return word
 
     def max_word_length(self) -> int:
@@ -647,8 +653,7 @@ class BaumslagSolitar(_ReducedWords):
         return f"BaumslagSolitar({self.n}, {self.m})"
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(Record):
     """Letter substitution between two groups, wreath products included.
 
     The images are checked to define a homomorphism, or GroupDefinitionError
@@ -659,19 +664,20 @@ class Homomorphism:
     product must fix its top letters, mapping onto a wreath product over the
     same top handle, and its base letters must define such a map between the
     bases.  Any other source is refused.  Single-letter images keep the
-    exact letter pattern, so palindromic words stay palindromic.
+    exact letter pattern, so palindromic words stay palindromic.  Frozen and
+    hashable once built.
     """
 
-    source: Group
-    target: Group
-    images: tuple[Word, ...]
+    __slots__ = ("source", "target", "images")
 
-    def __post_init__(self):
-        if any(image.alphabet != self.target.alphabet for image in self.images):
+    def __init__(self, source: Group, target: Group, images: tuple[Word, ...]):
+        object.__setattr__(self, "source", source)  # __setattr__ below refuses every field
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
+        if any(image.alphabet != target.alphabet for image in images):
             raise AlphabetMismatch("image word is not over the target alphabet")
-        if len(self.images) != len(self.source.alphabet):
+        if len(images) != len(source.alphabet):
             raise GroupDefinitionError("one image per source generator required")
-        source, target = self.source, self.target
         if isinstance(source, FreeGroup):
             return
         if not isinstance(source, (FreeAbelianGroup, FiniteGroup)):
@@ -692,6 +698,12 @@ class Homomorphism:
                 for g, value in zip(source.generator_indices, values)
             ):
                 raise GroupDefinitionError("the images do not satisfy the source's relations")
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a Homomorphism")
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
     def _check_wreath(self) -> None:
         from .wreath import WreathProduct  # wreath.py imports this module

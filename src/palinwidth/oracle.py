@@ -20,14 +20,13 @@ so neither do the answers.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExhausted, NotGenerated
 from .groups import BreadthFirst, FiniteGroup, Group
-from .words import Letter, Word, is_palindrome
+from .words import Letter, Record, Word, is_palindrome
 
 Pair = tuple[int, int]
 Source = tuple[Pair, Optional[Letter]]  # pair of u and centre of a witness u.c.reverse(u)
@@ -95,11 +94,13 @@ class Witnesses(Mapping):
         return len(self._sources)
 
 
-@dataclass
-class PalindromeSet:
+class PalindromeSet(Record):
     """Palindrome-representable elements with shortest palindromic witnesses."""
 
-    witnesses: Witnesses
+    __slots__ = ("witnesses",)
+
+    def __init__(self, witnesses: Witnesses):
+        self.witnesses = witnesses
 
 
 def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
@@ -135,11 +136,13 @@ def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
     return PalindromeSet(Witnesses(automaton, sources))
 
 
-@dataclass
-class WidthReport:
-    width: int
-    witness: int
-    distances: tuple[int, ...]
+class WidthReport(Record):
+    __slots__ = ("width", "witness", "distances")
+
+    def __init__(self, width: int, witness: int, distances: tuple[int, ...]):
+        self.width = width
+        self.witness = witness
+        self.distances = distances
 
     def histogram(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -225,14 +228,22 @@ def exact_palindromic_width(group: FiniteGroup) -> WidthReport:
     return oracle_for(group).width()
 
 
-@dataclass
-class FactorizationCertificate:
+class FactorizationCertificate(Record):
     """Machine-checkable result of verifying factors against a target."""
 
-    valid: bool
-    centers: tuple[Optional[str], ...]
-    failing_index: Optional[int] = None
-    reason: Optional[str] = None
+    __slots__ = ("valid", "centers", "failing_index", "reason")
+
+    def __init__(
+        self,
+        valid: bool,
+        centers: tuple[Optional[str], ...],
+        failing_index: Optional[int] = None,
+        reason: Optional[str] = None,
+    ):
+        self.valid = valid
+        self.centers = centers
+        self.failing_index = failing_index
+        self.reason = reason
 
     @property
     def product_matches(self) -> bool:

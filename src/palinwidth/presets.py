@@ -5,7 +5,6 @@ import re
 
 from .errors import GroupDefinitionError
 from .groups import MAX_GROUP_SIZE, BaumslagSolitar, FiniteGroup, FreeAbelianGroup, FreeGroup, Group
-from .wreath import WreathProduct
 
 
 def symmetric_3() -> FiniteGroup:
@@ -43,6 +42,8 @@ def lamplighter(base_order: int, top_order: int) -> FiniteGroup:
     over MAX_GROUP_SIZE is refused at once.  A factor over the limit is
     left to cyclic to refuse, which keeps the power small.
     """
+    from .wreath import WreathProduct  # only lamplighters need the wreath module
+
     if max(base_order, top_order) <= MAX_GROUP_SIZE < base_order**top_order * top_order:
         raise GroupDefinitionError(
             f"lamplighter order {base_order}^{top_order}*{top_order} exceeds {MAX_GROUP_SIZE} elements"

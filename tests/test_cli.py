@@ -519,6 +519,45 @@ def test_closed_stdout_exits_1_without_a_traceback(fmt):
     assert done.stderr.splitlines() == ["error: stdout closed before the report was written"]
 
 
+def fresh_and_in_process(capsys, *argv) -> tuple[int, int, str]:
+    """Exit codes of one CLI call in a new interpreter and in this one, and the stdout they share.
+
+    The in-process suite imports every module, so only a new process shows
+    a module that a subcommand fails to import for itself.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "palinwidth.cli", *argv],
+        capture_output=True, env=env, timeout=120,
+    )
+    code, out = run(capsys, *argv)
+    assert done.stdout == out.encode()
+    return done.returncode, code, out
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["pw-exact", "--group", "S3"], 0),
+        (["find-relation", "--group", "Q8"], 0),
+        (["bench", "--samples", "1"], 0),
+        (["pw-exact", "--group", '{"kind":"abelian_product"}'], 2),
+    ],
+)
+def test_fresh_process_matches_in_process(capsys, argv, expected):
+    assert fresh_and_in_process(capsys, *argv)[:2] == (expected, expected)
+
+
+def test_fresh_decompose_report_verifies(capsys, tmp_path):
+    argv = ["decompose", "--top", "S3", "--base", F2_DEF, "--mode", "finite-top",
+            "--word", "s*y1*t*y2^-1*s*y1^-1", "--relation", "auto"]
+    *codes, out = fresh_and_in_process(capsys, *argv)
+    assert codes == [0, 0]
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    assert fresh_and_in_process(capsys, "verify", "--report", str(report))[:2] == (0, 0)
+
+
 def test_deterministic_output(capsys):
     outputs = []
     for _ in range(2):

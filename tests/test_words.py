@@ -14,9 +14,12 @@ from palinwidth import (
     reverse,
     sandwich,
 )
+from palinwidth import presets
 from palinwidth.commutators import commutator_word, express_in_derived
+from palinwidth.decompose import _cursor_walk
 from palinwidth.errors import AlphabetMismatch, NotAPalindrome, WordSyntaxError
 from palinwidth.oracle import verify_factorization
+from palinwidth.wreath import WreathProduct
 
 AB = Alphabet(["x1", "x2", "x3", "x4"])
 
@@ -177,6 +180,10 @@ _letters = st.tuples(st.integers(0, len(AB) - 1), st.sampled_from((1, -1)))
 _words = st.lists(_letters, max_size=24).map(lambda letters: Word(AB, letters))
 
 
+# s, t, y1, y2: four letters, so a word over AB names the same letter indices here
+S3_WR_F2 = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+
+
 def _rechecked(word: Word) -> Word:
     """The same letters through the public, checking constructor."""
     return Word(word.alphabet, word.letters)
@@ -195,6 +202,8 @@ def test_derived_words_equal_their_checked_rebuild(u, v, k):
     ]
     for a, b in express_in_derived(u * v * invert(reverse(u * v))):
         derived += [a, b]
+    # the cursor walk's geodesic move letters and power-word deposits
+    derived += _cursor_walk(S3_WR_F2, S3_WR_F2.evaluate(Word(S3_WR_F2.alphabet, (u * v).letters)))
     for word in derived:
         assert type(word.letters) is tuple
         assert word == _rechecked(word)

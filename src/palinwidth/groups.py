@@ -137,6 +137,10 @@ class GeodesicTable(NamedTuple):
 class FiniteGroup(Group):
     """Finite group as an element list (index 0 = identity) plus Cayley table.
 
+    The table is a tuple of int tuples, shared with every extension
+    (with_extra_generator); CPython's collector stops tracking such tuples
+    after one pass, so a full collection does not walk its |G|² entries.
+
     Every table is certified from its generator action (see from_elements),
     and a group has at most MAX_GROUP_SIZE elements.  A group synthesised
     from generators (from_elements) takes breadth-first discovery order:
@@ -151,16 +155,16 @@ class FiniteGroup(Group):
     def __init__(
         self,
         alphabet: Alphabet,
-        rows: list[list[int]],
-        inverses: list[int],
+        rows: Sequence[tuple[int, ...]],
+        inverses: Sequence[int],
         generator_indices: Sequence[int],
         payloads: Optional[Sequence[Any]],
     ):
         """Take on a table that from_elements or from_table has certified."""
         self.alphabet = alphabet
         self.size = len(rows)
-        self._table = rows
-        self._inv = inverses
+        self._table = tuple(rows)
+        self._inv = tuple(inverses)
         self.generator_indices = tuple(generator_indices)
         self.payloads = tuple(payloads) if payloads is not None else None
         # (order, parents) of a search over signed letter numbers, built once (see _search_tree)
@@ -244,12 +248,12 @@ class FiniteGroup(Group):
                 )
             left.append(row)
             after_left.append(after_row)
-        rows = [list(range(size))]
+        rows = [tuple(range(size))]
         inverses = [0]
         for x, m in links:
-            rows.append(list(after_left[m](rows[x])))
+            rows.append(after_left[m](rows[x]))
             inverses.append(left[m ^ 1][inverses[x]])
-        if [row[0] for row in rows] != rows[0]:
+        if tuple(row[0] for row in rows) != rows[0]:
             raise GroupDefinitionError(
                 "not a group product: left multiplications do not reach every element"
             )
@@ -299,7 +303,7 @@ class FiniteGroup(Group):
         size = len(table)
         if size == 0:
             raise GroupDefinitionError("empty element list")
-        rows = [list(row) for row in table]
+        rows = tuple(map(tuple, table))
         # the closure indexes rows directly, where a -1 would wrap around
         if any(len(row) != size for row in rows) or not (
             0 <= min(map(min, rows)) and max(map(max, rows)) < size

@@ -22,11 +22,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from functools import cached_property
 from itertools import groupby
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExhausted, NotGenerated
 from .groups import BreadthFirst, FiniteGroup, Group
-from .words import Letter, Record, Word, is_palindrome
+from .words import Letter, Word, is_palindrome
 
 Pair = tuple[int, int]
 Source = tuple[Pair, Optional[Letter]]  # pair of u and centre of a witness u.c.reverse(u)
@@ -94,13 +94,10 @@ class Witnesses(Mapping):
         return len(self._sources)
 
 
-class PalindromeSet(Record):
+class PalindromeSet(NamedTuple):
     """Palindrome-representable elements with shortest palindromic witnesses."""
 
-    __slots__ = ("witnesses",)
-
-    def __init__(self, witnesses: Witnesses):
-        self.witnesses = witnesses
+    witnesses: Witnesses
 
 
 def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
@@ -136,13 +133,10 @@ def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
     return PalindromeSet(Witnesses(automaton, sources))
 
 
-class WidthReport(Record):
-    __slots__ = ("width", "witness", "distances")
-
-    def __init__(self, width: int, witness: int, distances: tuple[int, ...]):
-        self.width = width
-        self.witness = witness
-        self.distances = distances
+class WidthReport(NamedTuple):
+    width: int
+    witness: int
+    distances: tuple[int, ...]
 
     def histogram(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -228,22 +222,13 @@ def exact_palindromic_width(group: FiniteGroup) -> WidthReport:
     return oracle_for(group).width()
 
 
-class FactorizationCertificate(Record):
+class FactorizationCertificate(NamedTuple):
     """Machine-checkable result of verifying factors against a target."""
 
-    __slots__ = ("valid", "centers", "failing_index", "reason")
-
-    def __init__(
-        self,
-        valid: bool,
-        centers: tuple[Optional[str], ...],
-        failing_index: Optional[int] = None,
-        reason: Optional[str] = None,
-    ):
-        self.valid = valid
-        self.centers = centers
-        self.failing_index = failing_index
-        self.reason = reason
+    valid: bool
+    centers: tuple[Optional[str], ...]
+    failing_index: Optional[int] = None
+    reason: Optional[str] = None
 
     @property
     def product_matches(self) -> bool:

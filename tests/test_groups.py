@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -215,6 +216,16 @@ def test_extra_generator_shares_the_checked_table():
         S3.with_extra_generator("c", 6)
 
 
+def test_table_rows_are_tuples_the_collector_stops_tracking():
+    closure = presets.get("lamp(2,3)")
+    explicit = FiniteGroup.from_table(["g"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], [1])
+    extension = closure.with_extra_generator("c", 1)
+    assert extension._table is closure._table
+    gc.collect()
+    for group in (closure, explicit, extension):
+        assert all(type(row) is tuple and not gc.is_tracked(row) for row in group._table)
+
+
 def test_closure_stops_at_the_size_limit():
     # lamp(2,12) has 2^12 * 12 = 49,152 elements: its order is refused
     # before either factor is built
@@ -283,13 +294,13 @@ def test_element_word_is_the_geodesic(name):
     assert [group.element_word(x) for x in group.elements()] == list(words)
 
 
-def _direct_table(group: FiniteGroup, mul) -> list[list[int]]:
+def _direct_table(group: FiniteGroup, mul) -> tuple[tuple[int, ...], ...]:
     """The Cayley table from one payload product per cell."""
     index = {payload: i for i, payload in enumerate(group.payloads)}
-    return [[index[mul(a, b)] for b in group.payloads] for a in group.payloads]
+    return tuple(tuple(index[mul(a, b)] for b in group.payloads) for a in group.payloads)
 
 
-def _stepped_table(group: FiniteGroup, step) -> list[list[int]]:
+def _stepped_table(group: FiniteGroup, step) -> tuple[tuple[int, ...], ...]:
     """The Cayley table from payload products: a times b's element word, one step per letter."""
     index = {payload: i for i, payload in enumerate(group.payloads)}
     words = [[2 * i + (sign < 0) for i, sign in group.element_word(b).letters] for b in group.elements()]
@@ -299,7 +310,7 @@ def _stepped_table(group: FiniteGroup, step) -> list[list[int]]:
             a = list(step(a))[m]
         return index[a]
 
-    return [[times(a, moves) for moves in words] for a in group.payloads]
+    return tuple(tuple(times(a, moves) for moves in words) for a in group.payloads)
 
 
 _SYMMETRIC = {

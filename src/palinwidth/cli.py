@@ -40,6 +40,9 @@ if TYPE_CHECKING:
     from .decompose import CommutatorData, PalindromeFactorization, RelationWitness
     from .wreath import WreathElement, WreathProduct
 
+# the paper's constructions, in the order `bench` runs them
+MODES = ("abelian-top", "shifted", "derived", "finite-top")
+
 _INPUT_ERRORS = (GroupDefinitionError, WordSyntaxError, AlphabetMismatch, ValueError)
 
 
@@ -251,12 +254,9 @@ def _decompose_inputs(args, top: Group, wreath: WreathProduct) -> tuple[dict, Op
     if args.mode == "finite-top" and not isinstance(wreath.base, FreeGroup):
         raise GroupDefinitionError("finite-top mode needs a free base")
     if args.relation not in ("", "auto"):
-        return inputs, _explicit_relation(args.relation, top)
+        relation = str(Word.parse(top.alphabet, args.relation))
+        return inputs, {"relation": relation, "extra_generator": None}
     return inputs, _witness_def(find_reversal_asymmetric_relation(top, args.budget), top)
-
-
-def _explicit_relation(text: str, top: Group) -> dict:
-    return {"relation": str(Word.parse(top.alphabet, text)), "extra_generator": None}
 
 
 def _mode_calls(
@@ -443,110 +443,74 @@ def cmd_verify(args) -> tuple[dict, bool]:
 
 
 def _bench_rows(suite: str, samples: int, rng: random.Random) -> list[dict]:
-    from .decompose import (
-        CommutatorData, CommutatorSite, decompose_commutator_abelian_top,
-        decompose_derived_wreath, decompose_full_finite_top, decompose_shifted_commutators,
-        find_reversal_asymmetric_relation,
-    )
-    from .wreath import WreathProduct
+    """Factor count against bound for random decompose inputs of one mode.
 
-    rows = []
+    Each sample is the `inputs` block a decompose report stores, run through
+    _mode_calls as decompose and verify run it.
+    """
+    from .decompose import find_reversal_asymmetric_relation
+
+    f2 = FreeGroup(names=["y1", "y2"])
     if suite == "abelian-top":
-        wreath = WreathProduct(FreeAbelianGroup(2), FreeGroup(names=["y1", "y2"]))
-        base_letters = [2, 3]
-        for i in range(samples):
-            letters = [
-                (rng.choice(base_letters), rng.choice((1, -1)))
-                for _ in range(rng.randint(0, 8))
-            ]
-            word = Word(wreath.alphabet, letters)
-            exponents = [rng.randint(-5, 5) for _ in range(2)]
-            fact = decompose_commutator_abelian_top(wreath, word, exponents)
-            rows.append(_bench_row(suite, i, fact))
+        top, base, witness = FreeAbelianGroup(2), f2, None
     elif suite == "shifted":
-        top = FreeAbelianGroup(1, names=["x"])
-        s3 = presets.symmetric_3()
-        wreath = WreathProduct(top, s3)
-        for i in range(samples):
-            f_word = _random_word(rng, s3.alphabet, 4)
-            g_word = _random_word(rng, s3.alphabet, 4)
-            data = CommutatorData(
-                (CommutatorSite((rng.randint(-3, 3),), ((f_word, g_word),)),)
-            )
-            fact = decompose_shifted_commutators(wreath, data, (rng.randint(-2, 2),))
-            rows.append(_bench_row(suite, i, fact))
-    elif suite == "derived":
-        s3 = presets.symmetric_3()
-        witness = find_reversal_asymmetric_relation(s3)
-        wreath = WreathProduct(witness.group, FreeGroup(names=["y1", "y2"]))
-        for i in range(samples):
-            data = _random_commutator_data(rng, wreath, s3.size)
-            a_top = rng.randrange(s3.size)
-            fact = decompose_derived_wreath(wreath, data, a_top, witness)
-            rows.append(_bench_row(suite, i, fact))
-    elif suite == "finite-top":
-        wreath = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
-        for i in range(samples):
-            letters = [
-                (rng.randrange(4), rng.choice((1, -1)))
-                for _ in range(rng.randint(0, 30))
-            ]
-            fact = decompose_full_finite_top(wreath, Word(wreath.alphabet, letters))
-            rows.append(_bench_row(suite, i, fact))
+        top, base, witness = FreeAbelianGroup(1, names=["x"]), presets.symmetric_3(), None
     else:
-        raise GroupDefinitionError(f"unknown suite {suite!r}")
+        top, base = presets.symmetric_3(), f2
+        witness = find_reversal_asymmetric_relation(top) if suite == "derived" else None
+    rows = []
+    for i in range(samples):
+        run, _ = _mode_calls(suite, _bench_inputs(suite, rng, top, base), top, base, witness)
+        fact = run()
+        rows.append({
+            "suite": suite,
+            "sample": i,
+            "count": fact.count,
+            "bound": fact.bound_claimed,
+            "margin": fact.bound_claimed - fact.count,
+            "verified": fact.verified,
+        })
     return rows
 
 
-def _random_word(rng: random.Random, alphabet, max_len: int) -> Word:
-    return Word(
-        alphabet,
-        [
-            (rng.randrange(len(alphabet)), rng.choice((1, -1)))
-            for _ in range(rng.randint(1, max_len))
-        ],
-    )
+def _bench_inputs(suite: str, rng: random.Random, top: Group, base: Group) -> dict:
+    """One random `inputs` block for a mode, as a decompose report stores it."""
+    def pair() -> list[str]:
+        return [_random_word(rng, base.alphabet, 1, 4) for _ in range(2)]
+
+    if suite == "abelian-top":
+        word = _random_word(rng, base.alphabet, 0, 8)
+        return {"exps": [rng.randint(-5, 5) for _ in range(2)], "word": word}
+    if suite == "finite-top":
+        # over the wreath product's alphabet: the top's letters, then the base's
+        return {"word": _random_word(rng, top.alphabet.extend(base.alphabet.names), 0, 30)}
+    if suite == "shifted":
+        pairs = [pair()]
+        sites = [{"position": f"x^{rng.randint(-3, 3)}", "pairs": pairs}]
+        a_top = f"x^{rng.randint(-2, 2)}"
+    elif suite == "derived":
+        sites = []
+        for position in rng.sample(range(top.size), rng.randint(0, 3)):
+            pairs = [pair() for _ in range(rng.randint(1, 2))]
+            sites.append({"position": str(top.element_word(position)), "pairs": pairs})
+        a_top = str(top.element_word(rng.randrange(top.size)))
+    else:
+        raise GroupDefinitionError(f"unknown suite {suite!r}")
+    return {"commutators": json.dumps(sites), "a_top": a_top}
 
 
-def _random_commutator_data(rng: random.Random, wreath: WreathProduct, top_size: int) -> CommutatorData:
-    from .decompose import CommutatorData, CommutatorSite
-
-    positions = rng.sample(range(top_size), rng.randint(0, 3))
-    sites = tuple(
-        CommutatorSite(
-            position,
-            tuple(
-                (
-                    _random_word(rng, wreath.base.alphabet, 4),
-                    _random_word(rng, wreath.base.alphabet, 4),
-                )
-                for _ in range(rng.randint(1, 2))
-            ),
-        )
-        for position in positions
-    )
-    return CommutatorData(sites)
-
-
-def _bench_row(suite: str, index: int, fact) -> dict:
-    return {
-        "suite": suite,
-        "sample": index,
-        "count": fact.count,
-        "bound": fact.bound_claimed,
-        "margin": fact.bound_claimed - fact.count,
-        "verified": fact.verified,
-    }
+def _random_word(rng: random.Random, alphabet, min_len: int, max_len: int) -> str:
+    letters = [
+        (rng.randrange(len(alphabet)), rng.choice((1, -1)))
+        for _ in range(rng.randint(min_len, max_len))
+    ]
+    return str(Word(alphabet, letters))
 
 
 def cmd_bench(args) -> tuple[dict, bool]:
     import random
 
-    suites = (
-        ["abelian-top", "shifted", "derived", "finite-top"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    suites = MODES if args.suite == "all" else [args.suite]
     rows = []
     for suite in suites:
         rows.extend(_bench_rows(suite, args.samples, random.Random(args.seed)))
@@ -605,8 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="emit a certified palindrome factorization")
     p.add_argument("--top", required=True, help="group file, inline JSON, or preset")
     p.add_argument("--base", required=True)
-    p.add_argument("--mode", choices=["derived", "finite-top", "abelian-top", "shifted"],
-                   default="finite-top")
+    p.add_argument("--mode", choices=MODES, default="finite-top")
     p.add_argument("--word", help="input word over the combined alphabet")
     p.add_argument("--word-b", dest="word_b", help="second word for the two-commutator shape")
     p.add_argument("--exps", help="comma-separated exponents for the abelian top")
@@ -631,8 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bench", help="factor counts against claimed bounds")
-    p.add_argument("--suite", default="all",
-                   choices=["all", "abelian-top", "shifted", "derived", "finite-top"])
+    p.add_argument("--suite", choices=["all", *MODES], default="all")
     p.add_argument("--samples", type=_count, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bench)

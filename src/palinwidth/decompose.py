@@ -5,7 +5,8 @@ with a certificate from the oracle: factors are checked structurally and
 their concatenation is evaluated against an independently computed target
 element.  Nothing is ever reported without that check passing, and each
 reported result is certified once: parts built on the way to it (the cursor
-walk, the carrier word) are covered by the final certificate.
+walk, the carrier word, the shifted construction's top powers) are covered
+by the final certificate.
 
 The constructions:
 
@@ -153,9 +154,13 @@ def decompose_abelian_element(group: Group, element) -> PalindromeFactorization:
     """
     if not group.is_abelian():
         raise NotAbelian("abelian handle required")
+    return _checked(group, element, _power_words(group, element), len(group.alphabet), "rank")
+
+
+def _power_words(group: Group, element) -> list[Word]:
+    """The element's word as one power word per generator with a nonzero exponent."""
     exponents = abelianize(group.element_word(element))
-    factors = [Word.letter(group.alphabet, i, e) for i, e in enumerate(exponents) if e]
-    return _checked(group, element, factors, len(group.alphabet), "rank")
+    return [Word.letter(group.alphabet, i, e) for i, e in enumerate(exponents) if e]
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +447,7 @@ def decompose_shifted_commutators(
         raise NoInfiniteOrderGenerator("top has no infinite-order generator")
 
     n = data.max_pairs()
-    prefix = [
-        relabel(w, wreath.alphabet)
-        for w in decompose_abelian_element(top, top_value).factors
-    ]
+    prefix = [relabel(w, wreath.alphabet) for w in _power_words(top, top_value)]
 
     def aggregate(j: int, which: int) -> Word:
         letters: list = []

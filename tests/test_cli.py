@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -578,3 +579,28 @@ def test_bench_rows_verified(capsys):
     assert code == 0
     assert all(row["verified"] for row in report["rows"])
     assert all(row["count"] <= row["bound"] for row in report["rows"])
+
+
+def test_bench_runs_each_mode_through_the_decompose_path(capsys, monkeypatch):
+    modes = []
+
+    def recording(mode, *args):
+        modes.append(mode)
+        return real(mode, *args)
+
+    real = cli._mode_calls
+    monkeypatch.setattr(cli, "_mode_calls", recording)
+    code, report = run_json(capsys, "bench", "--samples", "2")
+    assert code == 0 and len(report["rows"]) == 2 * len(cli.MODES)
+    assert modes == [mode for mode in cli.MODES for _ in range(2)]
+
+
+def test_mode_and_suite_choices_come_from_one_list():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def choices(subcommand, dest):
+        return next(a.choices for a in sub.choices[subcommand]._actions if a.dest == dest)
+
+    assert list(choices("decompose", "mode")) == list(cli.MODES)
+    assert list(choices("bench", "suite")) == ["all", *cli.MODES]

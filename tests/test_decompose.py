@@ -435,6 +435,13 @@ def test_each_reported_result_is_certified_once(monkeypatch):
         fact = decompose_full_finite_top(narrow, Word.parse(narrow.alphabet, text), witness)
         assert fact.verified and len(calls) == 1
         assert calls[0][1] is fact.target
+    # the top powers that open a shifted factorization are not certified on their own
+    shifted = sz_wreath()
+    f, g = base_words(shifted, "s", "t")
+    calls.clear()
+    data = CommutatorData((CommutatorSite((2,), ((f, g),)),))
+    fact = decompose_shifted_commutators(shifted, data, (3,))
+    assert fact.verified and fact.meta["retries"] == 0 and len(calls) == 1
 
 
 def test_derived_wreath_rejects_bad_witness():

@@ -55,7 +55,7 @@ from .oracle import (
     oracle_for,
     verify_factorization,
 )
-from .words import Record, Word, invert, relabel, reverse, sandwich
+from .words import Word, invert, relabel, reverse, sandwich
 from .wreath import WreathElement, WreathProduct
 
 
@@ -91,13 +91,16 @@ class RelationWitness(NamedTuple):
         return self.group.evaluate(reverse(self.relation))
 
 
-class PalindromeFactorization(Record):
-    """Ordered palindromic factors, their target, and the claimed bound."""
+class PalindromeFactorization(NamedTuple("PalindromeFactorization", [
+    ("factors", tuple), ("target", Any), ("bound_claimed", int), ("bound_formula", str),
+    ("certificate", FactorizationCertificate), ("meta", dict),
+])):
+    """Ordered palindromic factors, their target, and the claimed bound, checked when built."""
 
-    __slots__ = ("factors", "target", "bound_claimed", "bound_formula", "certificate", "meta")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         factors: Sequence[Word],
         target: Any,
         bound_claimed: int,
@@ -105,16 +108,14 @@ class PalindromeFactorization(Record):
         certificate: FactorizationCertificate,
         meta: Optional[dict] = None,
     ):
-        self.factors = tuple(factors)
-        if len(self.factors) > bound_claimed:
-            raise PalinwidthError(
-                f"{len(self.factors)} factors exceed claimed bound {bound_claimed}"
-            )
-        self.target = target
-        self.bound_claimed = bound_claimed
-        self.bound_formula = bound_formula
-        self.certificate = certificate
-        self.meta = {} if meta is None else meta
+        factors = tuple(factors)
+        if len(factors) > bound_claimed:
+            raise PalinwidthError(f"{len(factors)} factors exceed claimed bound {bound_claimed}")
+        meta = {} if meta is None else meta
+        fields = (factors, target, bound_claimed, bound_formula, certificate, meta)
+        return super().__new__(cls, *fields)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks as well
 
     @property
     def count(self) -> int:
@@ -240,15 +241,15 @@ def _unrolled_commutators(
 ) -> PalindromeFactorization:
     """[a, t], times [b, t^2] when b is given: 2n palindromes per commutator, 2n+1 for odd n."""
     exponents = list(exponents)
+    n, k = len(exponents), 1 if second_word is None else 2
+    bound, formula = k * (2 * n + n % 2), f"{2 * k}n" + (f"+{k}" if n % 2 else "")
     target = abelian_top_target(wreath, first_word, exponents, second_word)
     factors: list[Word] = []
     for scale, word in ((1, first_word), (2, second_word)):
         if word is not None:
             scaled = [scale * e for e in exponents]
             factors += _unrolled_commutator(wreath, relabel(word, wreath.alphabet), scaled)
-    n, k = len(exponents), 1 if second_word is None else 2
-    formula = f"{2 * k}n" + (f"+{k}" if n % 2 else "")
-    return _checked(wreath, target, factors, k * (2 * n + n % 2), formula)
+    return _checked(wreath, target, factors, bound, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -332,45 +333,32 @@ def _validate_witness(top: Group, witness: RelationWitness) -> None:
 # derived subgroup of the base, non-abelian top
 
 
-def _commutator_product(wreath: WreathProduct, data: CommutatorData, top_value) -> WreathElement:
-    """top_value times prod_i position_i^-1 (prod_j [f_ij, g_ij]) position_i.
-
-    One base evaluation per site; _validate_sites keeps the positions distinct.
-    """
+def commutator_target(wreath: WreathProduct, data: CommutatorData, top_value) -> WreathElement:
+    """The element the data denotes, top_value times prod_i position_i^-1 (prod_j [f_ij, g_ij])
+    position_i, over distinct positions and base words; one base evaluation per site."""
+    keys = [wreath.top.canonical_key(site.position) for site in data.sites]
+    if len(set(keys)) != len(keys):
+        raise GroupDefinitionError("commutator positions must be pairwise distinct")
     lamps = []
     for site in data.sites:
-        letters = [letter for f, g in site.pairs for letter in commutator_word(f, g).letters]
+        letters: list = []
+        for f_word, g_word in site.pairs:
+            if f_word.alphabet != wreath.base.alphabet or g_word.alphabet != wreath.base.alphabet:
+                raise GroupDefinitionError("commutator arguments must be base words")
+            letters += commutator_word(f_word, g_word).letters
         lamps.append((site.position, wreath.base.evaluate(Word(wreath.base.alphabet, letters))))
     return wreath.multiply(wreath.element(top_value), wreath.element(wreath.top.identity(), lamps))
 
 
-def commutator_target(wreath: WreathProduct, data: CommutatorData, top_value) -> WreathElement:
-    """The element the commutator data denotes: top_value times the site lamps."""
-    _validate_sites(wreath, data)
-    return _commutator_product(wreath, data, top_value)
-
-
-def _validate_sites(wreath: WreathProduct, data: CommutatorData) -> None:
-    keys = [wreath.top.canonical_key(site.position) for site in data.sites]
-    if len(set(keys)) != len(keys):
-        raise GroupDefinitionError("commutator positions must be pairwise distinct")
-    for site in data.sites:
-        for f_word, g_word in site.pairs:
-            if f_word.alphabet != wreath.base.alphabet or g_word.alphabet != wreath.base.alphabet:
-                raise GroupDefinitionError("commutator arguments must be base words")
-
-
 def _carrier(wreath: WreathProduct, data: CommutatorData, witness: RelationWitness) -> Word:
-    """The word h with h = the site lamps and reverse(h) = 1.
+    """The word h with h = the site lamps and reverse(h) = 1, for sites commutator_target accepts.
 
     h interleaves the relation r around each commutator argument; reversing
     h sends the f- and g-blocks to two different positions where they cancel
     pairwise, so reverse(h) evaluates to the identity and h.reverse(h) is a
     palindrome representing the same element as h.
     """
-    top = wreath.top
-    _validate_witness(top, witness)
-    _validate_sites(wreath, data)
+    _validate_witness(wreath.top, witness)
 
     r = relabel(witness.relation, wreath.alphabet)
     r_inv = invert(r)
@@ -401,15 +389,16 @@ def decompose_derived_wreath(
     top = wreath.top
     if not isinstance(top, FiniteGroup):
         raise GroupDefinitionError("the single-palindrome construction needs a finite top")
-    h = _carrier(wreath, data, witness)
     top_oracle = oracle_for(top)
+    width = top_oracle.width().width
+    target = commutator_target(wreath, data, top_value)
+    h = _carrier(wreath, data, witness)
     factors = [relabel(w, wreath.alphabet) for w in top_oracle.decompose(top_value)]
     if h.letters:
         factors.append(h * reverse(h))
-    width = top_oracle.width().width
     return _checked(
         wreath,
-        _commutator_product(wreath, data, top_value),
+        target,
         factors,
         width + 1,
         "pw(top)+1",
@@ -447,6 +436,7 @@ def decompose_shifted_commutators(
         raise NoInfiniteOrderGenerator("top has no infinite-order generator")
 
     n = data.max_pairs()
+    bound = len(top.alphabet) + 7 * n
     prefix = [relabel(w, wreath.alphabet) for w in _power_words(top, top_value)]
 
     def aggregate(j: int, which: int) -> Word:
@@ -478,7 +468,7 @@ def decompose_shifted_commutators(
             return PalindromeFactorization(
                 factors=tuple(factors),
                 target=target,
-                bound_claimed=len(top.alphabet) + 7 * n,
+                bound_claimed=bound,
                 bound_formula="r+7n",
                 certificate=certificate,
                 meta={"retries": attempt, "shift": (index, q, y)},
@@ -578,6 +568,8 @@ def decompose_full_finite_top(
         raise GroupDefinitionError("free base required")
     if witness is None:
         witness = find_reversal_asymmetric_relation(top)
+    elif not (isinstance(witness.group, FiniteGroup) and witness.group.extends(top)):
+        raise InvalidWitness("witness is not over the top or the top extended")
     if witness.group.alphabet != top.alphabet:
         wide = WreathProduct(witness.group, base)
         word = relabel(word, wide.alphabet)

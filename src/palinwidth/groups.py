@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import AlphabetMismatch, GroupDefinitionError
-from .words import Alphabet, Letter, Record, Word, invert, reduce_free, relabel
+from .words import Alphabet, Letter, Word, invert, reduce_free, relabel
 
 MAX_GROUP_SIZE = 20000  # default limit on the elements a finite group is built with
 
@@ -100,6 +100,14 @@ class Group:
 
     def letter_value(self, index: int, sign: int):
         raise NotImplementedError
+
+    def letter_values(self) -> dict[Letter, Any]:
+        """Every signed letter's element, in alphabet order with '+' before '-'."""
+        return {
+            (index, sign): self.letter_value(index, sign)
+            for index in range(len(self.alphabet))
+            for sign in (1, -1)
+        }
 
     def evaluate(self, word: Word):
         if word.alphabet != self.alphabet:
@@ -361,13 +369,14 @@ class FiniteGroup(Group):
         g = self.generator_indices[index]
         return g if sign > 0 else self._inv[g]
 
-    def letter_values(self) -> dict[Letter, int]:
-        """Every signed letter's element, in alphabet order with '+' before '-'."""
-        return {
-            (index, sign): self.letter_value(index, sign)
-            for index in range(len(self.alphabet))
-            for sign in (1, -1)
-        }
+    def extends(self, other: "FiniteGroup") -> bool:
+        """Whether this is other's table with other's generators, names and elements, first."""
+        k = len(other.alphabet)
+        return (
+            self._table == other._table
+            and self.alphabet.names[:k] == other.alphabet.names
+            and self.generator_indices[:k] == other.generator_indices
+        )
 
     def _search_tree(self) -> tuple[Sequence[int], Any]:
         """(order, parents) of the letter search from 0, parents[y] = (x, letter number).
@@ -657,7 +666,9 @@ class BaumslagSolitar(_ReducedWords):
         return f"BaumslagSolitar({self.n}, {self.m})"
 
 
-class Homomorphism(Record):
+class Homomorphism(
+    NamedTuple("Homomorphism", [("source", Group), ("target", Group), ("images", tuple)])
+):
     """Letter substitution between two groups, wreath products included.
 
     The images are checked to define a homomorphism, or GroupDefinitionError
@@ -668,33 +679,28 @@ class Homomorphism(Record):
     product must fix its top letters, mapping onto a wreath product over the
     same top handle, and its base letters must define such a map between the
     bases.  Any other source is refused.  Single-letter images keep the
-    exact letter pattern, so palindromic words stay palindromic.  Frozen and
-    hashable once built.
+    exact letter pattern, so palindromic words stay palindromic.  Immutable
+    and hashable; building one, _replace included, runs the checks.
     """
 
-    __slots__ = ("source", "target", "images")
+    __slots__ = ()
 
-    def __init__(self, source: Group, target: Group, images: tuple[Word, ...]):
-        object.__setattr__(self, "source", source)  # __setattr__ below refuses every field
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
+    def __new__(cls, source: Group, target: Group, images: tuple[Word, ...]):
+        self = super().__new__(cls, source, target, images)
         if any(image.alphabet != target.alphabet for image in images):
             raise AlphabetMismatch("image word is not over the target alphabet")
         if len(images) != len(source.alphabet):
             raise GroupDefinitionError("one image per source generator required")
-        if isinstance(source, FreeGroup):
-            return
-        if not isinstance(source, (FreeAbelianGroup, FiniteGroup)):
-            return self._check_wreath()
-        values = [target.evaluate(image) for image in self.images]
         if isinstance(source, FreeAbelianGroup):
+            values = [target.evaluate(image) for image in images]
             if any(
                 not target.equal(target.multiply(g, h), target.multiply(h, g))
                 for g in values
                 for h in values
             ):
                 raise GroupDefinitionError("the images of a free abelian group must commute")
-        else:
+        elif isinstance(source, FiniteGroup):
+            values = [target.evaluate(image) for image in images]
             image = [self.image_of_element(x) for x in source.elements()]
             if any(
                 not target.equal(image[source.multiply(x, g)], target.multiply(image[x], value))
@@ -702,12 +708,11 @@ class Homomorphism(Record):
                 for g, value in zip(source.generator_indices, values)
             ):
                 raise GroupDefinitionError("the images do not satisfy the source's relations")
+        elif not isinstance(source, FreeGroup):
+            self._check_wreath()
+        return self
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of a Homomorphism")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks as well
 
     def _check_wreath(self) -> None:
         from .wreath import WreathProduct  # wreath.py imports this module

@@ -174,29 +174,6 @@ class Word:
         return f"Word({self})"
 
 
-class Record:
-    """Base of the records that check or mutate their fields, named in __slots__.
-
-    Like a dataclass: equal to a record of the same class with equal
-    fields, unhashable unless a subclass says otherwise, and shown as
-    Class(field=value, ...).
-    """
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
 class PalindromeCertificate(NamedTuple):
     """Witness that word = left . center . reverse(left), letter for letter."""
 

@@ -66,9 +66,7 @@ class WreathProduct(Group):
         self.base = base
         self.alphabet = Alphabet(top.alphabet.names + base.alphabet.names)
         self._split = len(top.alphabet)
-        self._top_values = {  # every signed top letter's value, looked up once for evaluate
-            (i, s): top.letter_value(i, s) for i in range(self._split) for s in (1, -1)
-        }
+        self._top_values = top.letter_values()  # looked up once for evaluate
 
     # element arithmetic
 

@@ -43,6 +43,7 @@ from palinwidth.errors import (
     NoInfiniteOrderGenerator,
     NoValidShift,
     NotAbelian,
+    PalinwidthError,
     ReverseNotTrivial,
 )
 from helpers import random_word
@@ -583,6 +584,23 @@ def test_full_finite_top_random():
         assert fact.count <= 2 * (2 * 6 + 1) + 1
 
 
+def test_full_finite_top_refuses_a_witness_over_another_group():
+    # D4 extended by c = s*t gives the relation s*t*c; over an S3 top it used
+    # to certify the word's value in D4 wr F2 (top 7) instead of S3 wr F2 (top 3)
+    d4 = FiniteGroup.from_permutations([("s", [2, 3, 4, 1]), ("t", [3, 2, 1, 4])])
+    witness = find_reversal_asymmetric_relation(d4)
+    assert str(witness.relation) == "s*t*c" and witness.group.size == 8
+    wreath = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+    word = Word.parse(wreath.alphabet, "s*y1*t*y2*s^-1")
+    with pytest.raises(InvalidWitness):
+        decompose_full_finite_top(wreath, word, witness)
+    # the same top under another handle, and its extension by c, are accepted
+    for group in (presets.symmetric_3(), s3_wreath()[1].group):
+        other = find_reversal_asymmetric_relation(group)
+        fact = decompose_full_finite_top(wreath, word, other)
+        assert fact.verified and fact.target.top == wreath.evaluate(word).top
+
+
 def test_full_finite_top_abelian_top_rejected():
     wreath = WreathProduct(presets.klein_four(), FreeGroup(names=["y1", "y2"]))
     with pytest.raises(AbelianGroup):
@@ -718,6 +736,37 @@ def test_push_factorization():
             pushed = push_factorization(hom, fact)
             assert pushed.verified and pushed.count == fact.count
 
+
+
+def free_factorization():
+    F = FreeGroup(2)
+    factors = (Word.parse(F.alphabet, "x1*x2*x1"),)
+    target = F.evaluate(factors[0])
+    return factors, target, verify_factorization(F, target, factors)
+
+
+def test_factorization_refuses_more_factors_than_its_bound():
+    factors, target, certificate = free_factorization()
+    with pytest.raises(PalinwidthError, match="2 factors exceed claimed bound 1"):
+        decompose_module.PalindromeFactorization(factors * 2, target, 1, "ad hoc", certificate)
+    fact = decompose_module.PalindromeFactorization(factors, target, 1, "ad hoc", certificate)
+    with pytest.raises(PalinwidthError, match="exceed claimed bound"):
+        fact._replace(factors=factors * 2)
+    with pytest.raises(PalinwidthError, match="exceed claimed bound"):
+        fact._replace(bound_claimed=0)
+    assert fact._replace(bound_formula="one").bound_formula == "one"
+
+
+def test_factorization_is_immutable_with_a_fresh_meta_each():
+    factors, target, certificate = free_factorization()
+    fact = decompose_module.PalindromeFactorization(factors, target, 1, "ad hoc", certificate)
+    with pytest.raises(AttributeError):
+        fact.factors = ()
+    with pytest.raises(AttributeError):
+        fact.note = "extra"
+    again = decompose_module.PalindromeFactorization(factors, target, 1, "ad hoc", certificate)
+    assert fact.meta == again.meta == {} and fact.meta is not again.meta
+    assert fact == again and fact.count == 1 and fact.verified
 
 
 def test_push_factorization_from_a_finite_group():

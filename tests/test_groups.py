@@ -481,6 +481,21 @@ def test_quotient_map_from_a_wreath_product_checks_top_and_base():
         with pytest.raises(GroupDefinitionError):
             quotient_map(source, target, images)
 
+def test_homomorphism_is_immutable_hashable_and_rechecked_on_replace():
+    z4 = presets.cyclic(4, "a")
+    hom = quotient_map(z4, presets.cyclic(2, "b"), ["b"])
+    twin = quotient_map(z4, hom.target, ["b"])
+    assert hom == twin and hash(hom) == hash(twin) and len({hom, twin}) == 1
+    with pytest.raises(AttributeError):
+        hom.images = ()
+    z3 = presets.cyclic(3, "b")
+    with pytest.raises(GroupDefinitionError, match="relations"):
+        hom._replace(target=z3, images=(Word.parse(z3.alphabet, "b"),))  # a^4 = 1 but b^4 = b
+    with pytest.raises(GroupDefinitionError, match="one image per source generator"):
+        hom._replace(images=())
+    assert hom._replace(target=twin.target) == hom
+
+
 def test_alphabet_mismatch_raises():
     F = FreeGroup(2)
     Z = FreeAbelianGroup(1)

@@ -28,6 +28,12 @@ def w(text: str) -> Word:
     return Word.parse(AB, text)
 
 
+def test_words_module_holds_no_record_base():
+    import palinwidth.words
+
+    assert not hasattr(palinwidth.words, "Record")
+
+
 def test_reverse_examples():
     assert reverse(w("x1*x2^-1")) == w("x2^-1*x1")
     assert reverse(w("1")) == w("1")

@@ -6,7 +6,7 @@ their concatenation is evaluated against an independently computed target
 element.  Nothing is ever reported without that check passing, and each
 reported result is certified once: parts built on the way to it (the cursor
 walk, the carrier word, the shifted construction's top powers) are covered
-by the final certificate.
+by the final certificate; the carrier's reverse is evaluated only on refusal.
 
 The constructions:
 
@@ -126,9 +126,13 @@ class PalindromeFactorization(NamedTuple("PalindromeFactorization", [
         return self.certificate.valid
 
 
-def _checked(group: Group, target, factors, bound, formula, meta=None) -> PalindromeFactorization:
+def _checked(
+    group: Group, target, factors, bound, formula, meta=None, carrier: Optional[Word] = None
+) -> PalindromeFactorization:
     certificate = verify_factorization(group, target, factors)
     if not certificate.valid:
+        if carrier is not None and not group.is_identity(group.evaluate(reverse(carrier))):
+            raise ReverseNotTrivial("reverse of the carrier word is not the identity")
         raise PalinwidthError(
             f"internal verification failed: {certificate.reason}"
             f" at factor {certificate.failing_index}"
@@ -356,7 +360,9 @@ def _carrier(wreath: WreathProduct, data: CommutatorData, witness: RelationWitne
     h interleaves the relation r around each commutator argument; reversing
     h sends the f- and g-blocks to two different positions where they cancel
     pairwise, so reverse(h) evaluates to the identity and h.reverse(h) is a
-    palindrome representing the same element as h.
+    palindrome representing the same element as h.  As r is a checked relation,
+    h evaluates to the site lamps, so a certificate covering h.reverse(h) passes
+    exactly when reverse(h) = 1: _checked evaluates reverse(h) on refusal only.
     """
     _validate_witness(wreath.top, witness)
 
@@ -371,11 +377,7 @@ def _carrier(wreath: WreathProduct, data: CommutatorData, witness: RelationWitne
             for part in (invert(f), r_inv, invert(g), r, f, r_inv, g, r):
                 lamp += part.letters
         letters += wreath.placed(site.position, lamp)
-    h = Word(wreath.alphabet, letters)
-
-    if not wreath.is_identity(wreath.evaluate(reverse(h))):
-        raise ReverseNotTrivial("reverse of the carrier word is not the identity")
-    return h
+    return Word(wreath.alphabet, letters)
 
 
 def decompose_derived_wreath(
@@ -403,6 +405,7 @@ def decompose_derived_wreath(
         width + 1,
         "pw(top)+1",
         meta={"top_width": width, "carrier": h},
+        carrier=h,
     )
 
 
@@ -482,7 +485,7 @@ def decompose_shifted_commutators(
 # finite top
 
 
-def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
+def _cursor_walk(wreath: WreathProduct, element: WreathElement, lamps=None) -> list[Word]:
     """Geodesic cursor moves over the support, with power-word deposits.
 
     Each lamp deposits its exponent sums, the image of its value in the
@@ -490,8 +493,9 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
     Every move letter is its own single-letter palindrome; each support
     value costs at most d power words.  Both take their letters from the
     checked words of the top and the base, so neither is checked again.
+    Given a list lamps, each visit appends its deposit y_1^s_1 ... y_d^s_d.
     """
-    top = wreath.top
+    top, base = wreath.top, wreath.base
     alphabet = wreath.alphabet
     split = len(top.alphabet)  # top letters keep their indices; base letters follow them
     factors: list[Word] = []
@@ -504,7 +508,7 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
         prefix = goal
 
     for position in wreath.support(element):
-        exponents = abelianize(wreath.base.element_word(element.base[position]))
+        exponents = abelianize(base.element_word(element.base[position]))
         if not any(exponents):
             continue
         move_to(top.inverse(position))
@@ -512,6 +516,9 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement) -> list[Word]:
             if exponent:
                 letter = (split + index, 1 if exponent > 0 else -1)
                 factors.append(Word._unchecked(alphabet, (letter,) * abs(exponent)))
+        if lamps is not None:
+            deposit = [(i, e // abs(e)) for i, e in enumerate(exponents) for _ in range(abs(e))]
+            lamps.append((position, base.evaluate_reduced(Word._unchecked(base.alphabet, deposit))))
     move_to(element.top)
     return factors
 
@@ -537,13 +544,6 @@ def decompose_finite_top_abelianized(
     bound = _cursor_walk_bound(top, base.rank)
     factors = _cursor_walk(wreath, element)
     return _checked(wreath, element, factors, bound, _CURSOR_WALK_FORMULA)
-
-
-def _residual(wreath: WreathProduct, factors: Sequence[Word], target: WreathElement) -> WreathElement:
-    """What is left of the target after the factors: (their product)^-1 . target."""
-    letters = [letter for w in factors for letter in w.letters]
-    product = wreath.evaluate(Word(wreath.alphabet, letters))
-    return wreath.multiply(wreath.inverse(product), target)
 
 
 def decompose_full_finite_top(
@@ -579,9 +579,10 @@ def decompose_full_finite_top(
     # the cursor walk's bound plus the one derived palindrome
     bound = _cursor_walk_bound(wide.top, base.rank) + 1
 
-    factors = _cursor_walk(wide, target)
+    lamps: list = []
+    factors = _cursor_walk(wide, target, lamps)
     abelian_count = len(factors)
-    residual = _residual(wide, factors, target)
+    residual = wide.multiply(wide.inverse(wide.element(target.top, lamps)), target)
     if not wide.top.is_identity(residual.top):
         raise PalinwidthError("internal: residual has a nontrivial top component")
 
@@ -604,6 +605,7 @@ def decompose_full_finite_top(
             "abelian_factors": abelian_count,
             "derived_factors": len(factors) - abelian_count,
         },
+        carrier=h,
     )
 
 

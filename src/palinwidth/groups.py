@@ -119,6 +119,10 @@ class Group:
             value = self.multiply(value, self.letter_value(index, sign))
         return value
 
+    def evaluate_reduced(self, word: Word):
+        """evaluate for a freely reduced word, which a backend may read faster."""
+        return self.evaluate(word)
+
     def element_word(self, a) -> Word:
         """A canonical representative word for the element."""
         raise NotImplementedError
@@ -482,6 +486,9 @@ class FreeGroup(_ReducedWords):
     def is_identity(self, a: Word) -> bool:
         """A reduced word is the identity exactly when it is empty."""
         return not a.letters
+
+    def evaluate_reduced(self, word: Word) -> Word:
+        return word  # a freely reduced word is already its element
 
     def canonical_key(self, a: Word):
         return a.letters

@@ -58,8 +58,8 @@ def baumslag_solitar(n: int, m: int) -> BaumslagSolitar:
 def get(name: str) -> Group:
     """Resolve a preset name like S3, D4, Q8, Z2xZ2, Z/5, lamp(2,3), BS(1,2), F2, Z^2.
 
-    The group records {"preset": name}, with the numbers of lamp, BS and Z/
-    written canonically (Z/05 records Z/5).
+    The group records {"preset": name}, with every number in it written
+    canonically (Z/05 records Z/5, F02 records F2).
     """
     fixed = {
         "S3": symmetric_3,
@@ -76,13 +76,10 @@ def get(name: str) -> Group:
     elif match := re.fullmatch(r"BS\((-?\d+),(-?\d+)\)", name):
         n, m = map(int, match.groups())
         group, name = baumslag_solitar(n, m), f"BS({n},{m})"
-    elif match := re.fullmatch(r"Z/(\d+)", name):
-        order = int(match.group(1))
-        group, name = cyclic(order), f"Z/{order}"
-    elif match := re.fullmatch(r"F(\d+)", name):
-        group = FreeGroup(int(match.group(1)))
-    elif match := re.fullmatch(r"Z\^(\d+)", name):
-        group = FreeAbelianGroup(int(match.group(1)))
+    elif match := re.fullmatch(r"(Z/|F|Z\^)(\d+)", name):
+        kind, number = match.group(1), int(match.group(2))
+        group = {"Z/": cyclic, "F": FreeGroup, "Z^": FreeAbelianGroup}[kind](number)
+        name = f"{kind}{number}"
     elif len(name) > 40:  # the argument may be a whole mistyped definition: echo its start only
         raise GroupDefinitionError(f"unknown preset {name[:40]!r}... ({len(name)} characters)")
     else:

@@ -9,10 +9,11 @@ product law is
 
     (phi, a) . (psi, b) = (p -> phi(p) * psi(p*a), a*b).
 
-Evaluation collects each position's base letters in word order and has the
-base group evaluate them once, as one word; identity lamps are dropped.
-The top's signed letter values are looked up once per handle, and a run of
-base letters computes its position once.
+Evaluation collects each position's base letters in word order, cancelling
+inverse neighbours as they are deposited, and has the base group evaluate
+each position's reduced word once (evaluate_reduced); identity lamps are
+dropped.  The top's signed letter values are looked up once per handle,
+and a run of base letters computes its position once.
 
 A wreath product meets the same Group contract as its factors, so anything
 that takes a group (certificates, homomorphisms, push-forwards) takes one
@@ -121,8 +122,9 @@ class WreathProduct(Group):
 
         Top letters step the running prefix u; each run of base letters
         between two top letters deposits at u^-1, which is computed once per
-        run.  Each position's base letters, in word order, are evaluated by
-        the base group as one word, and identity lamps are dropped.
+        run.  A deposited letter cancels the last one at its position when the
+        two are inverses, as in any group; the base group evaluates each freely
+        reduced position word through evaluate_reduced; identity lamps drop.
         """
         if word.alphabet != self.alphabet:
             raise AlphabetMismatch(
@@ -141,10 +143,13 @@ class WreathProduct(Group):
             else:
                 if run is None:
                     run = deposits.setdefault(top.inverse(prefix), [])
-                run.append((index - split, sign))
+                if run and run[-1] == (index - split, -sign):
+                    run.pop()
+                else:
+                    run.append((index - split, sign))
         # a base run is the word's own letters shifted down by the top's rank: no check
         return self.element(prefix, [
-            (position, self.base.evaluate(Word._unchecked(self.base.alphabet, letters)))
+            (position, self.base.evaluate_reduced(Word._unchecked(self.base.alphabet, letters)))
             for position, letters in deposits.items()
         ])
 

@@ -601,6 +601,43 @@ def test_full_finite_top_refuses_a_witness_over_another_group():
         assert fact.verified and fact.target.top == wreath.evaluate(word).top
 
 
+def test_full_finite_top_evaluates_the_word_and_the_certificate_only(monkeypatch):
+    # finite-top evaluates its input and its certificate, derived its certificate:
+    # the cursor walk returns its own value and reverse(h) is read on refusal only
+    calls = []
+    evaluate = WreathProduct.evaluate
+    monkeypatch.setattr(WreathProduct, "evaluate", lambda self, w: calls.append(w) or evaluate(self, w))
+    wreath = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+    witness = find_reversal_asymmetric_relation(wreath.top)
+    rng = random.Random(22)
+    words = [Word(wreath.alphabet), Word.parse(wreath.alphabet, "y1^-1*y2^-1*y1*y2")]
+    for word in words + [random_word(rng, wreath.alphabet, 30) for _ in range(10)]:
+        for given in (None, witness):
+            calls.clear()
+            assert decompose_full_finite_top(wreath, word, given).verified
+            assert len(calls) == 2
+    wide, witness = s3_wreath()
+    f, g = base_words(wide, "y1", "y2")
+    calls.clear()
+    data = CommutatorData((CommutatorSite(0, ((f, g),)), CommutatorSite(2, ((g, f),))))
+    assert decompose_derived_wreath(wide, data, 3, witness).verified
+    assert len(calls) == 1
+
+
+def test_full_finite_top_reverse_check_guards_bad_relations(monkeypatch):
+    # the finite-top twin of test_derived_wreath_reverse_check_guards_bad_relations:
+    # s*s reverses to a relation, so the carrier of a non-trivial residual
+    # does not reverse to 1, the certificate is refused and the guard names why
+    monkeypatch.setattr(decompose_module, "_validate_witness", lambda top, w: None)
+    wreath = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+    broken = RelationWitness(group=wreath.top, relation=Word.parse(wreath.top.alphabet, "s*s"))
+    with pytest.raises(ReverseNotTrivial):
+        decompose_full_finite_top(wreath, Word.parse(wreath.alphabet, "y1^-1*y2^-1*y1*y2"), broken)
+    # a trivial residual needs no carrier, so the same witness certifies
+    fact = decompose_full_finite_top(wreath, Word.parse(wreath.alphabet, "s*y1*t*y2^-1"), broken)
+    assert fact.verified and fact.meta["derived_factors"] == 0
+
+
 def test_full_finite_top_abelian_top_rejected():
     wreath = WreathProduct(presets.klein_four(), FreeGroup(names=["y1", "y2"]))
     with pytest.raises(AbelianGroup):

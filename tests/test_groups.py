@@ -266,6 +266,17 @@ def test_trivial_and_degree_one_groups_build(name, order):
     assert [group.element_word(x) for x in group.elements()] == list(group.geodesics().words)
 
 
+@pytest.mark.parametrize(
+    "spelling, canonical",
+    [("Z/05", "Z/5"), ("F02", "F2"), ("Z^02", "Z^2"), ("F0", "F0"), ("Z^00", "Z^0"),
+     ("lamp(02,3)", "lamp(2,3)"), ("BS(01,2)", "BS(1,2)")],
+)
+def test_presets_record_their_numbers_canonically(spelling, canonical):
+    # two spellings of one preset record one definition, so their reports agree byte for byte
+    assert presets.get(spelling).source_def == {"preset": canonical}
+    assert presets.get(canonical).source_def == {"preset": canonical}
+
+
 def test_degree_zero_permutation_group_is_trivial():
     group = FiniteGroup.from_permutations({"g": []})
     assert group.size == 1 and group.element_word(0) == Word(group.alphabet)

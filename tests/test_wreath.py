@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palinwidth import (
     FiniteGroup,
@@ -14,6 +15,7 @@ from palinwidth import (
     reverse,
 )
 from palinwidth.errors import AlphabetMismatch, GroupDefinitionError
+from palinwidth.groups import Group
 from helpers import random_word
 
 
@@ -247,3 +249,49 @@ def test_wreath_evaluation_matches_finite_materialisation():
                 for x in base.elements()
             )
             assert finite.payloads[finite.evaluate(word)] == permutation
+
+
+# base over top: a free base (evaluate_reduced returns the reduced word) and
+# finite and one-relator bases (the default evaluate_reduced, their evaluate)
+FOLD_WREATHS = {
+    "F2 wr S3": lambda: WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"])),
+    "F2 wr Z^2": lambda: WreathProduct(FreeAbelianGroup(2), FreeGroup(names=["y1", "y2"])),
+    "S3 wr Z": lambda: WreathProduct(FreeAbelianGroup(1, names=["x"]), presets.symmetric_3()),
+    "Z/3 wr Z/4": lambda: WreathProduct(presets.cyclic(4, "z"), presets.cyclic(3, "y")),
+    "Z/2 wr S3": lambda: WreathProduct(presets.symmetric_3(), presets.cyclic(2, "y")),
+    "BS(1,2) wr Z/3": lambda: WreathProduct(presets.cyclic(3, "z"), presets.get("BS(1,2)")),
+}
+
+
+@st.composite
+def _split_cancel_words(draw, wreath):
+    """Words whose chunks are single letters or b . u . v . u^-1 . b^-1, with b a base
+    letter and u a nonempty top word: b and b^-1 meet at one position in different
+    runs, and cancel there whenever v's top letters multiply to 1."""
+    split, size = len(wreath.top.alphabet), len(wreath.alphabet)
+    sign = st.sampled_from((1, -1))
+    any_letter = st.tuples(st.integers(0, size - 1), sign)
+    top_word = st.lists(st.tuples(st.integers(0, split - 1), sign), min_size=1, max_size=3)
+    letters = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            letters += draw(st.lists(any_letter, max_size=4))
+            continue
+        index, b = draw(st.integers(split, size - 1)), draw(sign)
+        u = draw(top_word)
+        inner = draw(st.lists(any_letter, max_size=3))
+        letters += [(index, b), *u, *inner, *((i, -e) for i, e in reversed(u)), (index, -b)]
+    return Word(wreath.alphabet, letters)
+
+
+@pytest.mark.parametrize("name", FOLD_WREATHS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluate_matches_the_generic_fold(name, data):
+    # the kernel, which cancels inverse letters at a position as it deposits
+    # them, against Group.evaluate: multiply folded over the letters' values
+    wreath = FOLD_WREATHS[name]()
+    word = data.draw(_split_cancel_words(wreath))
+    value = wreath.evaluate(word)
+    assert not any(wreath.base.is_identity(lamp) for lamp in value.base.values())
+    assert wreath.equal(value, Group.evaluate(wreath, word))

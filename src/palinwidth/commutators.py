@@ -14,24 +14,61 @@ def commutator_word(u: Word, v: Word) -> Word:
 def express_in_derived(w: Word) -> list[tuple[Word, Word]]:
     """Write a zero-exponent-sum word as an explicit product of commutators.
 
-    Peel-off recursion: a reduced w with zero sums starts with some letter a
-    whose inverse occurs later, so w = a.u.a^-1.v = [a^-1, u^-1] . (u.v),
-    and u.v is two letters shorter after reduction.  The pair count is at
-    most ceil(len/2); no minimality is attempted.
+    Block peel: a reduced w with zero sums starts with a prefix A whose
+    inverse occurs later as a contiguous block, so w = A.u.A^-1.v =
+    [A^-1, u^-1] . (u.v).  Each peel takes the longest such A (at least
+    its first letter qualifies) at the first occurrence of A^-1, and
+    recurses on u.v, which is reduced once its seam is.  Each peel removes
+    at least two letters, so the pair count is at most ceil(len/2), and
+    a block such as x1^k.x2.x1^-k.x2^-1 is one pair, not k; no minimality
+    is attempted.
+
+    Search: if A^-1 occurs after A, the inverse of every shorter prefix
+    does too, so the longest A is found by binary search.  The word and its
+    inverse are kept as strings with one code point per signed letter, A^-1
+    is read off the end of the inverse string and looked for with str.find,
+    so a peel costs O(log L) linear scans at C speed, O(L log L) in all.
+    u.v and its inverse are sliced from the two strings, never re-encoded.
     """
     if any(abelianize(w)):
         raise NotInDerivedSubgroup(f"nonzero exponent sums: {abelianize(w)}")
     alphabet = w.alphabet
+    letters = reduce_free(w).letters
+    # (index, +1) is 2r and (index, -1) is 2r+1, r the index's rank among those present,
+    # so a letter's inverse is its code xor 1 and every code is below len(letters)
+    even = {index: 2 * rank for rank, index in enumerate({index for index, _ in letters})}
+    codes = [even[index] + (sign < 0) for index, sign in letters]
+    current = "".join(map(chr, codes))
+    inverse = "".join([chr(code ^ 1) for code in reversed(codes)])
+    letter_of = {
+        chr(code + (sign < 0)): (index, sign) for index, code in even.items() for sign in (1, -1)
+    }
     pairs: list[tuple[Word, Word]] = []
-    current = reduce_free(w)
-    while current.letters:
-        first = current.letters[0]
-        matching = (first[0], -first[1])
-        split = current.letters.index(matching, 1)
-        u = Word._unchecked(alphabet, current.letters[1:split])
-        v = Word._unchecked(alphabet, current.letters[split + 1 :])
-        pairs.append((Word._unchecked(alphabet, [matching]), invert(u)))
-        current = reduce_free(u * v)
+    while current:
+        n = len(current)
+        # the first letter's inverse occurs later, as the sums are zero
+        k, too_long, split = 1, n // 2 + 1, current.find(inverse[-1], 1)
+        while too_long - k > 1:
+            middle = (k + too_long) // 2
+            found = current.find(inverse[n - middle :], middle)
+            if found >= 0:
+                k, split = middle, found
+            else:
+                too_long = middle
+        # current = A.u.A^-1.v and inverse = v^-1.A.u^-1.A^-1
+        u, v = current[k:split], current[split + k :]
+        u_inv, v_inv = inverse[n - split : n - k], inverse[: n - split - k]
+        pairs.append(
+            (
+                Word._unchecked(alphabet, map(letter_of.__getitem__, inverse[n - k :])),
+                Word._unchecked(alphabet, map(letter_of.__getitem__, u_inv)),
+            )
+        )
+        seam = 0
+        while seam < min(len(u), len(v)) and ord(u[-1 - seam]) ^ 1 == ord(v[seam]):
+            seam += 1
+        current = u[: len(u) - seam] + v[seam:]
+        inverse = v_inv[: len(v_inv) - seam] + u_inv[seam:]
     return pairs
 
 

@@ -377,7 +377,8 @@ def _carrier(wreath: WreathProduct, data: CommutatorData, witness: RelationWitne
             for part in (invert(f), r_inv, invert(g), r, f, r_inv, g, r):
                 lamp += part.letters
         letters += wreath.placed(site.position, lamp)
-    return Word(wreath.alphabet, letters)
+    # every letter comes from a relabelled word, its inverse or a placed conjugator
+    return Word._unchecked(wreath.alphabet, letters)
 
 
 def decompose_derived_wreath(

@@ -17,7 +17,7 @@ from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Op
 from .errors import AlphabetMismatch, GroupDefinitionError
 from .words import Alphabet, Letter, Word, invert, reduce_free, relabel
 
-MAX_GROUP_SIZE = 20000  # default limit on the elements a finite group is built with
+MAX_GROUP_SIZE = 20000  # default limit on a finite group's elements and on a free rank
 
 
 class BreadthFirst:
@@ -472,14 +472,25 @@ class _ReducedWords(Group):
         return a
 
 
+def _numbered(prefix: str, rank: Optional[int], what: str) -> tuple[str, ...]:
+    """Generator names prefix1..prefix<rank>.
+
+    A rank over MAX_GROUP_SIZE is refused before any name is built, so a
+    mistyped rank fails at once instead of building millions of names.
+    """
+    if rank is None or rank < 0:
+        raise GroupDefinitionError(f"{what} needs a non-negative rank or names")
+    if rank > MAX_GROUP_SIZE:
+        raise GroupDefinitionError(f"{what} rank {rank} exceeds {MAX_GROUP_SIZE} generators")
+    return tuple(f"{prefix}{i + 1}" for i in range(rank))
+
+
 class FreeGroup(_ReducedWords):
     """Free group; elements are freely reduced words."""
 
     def __init__(self, rank: Optional[int] = None, names: Optional[Sequence[str]] = None):
         if names is None:
-            if rank is None or rank < 0:
-                raise GroupDefinitionError("free group needs a non-negative rank or names")
-            names = tuple(f"x{i + 1}" for i in range(rank))
+            names = _numbered("x", rank, "free group")
         self.alphabet = Alphabet(names)
         self.rank = len(self.alphabet)
 
@@ -507,9 +518,7 @@ class FreeAbelianGroup(Group):
 
     def __init__(self, rank: Optional[int] = None, names: Optional[Sequence[str]] = None):
         if names is None:
-            if rank is None or rank < 0:
-                raise GroupDefinitionError("free abelian group needs a non-negative rank or names")
-            names = tuple(f"{self._default_prefix}{i + 1}" for i in range(rank))
+            names = _numbered(self._default_prefix, rank, "free abelian group")
         self.alphabet = Alphabet(names)
         self.rank = len(self.alphabet)
 
@@ -580,7 +589,7 @@ class AbelianProductGroup(Group):
         if not finite.is_abelian():
             raise GroupDefinitionError("finite part must be abelian")
         if free_names is None:
-            free_names = tuple(f"t{i + 1}" for i in range(free_rank))
+            free_names = _numbered("t", free_rank, "abelian product")
         if len(free_names) != free_rank:
             raise GroupDefinitionError("one name per free generator required")
         self.free_rank = free_rank

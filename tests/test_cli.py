@@ -376,6 +376,24 @@ def test_malformed_json_exits_2(capsys, tmp_path, argv, files):
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "group",
+    [
+        "F100000000",
+        "Z^100000000",
+        '{"kind":"free","rank":100000000}',
+        '{"kind":"free_abelian","rank":100000000}',
+        '{"kind":"abelianized_free","rank":100000000}',
+        '{"kind":"abelian_product","free_rank":100000000,"finite":{"preset":"Z/2"}}',
+    ],
+)
+def test_rank_over_the_limit_exits_2_before_building_names(capsys, group):
+    # 10^8 generator names would take gigabytes; the rank is refused first
+    assert main(["pw-exact", "--group", group]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "rank 100000000 exceeds" in err
+
+
 def test_readme_group_definitions_load():
     # every object in README's "Group definitions" block loads, so the
     # documented examples keep to the rules group_from_def enforces

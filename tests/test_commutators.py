@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palinwidth import (
     FiniteGroup,
@@ -63,6 +64,50 @@ def test_express_random_words():
     for _ in range(100):
         word = random_zero_sum_word(rng, F.alphabet, 36)
         _check_expression(word)
+
+
+def _letters(rank: int):
+    return st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1)))
+
+
+@st.composite
+def _zero_sum_words(draw, rank: int) -> Word:
+    """A random word of F_rank': letters followed by a shuffle of their inverses."""
+    half = draw(st.lists(_letters(rank), max_size=30))
+    tail = draw(st.permutations([(index, -sign) for index, sign in half]))
+    return Word(FreeGroup(rank).alphabet, half + tail)
+
+
+@st.composite
+def _conjugated_commutators(draw, rank: int) -> Word:
+    """A random product of conjugated commutators c^-1 [a, b] c in F_rank."""
+    alphabet = FreeGroup(rank).alphabet
+    words = st.lists(_letters(rank), max_size=6).map(lambda letters: Word(alphabet, letters))
+    product = Word(alphabet)
+    for c, a, b in draw(st.lists(st.tuples(words, words, words), max_size=4)):
+        product = product * invert(c) * commutator_word(a, b) * c
+    return product
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    word=st.sampled_from((2, 3)).flatmap(
+        lambda rank: st.one_of(_zero_sum_words(rank), _conjugated_commutators(rank))
+    )
+)
+def test_express_property_in_derived_subgroups(word):
+    # the product of the pairs reduces to the word, in at most ceil(len/2) pairs
+    _check_expression(word)
+
+
+def test_express_block_is_one_pair():
+    # the block x1^k is peeled at once: one pair, not k pairs repeating the rest
+    k = 2000
+    word = fw(f"x1^{k}*x2*x1^-{k}*x2^-1")
+    pairs = express_in_derived(word)
+    assert len(pairs) == 1
+    assert len(commutator_word(*pairs[0])) == 2 * k + 2
+    _check_expression(word)
 
 
 def test_alternating_5_is_perfect():

@@ -584,6 +584,20 @@ def test_full_finite_top_random():
         assert fact.count <= 2 * (2 * 6 + 1) + 1
 
 
+def test_full_finite_top_long_lamp_has_a_linear_carrier():
+    # the lamp y1^k*y2*y1^-k*y2^-1 is one commutator, so the carrier palindrome
+    # grows by 4 letters per unit of k (twice in h, twice in reverse(h))
+    wreath = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+    first = None
+    for k in (1, 10, 100, 1000):
+        word = Word.parse(wreath.alphabet, f"t*y1^{k}*y2*y1^-{k}*y2^-1")
+        fact = decompose_full_finite_top(wreath, word)
+        assert fact.verified and fact.meta["derived_factors"] == 1
+        assert verify_factorization(fact.meta["wreath"], fact.target, fact.factors).valid
+        first = first or len(fact.factors[-1])
+        assert len(fact.factors[-1]) == first + 4 * (k - 1)
+
+
 def test_full_finite_top_refuses_a_witness_over_another_group():
     # D4 extended by c = s*t gives the relation s*t*c; over an S3 top it used
     # to certify the word's value in D4 wr F2 (top 7) instead of S3 wr F2 (top 3)

@@ -99,7 +99,7 @@ DIGESTS = {
     "bench-text": "c0a531d4bbecf3384e6d94592379afeff7cdc3216be5a8f0a7e516d3406aaac6",
     "decompose-abelian-top": "186d8d73691edc5ef653e2dc8accb70ec39ede57ec37c51031c6b5d9da7002a4",
     "decompose-derived": "7c77d0bca9afe6e19af6fe1dd1959080582a7390be03d225f3aa7b703b01241a",
-    "decompose-finite-top-long": "9d509cb6e987d5a8829f509d4f601e61f7fb83030189fda178e171cc67d55d87",
+    "decompose-finite-top-long": "5fad43457c87243c45efb972a6dd6ea6edb519a6f52a8566a6707a689882d6a4",
     "decompose-finite-top": "9fcc501b07f3d9ce3c4ed1b8a84f431c08200c7f4cf967d56ba5aec2c415b35d",
     "decompose-pair": "5fa861a1d036f7d3908d416590a7ec387471614fde12ecfc85d1267465a6d826",
     "decompose-shifted": "0ce1c29c0bd95d667969038570c52e2eb092e3c507469e4b82adeb21c0936d23",

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from . import presets
 from .errors import (
     AlphabetMismatch,
+    ClaimMismatch,
     GroupDefinitionError,
     PalinwidthError,
     WordSyntaxError,
@@ -429,6 +430,12 @@ def cmd_verify(args) -> tuple[dict, bool]:
     texts = _list_of(_field(stored, "factors", list), str, "factors")
     factors = [Word.parse(wreath.alphabet, text) for text in texts]
     certificate = verify_factorization(wreath, target(), factors)
+    if certificate.valid:  # a failing certificate is reported as it is
+        count, bound = _field(stored, "count", int), _field(stored, "bound", int)
+        if count != len(factors) or count > bound:
+            raise ClaimMismatch(
+                f"report claims {count} factors within bound {bound} and lists {len(factors)}"
+            )
     return (
         {
             "command": "verify",

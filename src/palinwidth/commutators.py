@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from .errors import NotInDerivedSubgroup
 from .groups import BreadthFirst, FiniteGroup, abelianize
-from .words import Word, invert, reduce_free
+from .words import Word, invert
 
 
 def commutator_word(u: Word, v: Word) -> Word:
@@ -24,25 +24,34 @@ def express_in_derived(w: Word) -> list[tuple[Word, Word]]:
     is attempted.
 
     Search: if A^-1 occurs after A, the inverse of every shorter prefix
-    does too, so the longest A is found by binary search.  The word and its
-    inverse are kept as strings with one code point per signed letter, A^-1
+    does too, so the longest A is found by binary search.  w is freely
+    reduced as it is encoded, and it and its inverse are kept as strings
+    with one code point per signed letter, A^-1
     is read off the end of the inverse string and looked for with str.find,
     so a peel costs O(log L) linear scans at C speed, O(L log L) in all.
     u.v and its inverse are sliced from the two strings, never re-encoded.
     """
-    if any(abelianize(w)):
-        raise NotInDerivedSubgroup(f"nonzero exponent sums: {abelianize(w)}")
+    sums = abelianize(w)
+    if any(sums):
+        raise NotInDerivedSubgroup(f"nonzero exponent sums: {sums}")
     alphabet = w.alphabet
-    letters = reduce_free(w).letters
     # (index, +1) is 2r and (index, -1) is 2r+1, r the index's rank among those present,
-    # so a letter's inverse is its code xor 1 and every code is below len(letters)
-    even = {index: 2 * rank for rank, index in enumerate({index for index, _ in letters})}
-    codes = [even[index] + (sign < 0) for index, sign in letters]
+    # so a letter's inverse is its code xor 1 and every code is below 2.len(w)
+    ranks: dict[int, int] = {}
+    codes: list[int] = []
+    for index, sign in w.letters:  # encoded and freely reduced in one pass
+        code = 2 * ranks.setdefault(index, len(ranks)) + (sign < 0)
+        if codes and codes[-1] == code ^ 1:
+            codes.pop()
+        else:
+            codes.append(code)
     current = "".join(map(chr, codes))
     inverse = "".join([chr(code ^ 1) for code in reversed(codes)])
-    letter_of = {
-        chr(code + (sign < 0)): (index, sign) for index, code in even.items() for sign in (1, -1)
-    }
+    letter_of = [(index, sign) for index in ranks for sign in (1, -1)]  # by code
+
+    def decoded(text: str) -> Word:
+        return Word._unchecked(alphabet, map(letter_of.__getitem__, map(ord, text)))
+
     pairs: list[tuple[Word, Word]] = []
     while current:
         n = len(current)
@@ -58,12 +67,7 @@ def express_in_derived(w: Word) -> list[tuple[Word, Word]]:
         # current = A.u.A^-1.v and inverse = v^-1.A.u^-1.A^-1
         u, v = current[k:split], current[split + k :]
         u_inv, v_inv = inverse[n - split : n - k], inverse[: n - split - k]
-        pairs.append(
-            (
-                Word._unchecked(alphabet, map(letter_of.__getitem__, inverse[n - k :])),
-                Word._unchecked(alphabet, map(letter_of.__getitem__, u_inv)),
-            )
-        )
+        pairs.append((decoded(inverse[n - k :]), decoded(u_inv)))
         seam = 0
         while seam < min(len(u), len(v)) and ord(u[-1 - seam]) ^ 1 == ord(v[seam]):
             seam += 1

@@ -23,6 +23,11 @@ The constructions:
 * over a finite top the abelianized part is walked with geodesic cursor
   moves and power-word deposits, and the derived residual reuses the
   single-palindrome construction.
+
+relation=auto is resolved once per top handle: the oracle keeps its
+shortest asymmetric relation (checking a budget on every call), the top
+keeps its extension by c, and the wreath product keeps its handle over
+that extension.
 """
 from __future__ import annotations
 
@@ -513,12 +518,13 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement, lamps=None) -> l
         if not any(exponents):
             continue
         move_to(top.inverse(position))
+        deposit: list = []  # the power words' letters over the base's alphabet
         for index, exponent in enumerate(exponents):
             if exponent:
-                letter = (split + index, 1 if exponent > 0 else -1)
-                factors.append(Word._unchecked(alphabet, (letter,) * abs(exponent)))
+                sign, count = (1 if exponent > 0 else -1), abs(exponent)
+                factors.append(Word._unchecked(alphabet, ((split + index, sign),) * count))
+                deposit += ((index, sign),) * count
         if lamps is not None:
-            deposit = [(i, e // abs(e)) for i, e in enumerate(exponents) for _ in range(abs(e))]
             lamps.append((position, base.evaluate_reduced(Word._unchecked(base.alphabet, deposit))))
     move_to(element.top)
     return factors
@@ -558,8 +564,8 @@ def decompose_full_finite_top(
     deposits) and a derived residual (one palindrome via the asymmetric
     relation).  The combined alphabet may gain the extra generator c when
     the relation search demands it; the emitted factors live over the
-    possibly extended alphabet, recorded in meta.  Only the whole list is
-    certified: it covers both parts.
+    possibly extended alphabet, whose handle (WreathProduct.widened) is
+    recorded in meta.  Only the whole list is certified: it covers both parts.
     """
     top = wreath.top
     base = wreath.base
@@ -571,12 +577,10 @@ def decompose_full_finite_top(
         witness = find_reversal_asymmetric_relation(top)
     elif not (isinstance(witness.group, FiniteGroup) and witness.group.extends(top)):
         raise InvalidWitness("witness is not over the top or the top extended")
-    if witness.group.alphabet != top.alphabet:
-        wide = WreathProduct(witness.group, base)
-        word = relabel(word, wide.alphabet)
-    else:
-        wide = wreath
-    target = wide.evaluate(word)
+    # an extension shares the top's table and element indices: the word's
+    # value here is its value over the widened handle as well
+    target = wreath.evaluate(word)
+    wide = wreath if witness.group.alphabet == top.alphabet else wreath.widened(witness.group)
     # the cursor walk's bound plus the one derived palindrome
     bound = _cursor_walk_bound(wide.top, base.rank) + 1
 

@@ -50,6 +50,10 @@ class ReverseNotTrivial(PalinwidthError):
     """The reversed carrier word did not evaluate to the identity."""
 
 
+class ClaimMismatch(PalinwidthError):
+    """A report's factor count disagrees with its factors or exceeds its bound."""
+
+
 class NoValidShift(PalinwidthError):
     pass
 

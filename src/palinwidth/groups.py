@@ -182,6 +182,7 @@ class FiniteGroup(Group):
         # (order, parents) of a search over signed letter numbers, built once (see _search_tree)
         self._tree: Optional[tuple[Sequence[int], Any]] = None
         self._words: dict[int, Word] = {}  # element -> its geodesic, built on first read
+        self._columns: Optional[dict[Letter, tuple[int, ...]]] = None  # see letter_columns
         self._extensions: dict[tuple[str, int], FiniteGroup] = {}
 
     @classmethod
@@ -372,6 +373,20 @@ class FiniteGroup(Group):
     def letter_value(self, index: int, sign: int) -> int:
         g = self.generator_indices[index]
         return g if sign > 0 else self._inv[g]
+
+    @property
+    def letter_columns(self) -> dict[Letter, tuple[int, ...]]:
+        """Per signed letter x, its right action g -> g.x as a table column.
+
+        Built on first read, once per handle, in letter_values order; the
+        pair automaton, the palindrome set and wreath evaluation all read
+        this one table.
+        """
+        if self._columns is None:
+            table = self._table
+            values = self.letter_values().items()
+            self._columns = {x: tuple(map(itemgetter(v), table)) for x, v in values}
+        return self._columns
 
     def extends(self, other: "FiniteGroup") -> bool:
         """Whether this is other's table with other's generators, names and elements, first."""

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from functools import cached_property
-from itertools import groupby
+from itertools import chain, groupby
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExhausted, NotGenerated
 from .groups import BreadthFirst, FiniteGroup, Group
-from .words import Letter, Word, is_palindrome
+from .words import Letter, Word, letter_name
 
 Pair = tuple[int, int]
 Source = tuple[Pair, Optional[Letter]]  # pair of u and centre of a witness u.c.reverse(u)
@@ -41,10 +41,9 @@ class PairAutomaton(BreadthFirst):
 
     def __init__(self, group: FiniteGroup):
         table = group._table
-        values = group.letter_values()
-        # per letter x: its column (g -> g.x), which palindrome_set reads too, and its row
-        self.columns = {x: [row[v] for row in table] for x, v in values.items()}
-        moves = {x: (self.columns[x], table[v]) for x, v in values.items()}
+        # per letter x: its column (g -> g.x), shared with the group's other readers, and its
+        # row, read at column[0] = 1.x, the letter's value
+        moves = {x: (column, table[column[0]]) for x, column in group.letter_columns.items()}
 
         def step(pair: Pair, letter) -> Pair:
             column, row = moves[letter]
@@ -113,7 +112,7 @@ def palindrome_set(automaton: PairAutomaton) -> PalindromeSet:
     """
     group = automaton.group
     table = group._table
-    centres = list(automaton.columns.items())
+    centres = list(group.letter_columns.items())
 
     def candidates(level: list[Pair]):
         for pair in level:
@@ -188,25 +187,33 @@ class PalindromeOracle:
         witnesses = self.palindromes.witnesses
         return [witnesses[move] for move in self._width_bfs.path(a)]
 
-    def asymmetric_relation(self, budget: Optional[int] = None) -> Optional[Word]:
-        """Shortest word r with r = 1 but reverse(r) != 1, if one exists.
+    @cached_property
+    def _asymmetric(self) -> Optional[tuple[int, Word]]:
+        """Length and word of the first pair (1, x != 1) in discovery order, if any.
 
-        The automaton is expanded up to the first pair (1, x != 1) in
-        discovery order, and in full only when there is none.
+        The automaton is expanded up to that pair, and in full only when
+        there is none.
         """
         identity = self.group.identity()
         best = next(
             (pair for pair in self.automaton if pair[0] == identity and pair[1] != identity),
             None,
         )
-        if best is None:
+        return None if best is None else (self.automaton.depths[best], self.automaton.witness(best))
+
+    def asymmetric_relation(self, budget: Optional[int] = None) -> Optional[Word]:
+        """Shortest word r with r = 1 but reverse(r) != 1, if one exists.
+
+        The search runs once per handle; the budget is checked on every call.
+        """
+        if self._asymmetric is None:
             return None
-        if budget is not None and self.automaton.depths[best] > budget:
+        length, word = self._asymmetric
+        if budget is not None and length > budget:
             raise BudgetExhausted(
-                f"shortest asymmetric relation has length {self.automaton.depths[best]},"
-                f" over budget {budget}"
+                f"shortest asymmetric relation has length {length}, over budget {budget}"
             )
-        return self.automaton.witness(best)
+        return word
 
 
 def oracle_for(group: FiniteGroup) -> PalindromeOracle:
@@ -253,17 +260,20 @@ def verify_factorization(group: Group, target, factors: Sequence[Word]) -> Facto
     AlphabetMismatch or NotPalindrome with the first failing index, or
     ProductMismatch.
     """
+    alphabet = group.alphabet
+    names = alphabet.names
     centers: list[Optional[str]] = []
     for i, factor in enumerate(factors):
-        if factor.alphabet != group.alphabet:
+        if factor.alphabet is not alphabet and factor.alphabet != alphabet:
             return _refused(centers, "AlphabetMismatch", i)
-        certificate = is_palindrome(factor)
-        if certificate is None:
+        # is_palindrome's test and centre, read off the letters without a certificate record
+        letters = factor.letters
+        if letters != letters[::-1]:
             return _refused(centers, "NotPalindrome", i)
-        centers.append(certificate.center_str())
+        centers.append(letter_name(names, letters[len(letters) // 2]) if len(letters) % 2 else None)
     # every factor is over the group's alphabet (checked above)
-    letters = [letter for factor in factors for letter in factor.letters]
-    product = group.evaluate(Word._unchecked(group.alphabet, letters))
+    letters = chain.from_iterable(factor.letters for factor in factors)
+    product = group.evaluate(Word._unchecked(alphabet, letters))
     if not group.equal(product, target):
         return _refused(centers, "ProductMismatch")
     return FactorizationCertificate(valid=True, centers=tuple(centers))

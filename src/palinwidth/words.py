@@ -32,7 +32,7 @@ class Alphabet:
     tie-breaking and report determinism everywhere downstream.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_hash", "_maps")
 
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
@@ -43,6 +43,8 @@ class Alphabet:
             raise ValueError(f"duplicate generator names in {names!r}")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
+        self._hash = hash(names)  # kept, so that keying a dict by an alphabet is O(1)
+        self._maps: dict[Alphabet, dict[Letter, Letter]] = {}  # relabel's letter maps, by source
 
     def index(self, name: str) -> int:
         try:
@@ -60,10 +62,10 @@ class Alphabet:
         return name in self._index
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self.names == other.names
+        return self is other or isinstance(other, Alphabet) and self.names == other.names
 
     def __hash__(self) -> int:
-        return hash(self.names)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Alphabet({list(self.names)!r})"
@@ -190,11 +192,13 @@ class PalindromeCertificate(NamedTuple):
         return self.left * middle * reverse(self.left)
 
     def center_str(self) -> Optional[str]:
-        if self.center is None:
-            return None
-        index, sign = self.center
-        name = self.word.alphabet.names[index]
-        return name if sign > 0 else f"{name}^-1"
+        return None if self.center is None else letter_name(self.word.alphabet.names, self.center)
+
+
+def letter_name(names: tuple[str, ...], letter: Letter) -> str:
+    """A signed letter as text: its generator's name, with ^-1 when inverted."""
+    index, sign = letter
+    return names[index] if sign > 0 else f"{names[index]}^-1"
 
 
 def reverse(w: Word) -> Word:
@@ -245,9 +249,24 @@ def sandwich(u: Word, p: Word) -> Word:
 
 
 def relabel(w: Word, alphabet: Alphabet) -> Word:
-    """The same word over another alphabet, letters matched by name (Alphabet.index checks)."""
-    names = w.alphabet.names
-    return Word._unchecked(alphabet, [(alphabet.index(names[i]), s) for i, s in w.letters])
+    """The same word over another alphabet, letters matched by name.
+
+    The letter map from w's alphabet is built once and kept on the target.
+    A letter whose name the target lacks raises AlphabetMismatch, and only
+    when the word uses it.
+    """
+    source = w.alphabet
+    letters = alphabet._maps.get(source)
+    if letters is None:
+        index = alphabet._index
+        letters = alphabet._maps[source] = {
+            (i, sign): (index[name], sign)
+            for i, name in enumerate(source.names) if name in index for sign in (1, -1)
+        }
+    try:
+        return Word._unchecked(alphabet, map(letters.__getitem__, w.letters))
+    except KeyError as missing:
+        raise AlphabetMismatch(f"unknown generator {source.names[missing.args[0][0]]!r}") from None
 
 
 MAX_PARSED_LETTERS = 1_000_000  # a parsed word is refused before it grows past this

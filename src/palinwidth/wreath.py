@@ -12,8 +12,10 @@ product law is
 Evaluation collects each position's base letters in word order, cancelling
 inverse neighbours as they are deposited, and has the base group evaluate
 each position's reduced word once (evaluate_reduced); identity lamps are
-dropped.  The top's signed letter values are looked up once per handle,
-and a run of base letters computes its position once.
+dropped.  A finite top steps through its letter columns, the table shared
+by every reader of the handle, and any other top multiplies by its signed
+letter values, looked up once per handle; a run of base letters computes
+its position once.
 
 A wreath product meets the same Group contract as its factors, so anything
 that takes a group (certificates, homomorphisms, push-forwards) takes one
@@ -26,7 +28,8 @@ faithful right action (p, x).(phi, a) = (p*a, x*phi(p)) on top x base.
 """
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from functools import cached_property
+from typing import Any, Iterable, Optional, Sequence
 
 from .errors import AlphabetMismatch, GroupDefinitionError
 from .groups import MAX_GROUP_SIZE, BaumslagSolitar, FiniteGroup, Group
@@ -68,6 +71,7 @@ class WreathProduct(Group):
         self.alphabet = Alphabet(top.alphabet.names + base.alphabet.names)
         self._split = len(top.alphabet)
         self._top_values = top.letter_values()  # looked up once for evaluate
+        self._widened: dict[FiniteGroup, WreathProduct] = {}
 
     # element arithmetic
 
@@ -117,6 +121,21 @@ class WreathProduct(Group):
     def is_identity(self, g: WreathElement) -> bool:
         return not g.base and self.top.is_identity(g.top)
 
+    @cached_property
+    def _letter_steps(self) -> tuple[Optional[dict], dict]:
+        """What evaluate reads per letter, built on this handle's first evaluation.
+
+        A finite top's letter columns (None for any other top, which steps
+        through multiply), and per base letter of the combined alphabet,
+        that letter and its inverse over the base's alphabet.
+        """
+        columns = self.top.letter_columns if isinstance(self.top, FiniteGroup) else None
+        split = self._split
+        return columns, {
+            (split + i, sign): ((i, sign), (i, -sign))
+            for i in range(len(self.base.alphabet)) for sign in (1, -1)
+        }
+
     def evaluate(self, word: Word) -> WreathElement:
         """The element a word over the combined alphabet spells, read left to right.
 
@@ -131,27 +150,46 @@ class WreathProduct(Group):
                 f"word over {word.alphabet!r} fed to wreath product over {self.alphabet!r}"
             )
         top, split, top_values = self.top, self._split, self._top_values
+        columns, base_letters = self._letter_steps
         multiply = top.multiply
+        inverse = top.inverse if columns is None else top._inv.__getitem__
         prefix = top.identity()
         deposits: dict = {}  # position -> its base letters, in word order
         run = None  # the letter list of the current run's position
         for letter in word.letters:
-            index, sign = letter
-            if index < split:
-                prefix = multiply(prefix, top_values[letter])
+            if letter[0] < split:
+                if columns is None:
+                    prefix = multiply(prefix, top_values[letter])
+                else:
+                    prefix = columns[letter][prefix]
                 run = None
             else:
+                base_letter, inverse_letter = base_letters[letter]
                 if run is None:
-                    run = deposits.setdefault(top.inverse(prefix), [])
-                if run and run[-1] == (index - split, -sign):
+                    run = deposits.setdefault(inverse(prefix), [])
+                if run and run[-1] == inverse_letter:
                     run.pop()
                 else:
-                    run.append((index - split, sign))
+                    run.append(base_letter)
         # a base run is the word's own letters shifted down by the top's rank: no check
         return self.element(prefix, [
             (position, self.base.evaluate_reduced(Word._unchecked(self.base.alphabet, letters)))
             for position, letters in deposits.items()
         ])
+
+    def widened(self, top: FiniteGroup) -> WreathProduct:
+        """This product's base over an extension of its top, one handle per extension.
+
+        An extension (FiniteGroup.with_extra_generator) shares the top's
+        table and element indices, so an element of this product is one of
+        the widened product too.
+        """
+        wide = self._widened.get(top)
+        if wide is None:
+            if not (isinstance(self.top, FiniteGroup) and top.extends(self.top)):
+                raise GroupDefinitionError("a widened top must extend this product's top")
+            wide = self._widened[top] = WreathProduct(top, self.base)
+        return wide
 
     def letter_value(self, index: int, sign: int) -> WreathElement:
         return self.evaluate(Word(self.alphabet, [(index, sign)]))

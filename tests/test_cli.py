@@ -113,6 +113,26 @@ def test_decompose_finite_top_and_verify_round_trip(capsys, tmp_path):
     assert bad_report["verified"] is False
 
 
+@pytest.mark.parametrize("edit", [{"bound": 0}, {"count": 99}], ids=["bound-0", "count-99"])
+def test_verify_refuses_a_count_or_bound_its_factors_contradict(capsys, tmp_path, edit):
+    # the factors still certify, but the report's own count and bound must agree with them
+    code, out = run(
+        capsys,
+        "decompose", "--top", "S3", "--base", F2_DEF,
+        "--mode", "finite-top", "--word", "t*y1^2*s*y2^-1*t^-1*y1",
+    )
+    report = json.loads(out)
+    listed = len(report["factors"])
+    assert code == 0 and report["count"] == listed and report["bound"] > 0
+    edited = {**report, **edit}
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(edited))
+    code, refusal = run_json(capsys, "verify", "--report", str(path))
+    assert code == 1
+    claim = f"{edited['count']} factors within bound {edited['bound']} and lists {listed}"
+    assert refusal == {"command": "verify", "failure": f"ClaimMismatch: report claims {claim}"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

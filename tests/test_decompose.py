@@ -11,6 +11,7 @@ from palinwidth import (
     FiniteGroup,
     FreeAbelianGroup,
     FreeGroup,
+    PairAutomaton,
     RelationWitness,
     Word,
     WreathProduct,
@@ -251,6 +252,20 @@ def test_relation_budget():
     with pytest.raises(BudgetExhausted):
         find_reversal_asymmetric_relation(bs, budget=4)
     assert str(find_reversal_asymmetric_relation(bs, budget=5).relation) == "a^-1*b*a*b^-2"
+
+
+def test_relation_memo_checks_the_budget_on_every_call():
+    # the oracle keeps its shortest relation; each call still compares it with its own budget
+    S3 = presets.symmetric_3()
+    assert str(find_reversal_asymmetric_relation(S3).relation) == "s*t*c"
+    with pytest.raises(BudgetExhausted):
+        find_reversal_asymmetric_relation(S3, budget=1)
+    assert str(find_reversal_asymmetric_relation(S3, budget=3).relation) == "s*t*c"
+    # a refusal remembers nothing that a later call without a budget would trip on
+    fresh = presets.symmetric_3()
+    with pytest.raises(BudgetExhausted):
+        find_reversal_asymmetric_relation(fresh, budget=2)
+    assert str(find_reversal_asymmetric_relation(fresh).relation) == "s*t*c"
 
 
 def test_relation_q8():
@@ -636,6 +651,29 @@ def test_full_finite_top_evaluates_the_word_and_the_certificate_only(monkeypatch
     data = CommutatorData((CommutatorSite(0, ((f, g),)), CommutatorSite(2, ((g, f),))))
     assert decompose_derived_wreath(wide, data, 3, witness).verified
     assert len(calls) == 1
+
+
+def test_full_finite_top_builds_its_per_top_state_once(monkeypatch):
+    # relation=auto: the relation search, the extension by c and the wreath product
+    # over it belong to the top handle, so only the first call builds any of them
+    wreath = WreathProduct(
+        FiniteGroup.from_permutations({"s": [2, 1, 3, 4], "t": [2, 3, 4, 1]}),
+        FreeGroup(names=["y1", "y2"]),
+    )
+    built = []
+
+    def counted(method, what):
+        return lambda self, *args: built.append(what) or method(self, *args)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counted(FiniteGroup.__init__, FiniteGroup))
+    monkeypatch.setattr(WreathProduct, "__init__", counted(WreathProduct.__init__, WreathProduct))
+    monkeypatch.setattr(PairAutomaton, "__iter__", counted(PairAutomaton.__iter__, PairAutomaton))
+    rng = random.Random(23)
+    for call in range(10):
+        built.clear()
+        fact = decompose_full_finite_top(wreath, random_word(rng, wreath.alphabet, 40, 20))
+        assert fact.verified and fact.meta["witness"].extra_generator is not None
+        assert (PairAutomaton in built) if call == 0 else built == []
 
 
 def test_full_finite_top_reverse_check_guards_bad_relations(monkeypatch):

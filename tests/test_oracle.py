@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from palinwidth import (
     FiniteGroup,
     FreeGroup,
     Word,
+    WreathProduct,
     build_pair_automaton,
     exact_palindromic_width,
     find_reversal_asymmetric_relation,
@@ -350,3 +352,57 @@ def test_random_products_of_palindromes_verify():
         for word in chosen:
             target = S3.multiply(target, S3.evaluate(word))
         assert verify_factorization(S3, target, chosen).valid
+
+
+def reference_certificate(group, target, factors) -> tuple:
+    """(valid, centers, failing_index, reason) from is_palindrome and a fold of evaluate."""
+    centers = []
+    for i, factor in enumerate(factors):
+        if factor.alphabet != group.alphabet:
+            return False, tuple(centers), i, "AlphabetMismatch"
+        certificate = is_palindrome(factor)
+        if certificate is None:
+            return False, tuple(centers), i, "NotPalindrome"
+        centers.append(certificate.center_str())
+    product = group.identity()
+    for factor in factors:
+        product = group.multiply(product, group.evaluate(factor))
+    if not group.equal(product, target):
+        return False, tuple(centers), None, "ProductMismatch"
+    return True, tuple(centers), None, None
+
+
+@st.composite
+def _factor_lists(draw, alphabet, foreign):
+    """Palindromes, some with one letter's sign flipped, and maybe one foreign palindrome."""
+    letter = st.tuples(st.integers(0, len(alphabet) - 1), st.sampled_from((1, -1)))
+    factors = []
+    for _ in range(draw(st.integers(0, 6))):
+        half = draw(st.lists(letter, max_size=4))
+        letters = half + draw(st.lists(letter, max_size=1)) + half[::-1]
+        if letters and draw(st.booleans()):
+            i = draw(st.integers(0, len(letters) - 1))
+            letters[i] = (letters[i][0], -letters[i][1])
+        factors.append(Word(alphabet, letters))
+    if draw(st.booleans()):
+        factors.insert(draw(st.integers(0, len(factors))), Word.parse(foreign, "s*t^-1*s"))
+    return factors
+
+
+F2_WR_S3 = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_factorization_matches_its_reference(data):
+    # the certificate reads each factor's palindrome test and centre off its letters
+    wreath = F2_WR_S3
+    factors = data.draw(_factor_lists(wreath.alphabet, wreath.top.alphabet))
+    target = wreath.identity()
+    if data.draw(st.booleans()):
+        for factor in factors:
+            if factor.alphabet == wreath.alphabet:
+                target = wreath.multiply(target, wreath.evaluate(factor))
+    got = verify_factorization(wreath, target, factors)
+    expected = reference_certificate(wreath, target, factors)
+    assert (got.valid, got.centers, got.failing_index, got.reason) == expected

@@ -151,6 +151,13 @@ def test_relabel_by_name():
     assert moved.alphabet == bigger
     with pytest.raises(AlphabetMismatch):
         relabel(Word.parse(Alphabet(["q"]), "q"), AB)
+    # a name the target lacks is refused only in a word that uses it, and the kept
+    # letter map refuses it again
+    wider = Alphabet(["x2", "q", "x1"])
+    assert relabel(Word.parse(wider, "x2*x1^-1"), AB) == w("x2*x1^-1")
+    for _ in range(2):
+        with pytest.raises(AlphabetMismatch, match="unknown generator 'q'"):
+            relabel(Word.parse(wider, "x1*q^-1"), AB)
 
 
 def test_alphabet_validation():

@@ -253,8 +253,15 @@ def test_wreath_evaluation_matches_finite_materialisation():
 
 # base over top: a free base (evaluate_reduced returns the reduced word) and
 # finite and one-relator bases (the default evaluate_reduced, their evaluate)
+def s3_plus_c() -> FiniteGroup:
+    """S3 over {s, t, c = s*t}: an extension, sharing S3's table and element indices."""
+    s3 = presets.symmetric_3()
+    return s3.with_extra_generator("c", s3.evaluate(Word.parse(s3.alphabet, "s*t")))
+
+
 FOLD_WREATHS = {
     "F2 wr S3": lambda: WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"])),
+    "F2 wr (S3+c)": lambda: WreathProduct(s3_plus_c(), FreeGroup(names=["y1", "y2"])),
     "F2 wr Z^2": lambda: WreathProduct(FreeAbelianGroup(2), FreeGroup(names=["y1", "y2"])),
     "S3 wr Z": lambda: WreathProduct(FreeAbelianGroup(1, names=["x"]), presets.symmetric_3()),
     "Z/3 wr Z/4": lambda: WreathProduct(presets.cyclic(4, "z"), presets.cyclic(3, "y")),
@@ -295,3 +302,17 @@ def test_evaluate_matches_the_generic_fold(name, data):
     value = wreath.evaluate(word)
     assert not any(wreath.base.is_identity(lamp) for lamp in value.base.values())
     assert wreath.equal(value, Group.evaluate(wreath, word))
+
+
+def test_widened_keeps_one_handle_per_extension_and_shares_elements():
+    # an extension shares the top's table and element indices: a word's value over
+    # the narrow handle is its relabelled value over the widened one
+    narrow = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+    top = narrow.top
+    extension = top.with_extra_generator("c", top.evaluate(Word.parse(top.alphabet, "s*t")))
+    wide = narrow.widened(extension)
+    assert narrow.widened(extension) is wide and wide.top is extension
+    word = random_word(random.Random(5), narrow.alphabet, 40)
+    assert wide.equal(narrow.evaluate(word), wide.evaluate(relabel(word, wide.alphabet)))
+    with pytest.raises(GroupDefinitionError):
+        narrow.widened(presets.dihedral_4())

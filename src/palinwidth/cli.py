@@ -266,21 +266,25 @@ def _mode_calls(
     top: Group,
     base: Group,
     witness: Optional[RelationWitness],
-) -> tuple[Callable[[], PalindromeFactorization], Callable[[], WreathElement]]:
-    """The construction and the target for one mode, on a report's inputs.
+) -> tuple[Callable[[], PalindromeFactorization], Callable[[], tuple[WreathElement, int, str]]]:
+    """The construction for one mode, and its claim: target, bound and formula.
 
-    `decompose` runs the first, `verify` checks stored factors against the
-    second, so both read the inputs and compute the target the same way.
-    The target is computed on demand: decompose never needs it, and working
-    it out first would report some bad inputs with the target's error
-    rather than the construction's.
+    `decompose` runs the first, `verify` checks a report against the
+    second, so both read the inputs and compute the target and the bound
+    the same way.  The claim is computed on demand: decompose never needs
+    it, and working it out first would report some bad inputs with the
+    target's error rather than the construction's.
     """
     from .decompose import (
         abelian_top_target, commutator_target, decompose_commutator_abelian_top,
         decompose_commutator_pair, decompose_derived_wreath, decompose_full_finite_top,
-        decompose_shifted_commutators,
+        decompose_shifted_commutators, derived_bound, find_reversal_asymmetric_relation,
+        finite_top_bound, shifted_bound, unrolled_bound,
     )
     from .wreath import WreathProduct
+
+    def claim(target: Callable[[], WreathElement], bound: Callable[[], tuple[int, str]]):
+        return lambda: (target(), *bound())
 
     if mode == "abelian-top":
         wreath = WreathProduct(top, base)
@@ -293,15 +297,16 @@ def _mode_calls(
             raise GroupDefinitionError(
                 f"exponents spell {letters} top letters, over the {MAX_PARSED_LETTERS} limit"
             )
+        bound = partial(unrolled_bound, exponents, b_text is not None)
         if b_text is None:
             return (
                 partial(decompose_commutator_abelian_top, wreath, a_word, exponents),
-                partial(abelian_top_target, wreath, a_word, exponents),
+                claim(partial(abelian_top_target, wreath, a_word, exponents), bound),
             )
         b_word = Word.parse(wreath.alphabet, b_text)
         return (
             partial(decompose_commutator_pair, wreath, a_word, b_word, exponents),
-            partial(abelian_top_target, wreath, a_word, exponents, b_word),
+            claim(partial(abelian_top_target, wreath, a_word, exponents, b_word), bound),
         )
     if mode in ("shifted", "derived"):
         if mode == "derived" and witness is None:
@@ -311,15 +316,23 @@ def _mode_calls(
         a_top = top.evaluate(Word.parse(top.alphabet, _field(inputs, "a_top", str)))
         if mode == "shifted":
             run = partial(decompose_shifted_commutators, wreath, data, a_top)
+            bound = partial(shifted_bound, top, data)
         else:
             run = partial(decompose_derived_wreath, wreath, data, a_top, witness)
-        return run, partial(commutator_target, wreath, data, a_top)
+            bound = partial(derived_bound, wreath.top)
+        return run, claim(partial(commutator_target, wreath, data, a_top), bound)
     if mode == "finite-top":
         wreath = WreathProduct(top, base)
         word = Word.parse(wreath.alphabet, _field(inputs, "word", str))
+
+        def bound() -> tuple[int, str]:
+            # over the top the relation extends, as the construction counts it
+            wide = (witness or find_reversal_asymmetric_relation(top)).group
+            return finite_top_bound(wide, base)
+
         return (
             partial(decompose_full_finite_top, wreath, word, witness),
-            partial(wreath.evaluate, word),
+            claim(partial(wreath.evaluate, word), bound),
         )
     raise GroupDefinitionError(f"unknown mode {mode!r}")
 
@@ -426,15 +439,22 @@ def cmd_verify(args) -> tuple[dict, bool]:
     mode = _field(stored, "mode", str)
     witness = _witness(_field(stored, "relation_used", dict, None), top)
     wreath = WreathProduct(witness.group if witness else top, base)
-    _, target = _mode_calls(mode, _field(stored, "inputs", dict), top, base, witness)
+    _, claim = _mode_calls(mode, _field(stored, "inputs", dict), top, base, witness)
     texts = _list_of(_field(stored, "factors", list), str, "factors")
     factors = [Word.parse(wreath.alphabet, text) for text in texts]
-    certificate = verify_factorization(wreath, target(), factors)
+    target, bound, formula = claim()
+    certificate = verify_factorization(wreath, target, factors)
     if certificate.valid:  # a failing certificate is reported as it is
-        count, bound = _field(stored, "count", int), _field(stored, "bound", int)
-        if count != len(factors) or count > bound:
+        count, claimed = _field(stored, "count", int), _field(stored, "bound", int)
+        if count != len(factors) or count > claimed:
             raise ClaimMismatch(
-                f"report claims {count} factors within bound {bound} and lists {len(factors)}"
+                f"report claims {count} factors within bound {claimed} and lists {len(factors)}"
+            )
+        claimed_formula = _field(stored, "bound_formula", str)
+        if (claimed, claimed_formula) != (bound, formula):
+            raise ClaimMismatch(
+                f"report claims bound {claimed} ({claimed_formula}),"
+                f" its inputs give {bound} ({formula})"
             )
     return (
         {

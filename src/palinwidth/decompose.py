@@ -242,16 +242,22 @@ def decompose_commutator_pair(
     return _unrolled_commutators(wreath, first_word, exponents, second_word)
 
 
+def unrolled_bound(exponents: Sequence[int], pair: bool) -> tuple[int, str]:
+    """Bound and formula of [a, t], or of [a, t][b, t^2] for a pair: 2n palindromes
+    per commutator, 2n+1 for odd n."""
+    n, k = len(exponents), 2 if pair else 1
+    return k * (2 * n + n % 2), f"{2 * k}n" + (f"+{k}" if n % 2 else "")
+
+
 def _unrolled_commutators(
     wreath: WreathProduct,
     first_word: Word,
     exponents: Sequence[int],
     second_word: Optional[Word] = None,
 ) -> PalindromeFactorization:
-    """[a, t], times [b, t^2] when b is given: 2n palindromes per commutator, 2n+1 for odd n."""
+    """[a, t], times [b, t^2] when b is given (see unrolled_bound)."""
     exponents = list(exponents)
-    n, k = len(exponents), 1 if second_word is None else 2
-    bound, formula = k * (2 * n + n % 2), f"{2 * k}n" + (f"+{k}" if n % 2 else "")
+    bound, formula = unrolled_bound(exponents, second_word is not None)
     target = abelian_top_target(wreath, first_word, exponents, second_word)
     factors: list[Word] = []
     for scale, word in ((1, first_word), (2, second_word)):
@@ -365,12 +371,11 @@ def _carrier(wreath: WreathProduct, data: CommutatorData, witness: RelationWitne
     h interleaves the relation r around each commutator argument; reversing
     h sends the f- and g-blocks to two different positions where they cancel
     pairwise, so reverse(h) evaluates to the identity and h.reverse(h) is a
-    palindrome representing the same element as h.  As r is a checked relation,
-    h evaluates to the site lamps, so a certificate covering h.reverse(h) passes
-    exactly when reverse(h) = 1: _checked evaluates reverse(h) on refusal only.
+    palindrome representing the same element as h.  As r is a relation (the
+    callers check a witness they are given), h evaluates to the site lamps, so
+    a certificate covering h.reverse(h) passes exactly when reverse(h) = 1:
+    _checked evaluates reverse(h) on refusal only.
     """
-    _validate_witness(wreath.top, witness)
-
     r = relabel(witness.relation, wreath.alphabet)
     r_inv = invert(r)
     letters: list = []
@@ -395,24 +400,29 @@ def decompose_derived_wreath(
     """Whole derived-base part as one palindrome h.reverse(h) (see _carrier),
     plus at most pw(top) palindromes from the oracle for the top element."""
     top = wreath.top
-    if not isinstance(top, FiniteGroup):
-        raise GroupDefinitionError("the single-palindrome construction needs a finite top")
-    top_oracle = oracle_for(top)
-    width = top_oracle.width().width
+    bound, formula = derived_bound(top)
     target = commutator_target(wreath, data, top_value)
+    _validate_witness(top, witness)
     h = _carrier(wreath, data, witness)
-    factors = [relabel(w, wreath.alphabet) for w in top_oracle.decompose(top_value)]
+    factors = [relabel(w, wreath.alphabet) for w in oracle_for(top).decompose(top_value)]
     if h.letters:
         factors.append(h * reverse(h))
     return _checked(
         wreath,
         target,
         factors,
-        width + 1,
-        "pw(top)+1",
-        meta={"top_width": width, "carrier": h},
+        bound,
+        formula,
+        meta={"top_width": bound - 1, "carrier": h},
         carrier=h,
     )
+
+
+def derived_bound(top: Group) -> tuple[int, str]:
+    """Bound and formula of decompose_derived_wreath over a top: pw(top), plus the carrier."""
+    if not isinstance(top, FiniteGroup):
+        raise GroupDefinitionError("the single-palindrome construction needs a finite top")
+    return oracle_for(top).width().width + 1, "pw(top)+1"
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +455,7 @@ def decompose_shifted_commutators(
         raise NoInfiniteOrderGenerator("top has no infinite-order generator")
 
     n = data.max_pairs()
-    bound = len(top.alphabet) + 7 * n
+    bound, formula = shifted_bound(top, data)
     prefix = [relabel(w, wreath.alphabet) for w in _power_words(top, top_value)]
 
     def aggregate(j: int, which: int) -> Word:
@@ -478,13 +488,18 @@ def decompose_shifted_commutators(
                 factors=tuple(factors),
                 target=target,
                 bound_claimed=bound,
-                bound_formula="r+7n",
+                bound_formula=formula,
                 certificate=certificate,
                 meta={"retries": attempt, "shift": (index, q, y)},
             )
         q *= 2
         y *= 2
     raise NoValidShift(f"no separating shift found in {MAX_SHIFT_RETRIES} retries")
+
+
+def shifted_bound(top: Group, data: CommutatorData) -> tuple[int, str]:
+    """Bound and formula of decompose_shifted_commutators: r power words, 7 per commutator index."""
+    return len(top.alphabet) + 7 * data.max_pairs(), "r+7n"
 
 
 # ---------------------------------------------------------------------------
@@ -538,6 +553,16 @@ def _cursor_walk_bound(top: FiniteGroup, base_rank: int) -> int:
     return top.max_word_length() * (top.size + 1) + base_rank * top.size
 
 
+def finite_top_bound(top: Group, base: Group) -> tuple[int, str]:
+    """Bound and formula of decompose_full_finite_top over the witness's top: the
+    cursor walk's bound plus the one derived palindrome."""
+    if not isinstance(top, FiniteGroup):
+        raise GroupDefinitionError("finite top required")
+    if not isinstance(base, FreeGroup):
+        raise GroupDefinitionError("free base required")
+    return _cursor_walk_bound(top, base.rank) + 1, _CURSOR_WALK_FORMULA + " + 1"
+
+
 def decompose_finite_top_abelianized(
     wreath: WreathProduct, element: WreathElement
 ) -> PalindromeFactorization:
@@ -574,15 +599,16 @@ def decompose_full_finite_top(
     if not isinstance(base, FreeGroup):
         raise GroupDefinitionError("free base required")
     if witness is None:
-        witness = find_reversal_asymmetric_relation(top)
+        witness = find_reversal_asymmetric_relation(top)  # checked by the search
     elif not (isinstance(witness.group, FiniteGroup) and witness.group.extends(top)):
         raise InvalidWitness("witness is not over the top or the top extended")
+    else:
+        _validate_witness(witness.group, witness)
     # an extension shares the top's table and element indices: the word's
     # value here is its value over the widened handle as well
     target = wreath.evaluate(word)
     wide = wreath if witness.group.alphabet == top.alphabet else wreath.widened(witness.group)
-    # the cursor walk's bound plus the one derived palindrome
-    bound = _cursor_walk_bound(wide.top, base.rank) + 1
+    bound, formula = finite_top_bound(wide.top, base)
 
     lamps: list = []
     factors = _cursor_walk(wide, target, lamps)
@@ -603,7 +629,7 @@ def decompose_full_finite_top(
         target,
         factors,
         bound,
-        _CURSOR_WALK_FORMULA + " + 1",
+        formula,
         meta={
             "wreath": wide,
             "witness": witness,

@@ -26,29 +26,55 @@ def quaternion_8() -> FiniteGroup:
     )
 
 
-def cyclic(order: int, name: str = "z") -> FiniteGroup:
+def _check_cyclic_order(order: int) -> None:
     if order < 1:
         raise GroupDefinitionError("cyclic order must be positive")
     if order > MAX_GROUP_SIZE:
         raise GroupDefinitionError(f"cyclic order {order} exceeds {MAX_GROUP_SIZE} elements")
+
+
+def cyclic(order: int, name: str = "z") -> FiniteGroup:
+    _check_cyclic_order(order)
     # the residue a steps to a+1 and a-1: one integer per element, not a permutation
     return FiniteGroup.from_elements([name], 0, lambda a: ((a + 1) % order, (a - 1) % order))
 
 
 def lamplighter(base_order: int, top_order: int) -> FiniteGroup:
-    """Finite truncation Z/m wr Z/k of a lamplighter-style wreath product.
+    """Finite truncation Z/m wr Z/k of a lamplighter-style wreath product, over z (top), y (base).
 
-    Its order m^k*k is known before either factor is built, so an order
-    over MAX_GROUP_SIZE is refused at once.  A factor over the limit is
-    left to cyclic to refuse, which keeps the power small.
+    An element is one integer t + k*L: the cursor t in Z/k and the lamps
+    L = sum of lamp_p * m^p, each lamp_p in 0..m-1.  z^±1 moves the cursor
+    by ±1; y^±1 adds ±1 mod m to the lamp at -t, where the wreath convention
+    deposits a base letter read after the top prefix t.  Discovery order
+    depends only on the labelled Cayley graph, so the table, inverses and
+    geodesics are those of WreathProduct(cyclic(k, "z"), cyclic(m, "y"))
+    .as_finite_group(), built without its permutations of m*k points.
+
+    Its order m^k*k is known before anything is built, so an order over
+    MAX_GROUP_SIZE is refused at once.  A factor over the limit is refused
+    as cyclic refuses it, which keeps the power small.
     """
-    from .wreath import WreathProduct  # only lamplighters need the wreath module
-
-    if max(base_order, top_order) <= MAX_GROUP_SIZE < base_order**top_order * top_order:
+    m, k = base_order, top_order
+    if max(m, k) <= MAX_GROUP_SIZE < m**k * k:
         raise GroupDefinitionError(
-            f"lamplighter order {base_order}^{top_order}*{top_order} exceeds {MAX_GROUP_SIZE} elements"
+            f"lamplighter order {m}^{k}*{k} exceeds {MAX_GROUP_SIZE} elements"
         )
-    return WreathProduct(cyclic(top_order, "z"), cyclic(base_order, "y")).as_finite_group()
+    for order in (k, m):  # the top's order first, then the base's
+        _check_cyclic_order(order)
+    # per cursor t: the moves to t+1 and t-1, and the place value of the lamp at -t, times k
+    shifts = [((t + 1) % k - t, (t - 1) % k - t, k * m ** (-t % k)) for t in range(k)]
+
+    def step(code: int) -> tuple[int, int, int, int]:
+        forward, back, place = shifts[code % k]
+        lamp = code // place % m
+        return (
+            code + forward,
+            code + back,
+            code + place if lamp < m - 1 else code - lamp * place,  # m-1 wraps to 0
+            code - place if lamp else code + (m - 1) * place,  # 0 wraps to m-1
+        )
+
+    return FiniteGroup.from_elements(["z", "y"], 0, step)
 
 
 def baumslag_solitar(n: int, m: int) -> BaumslagSolitar:

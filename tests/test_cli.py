@@ -113,6 +113,42 @@ def test_decompose_finite_top_and_verify_round_trip(capsys, tmp_path):
     assert bad_report["verified"] is False
 
 
+_ONE_REPORT_PER_MODE = {
+    "abelian-top": ["--top", "Z^2", "--base", F2_DEF, "--exps", "2,-1", "--word", "y1*y2"],
+    "shifted": ["--top", '{"kind":"free_abelian","rank":1,"names":["x"]}', "--base", "S3",
+                "--commutators", '[{"position": "x^2", "pairs": [["s", "t"]]}]', "--a-top", "x"],
+    "derived": ["--top", "S3", "--base", F2_DEF, "--a-top", "s",
+                "--commutators", '[{"position": "t", "pairs": [["y1", "y2"]]}]'],
+    "finite-top": ["--top", "S3", "--base", F2_DEF, "--word", "t*y1^2*s*y2^-1*t^-1*y1"],
+}
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+@pytest.mark.parametrize(
+    "edit", [{"bound": 1000, "bound_formula": "anything"}, {"bound_formula": "anything"}, "bound+1"],
+    ids=["bound-and-formula", "formula", "bound+1"],
+)
+def test_verify_recomputes_the_bound_from_the_inputs(capsys, tmp_path, mode, edit):
+    # a report's bound and formula are the construction's, worked out again
+    # from its inputs: an edited bound is refused even when the count fits it
+    code, out = run(capsys, "decompose", "--mode", mode, *_ONE_REPORT_PER_MODE[mode])
+    report = json.loads(out)
+    assert code == 0 and report["verified"] is True
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, again = run(capsys, "verify", "--report", str(path))
+    assert code == 0 and json.loads(again)["verified"] is True
+    edited = {**report, **({"bound": report["bound"] + 1} if edit == "bound+1" else edit)}
+    path.write_text(json.dumps(edited))
+    code, refusal = run_json(capsys, "verify", "--report", str(path))
+    assert code == 1
+    claim = (
+        f"bound {edited['bound']} ({edited['bound_formula']}),"
+        f" its inputs give {report['bound']} ({report['bound_formula']})"
+    )
+    assert refusal == {"command": "verify", "failure": f"ClaimMismatch: report claims {claim}"}
+
+
 @pytest.mark.parametrize("edit", [{"bound": 0}, {"count": 99}], ids=["bound-0", "count-99"])
 def test_verify_refuses_a_count_or_bound_its_factors_contradict(capsys, tmp_path, edit):
     # the factors still certify, but the report's own count and bound must agree with them

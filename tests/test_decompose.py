@@ -690,6 +690,30 @@ def test_full_finite_top_reverse_check_guards_bad_relations(monkeypatch):
     assert fact.verified and fact.meta["derived_factors"] == 0
 
 
+def test_a_witness_is_checked_where_a_caller_passes_it(monkeypatch):
+    # the relation search's own witness is exact and is not checked again;
+    # a witness a caller passes is checked once per call
+    checked = []
+    validate = decompose_module._validate_witness
+    monkeypatch.setattr(
+        decompose_module, "_validate_witness", lambda top, w: checked.append(w) or validate(top, w)
+    )
+    wreath = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+    word = Word.parse(wreath.alphabet, "y1^-1*y2^-1*y1*y2*s")
+    assert decompose_full_finite_top(wreath, word).verified and checked == []
+    witness = find_reversal_asymmetric_relation(wreath.top)
+    assert decompose_full_finite_top(wreath, word, witness).verified and checked == [witness]
+    not_a_relation = witness._replace(relation=Word.parse(witness.group.alphabet, "s*t"))
+    with pytest.raises(InvalidWitness, match="not a relation"):
+        decompose_full_finite_top(wreath, word, not_a_relation)
+    derived, derived_witness = s3_wreath()
+    f, g = base_words(derived, "y1", "y2")
+    checked.clear()
+    data = CommutatorData((CommutatorSite(0, ((f, g),)),))
+    fact = decompose_derived_wreath(derived, data, 0, derived_witness)
+    assert fact.verified and checked == [derived_witness]
+
+
 def test_full_finite_top_abelian_top_rejected():
     wreath = WreathProduct(presets.klein_four(), FreeGroup(names=["y1", "y2"]))
     with pytest.raises(AbelianGroup):

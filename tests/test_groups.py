@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -253,6 +254,46 @@ def test_cyclic_integer_step_matches_the_permutation_build(order):
     assert cyclic._inv == cycle._inv
     assert cyclic.generator_indices == cycle.generator_indices
     assert cyclic.geodesics() == cycle.geodesics()
+
+
+@pytest.mark.parametrize(
+    "m, k", [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (2, 5), (3, 3), (4, 3), (5, 2)]
+)
+def test_lamplighter_integer_step_matches_the_wreath_build(m, k):
+    lamp = presets.lamplighter(m, k)
+    wreath = WreathProduct(presets.cyclic(k, "z"), presets.cyclic(m, "y")).as_finite_group()
+    assert lamp._table == wreath._table
+    assert lamp._inv == wreath._inv
+    assert lamp.generator_indices == wreath.generator_indices
+    assert lamp.geodesics() == wreath.geodesics()
+
+
+def test_a_trivial_lamplighter_factor_costs_nothing_extra():
+    # lamp(1,1000) is Z/1000 with a trivial second generator: it builds in
+    # about the same memory, not through permutations of 1000 points
+    def peak(name: str) -> int:
+        tracemalloc.start()
+        try:
+            presets.get(name)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak("lamp(1,1000)") <= 1.25 * peak("Z/1000")
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [("lamp(0,3)", "cyclic order must be positive"),
+     ("lamp(3,0)", "cyclic order must be positive"),
+     ("lamp(1,20001)", "cyclic order 20001 exceeds 20000 elements"),
+     ("lamp(20001,0)", "cyclic order must be positive"),
+     ("lamp(20001,1)", "cyclic order 20001 exceeds 20000 elements")],
+)
+def test_lamplighter_factor_refusals_keep_their_messages(name, message):
+    # the top's order is checked before the base's, as each cyclic factor checks it
+    with pytest.raises(GroupDefinitionError, match=f"^{message}$"):
+        presets.get(name)
 
 
 @pytest.mark.parametrize(

@@ -45,6 +45,13 @@ def test_pw_exact_leaves_the_constructions_unloaded():
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_a_lamplighter_preset_leaves_the_wreath_module_unloaded():
+    # lamp(m,k) is built from its integer step, not through WreathProduct
+    loaded, _ = fresh("from palinwidth import cli\ncli.main(['pw-exact', '--group', 'lamp(2,3)'])")
+    assert "palinwidth.presets" in loaded and "palinwidth.oracle" in loaded
+    assert "palinwidth.wreath" not in loaded
+
+
 def test_a_submodule_import_loads_only_what_it_imports():
     loaded, _ = fresh("from palinwidth import words")
     assert {name for name in loaded if name.startswith("palinwidth")} == {

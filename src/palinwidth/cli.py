@@ -206,11 +206,7 @@ def _parse_exponents(text: str) -> list[int]:
 def _parse_commutators(text: str, wreath: WreathProduct) -> CommutatorData:
     from .decompose import CommutatorData, CommutatorSite
 
-    if text.startswith("@"):
-        with open(text[1:]) as handle:
-            raw = json.load(handle)
-    else:
-        raw = json.loads(text)
+    raw = json.loads(text)
     if not isinstance(raw, list):
         raise GroupDefinitionError("commutator data is a JSON list of sites")
     sites = []
@@ -228,14 +224,15 @@ def _parse_commutators(text: str, wreath: WreathProduct) -> CommutatorData:
     return CommutatorData(tuple(sites))
 
 
-def _decompose_inputs(args, top: Group, wreath: WreathProduct) -> tuple[dict, Optional[dict]]:
-    """argv as the report's `inputs` and `relation_used` blocks.
+def _decompose_inputs(args, wreath: WreathProduct) -> tuple[dict, Optional[RelationWitness]]:
+    """argv as the report's `inputs` block, and the relation the construction is given.
 
     The finite-top and derived modes need a relation over a finite top;
     with relation=auto it is found here, before the construction runs.
     """
-    from .decompose import find_reversal_asymmetric_relation
+    from .decompose import RelationWitness, find_reversal_asymmetric_relation
 
+    top = wreath.top
     if args.mode == "abelian-top":
         if args.exps is None:
             raise GroupDefinitionError("--exps is required for abelian-top mode")
@@ -247,7 +244,11 @@ def _decompose_inputs(args, top: Group, wreath: WreathProduct) -> tuple[dict, Op
     if args.mode == "finite-top":
         inputs = {"word": str(Word.parse(wreath.alphabet, args.word or "1"))}
     else:
-        inputs = {"commutators": args.commutators or "[]", "a_top": args.a_top or "1"}
+        text = args.commutators or "[]"
+        if text.startswith("@"):  # the report keeps the data, not the path
+            with open(text[1:]) as handle:
+                text = handle.read()
+        inputs = {"commutators": text, "a_top": args.a_top or "1"}
         if args.mode != "derived":
             return inputs, None
     if not isinstance(top, FiniteGroup):
@@ -255,9 +256,8 @@ def _decompose_inputs(args, top: Group, wreath: WreathProduct) -> tuple[dict, Op
     if args.mode == "finite-top" and not isinstance(wreath.base, FreeGroup):
         raise GroupDefinitionError("finite-top mode needs a free base")
     if args.relation not in ("", "auto"):
-        relation = str(Word.parse(top.alphabet, args.relation))
-        return inputs, {"relation": relation, "extra_generator": None}
-    return inputs, _witness_def(find_reversal_asymmetric_relation(top, args.budget), top)
+        return inputs, RelationWitness(top, Word.parse(top.alphabet, args.relation))
+    return inputs, find_reversal_asymmetric_relation(top, args.budget)
 
 
 def _mode_calls(
@@ -276,18 +276,16 @@ def _mode_calls(
     target's error rather than the construction's.
     """
     from .decompose import (
-        abelian_top_target, commutator_target, decompose_commutator_abelian_top,
+        abelian_top_target, commutator_target, decompose_commutator_abelian_top, derived_bound,
         decompose_commutator_pair, decompose_derived_wreath, decompose_full_finite_top,
-        decompose_shifted_commutators, derived_bound, find_reversal_asymmetric_relation,
-        finite_top_bound, shifted_bound, unrolled_bound,
+        decompose_shifted_commutators, finite_top_bound, shifted_bound, unrolled_bound,
     )
     from .wreath import WreathProduct
 
-    def claim(target: Callable[[], WreathElement], bound: Callable[[], tuple[int, str]]):
-        return lambda: (target(), *bound())
-
+    if mode in ("derived", "finite-top") and witness is None:
+        raise GroupDefinitionError(f"{mode} mode needs a relation")
+    wreath = WreathProduct(top, base)
     if mode == "abelian-top":
-        wreath = WreathProduct(top, base)
         exponents = _list_of(_field(inputs, "exps", list), int, "exps")
         a_word = Word.parse(wreath.alphabet, _field(inputs, "word", str))
         b_text = _field(inputs, "word_b", str, None)
@@ -297,44 +295,31 @@ def _mode_calls(
             raise GroupDefinitionError(
                 f"exponents spell {letters} top letters, over the {MAX_PARSED_LETTERS} limit"
             )
-        bound = partial(unrolled_bound, exponents, b_text is not None)
         if b_text is None:
-            return (
-                partial(decompose_commutator_abelian_top, wreath, a_word, exponents),
-                claim(partial(abelian_top_target, wreath, a_word, exponents), bound),
-            )
-        b_word = Word.parse(wreath.alphabet, b_text)
-        return (
-            partial(decompose_commutator_pair, wreath, a_word, b_word, exponents),
-            claim(partial(abelian_top_target, wreath, a_word, exponents, b_word), bound),
-        )
-    if mode in ("shifted", "derived"):
-        if mode == "derived" and witness is None:
-            raise GroupDefinitionError("derived mode needs a relation")
-        wreath = WreathProduct(witness.group if mode == "derived" else top, base)
+            b_word, run = None, partial(decompose_commutator_abelian_top, wreath, a_word, exponents)
+        else:
+            b_word = Word.parse(wreath.alphabet, b_text)
+            run = partial(decompose_commutator_pair, wreath, a_word, b_word, exponents)
+        target = partial(abelian_top_target, wreath, a_word, exponents, b_word)
+        bound = partial(unrolled_bound, exponents, b_word is not None)
+    elif mode in ("shifted", "derived"):
         data = _parse_commutators(_field(inputs, "commutators", str), wreath)
         a_top = top.evaluate(Word.parse(top.alphabet, _field(inputs, "a_top", str)))
+        target = partial(commutator_target, wreath, data, a_top)
         if mode == "shifted":
             run = partial(decompose_shifted_commutators, wreath, data, a_top)
             bound = partial(shifted_bound, top, data)
         else:
             run = partial(decompose_derived_wreath, wreath, data, a_top, witness)
-            bound = partial(derived_bound, wreath.top)
-        return run, claim(partial(commutator_target, wreath, data, a_top), bound)
-    if mode == "finite-top":
-        wreath = WreathProduct(top, base)
+            bound = partial(derived_bound, witness.group)
+    elif mode == "finite-top":
         word = Word.parse(wreath.alphabet, _field(inputs, "word", str))
-
-        def bound() -> tuple[int, str]:
-            # over the top the relation extends, as the construction counts it
-            wide = (witness or find_reversal_asymmetric_relation(top)).group
-            return finite_top_bound(wide, base)
-
-        return (
-            partial(decompose_full_finite_top, wreath, word, witness),
-            claim(partial(wreath.evaluate, word), bound),
-        )
-    raise GroupDefinitionError(f"unknown mode {mode!r}")
+        run = partial(decompose_full_finite_top, wreath, word, witness)
+        target = partial(wreath.evaluate, word)
+        bound = partial(finite_top_bound, witness.group, base)
+    else:
+        raise GroupDefinitionError(f"unknown mode {mode!r}")
+    return run, lambda: (target(), *bound())
 
 
 def _factorization_report(fact) -> dict:
@@ -406,8 +391,7 @@ def cmd_decompose(args) -> tuple[dict, bool]:
 
     top = load_group(args.top)
     base = load_group(args.base)
-    inputs, relation_used = _decompose_inputs(args, top, WreathProduct(top, base))
-    witness = _witness(relation_used, top)
+    inputs, witness = _decompose_inputs(args, WreathProduct(top, base))
     run, _ = _mode_calls(args.mode, inputs, top, base, witness)
     fact = run()
     report: dict[str, Any] = {
@@ -420,8 +404,8 @@ def cmd_decompose(args) -> tuple[dict, bool]:
     if args.mode == "shifted":
         report["shift_used"] = list(fact.meta["shift"])
         report["retries"] = fact.meta["retries"]
-    elif relation_used is not None:
-        report["relation_used"] = relation_used
+    elif witness is not None:  # the witness the construction used, perhaps renamed
+        report["relation_used"] = _witness_def(fact.meta["witness"], top)
     report.update(_factorization_report(fact))
     return report, fact.verified
 
@@ -484,7 +468,7 @@ def _bench_rows(suite: str, samples: int, rng: random.Random) -> list[dict]:
         top, base, witness = FreeAbelianGroup(1, names=["x"]), presets.symmetric_3(), None
     else:
         top, base = presets.symmetric_3(), f2
-        witness = find_reversal_asymmetric_relation(top) if suite == "derived" else None
+        witness = find_reversal_asymmetric_relation(top)
     rows = []
     for i in range(samples):
         run, _ = _mode_calls(suite, _bench_inputs(suite, rng, top, base), top, base, witness)

@@ -305,11 +305,9 @@ def find_reversal_asymmetric_relation(
     r = oracle_for(group).asymmetric_relation(budget)
     if r is not None:
         return RelationWitness(group=group, relation=r)
-    pair = _first_non_commuting_pair(group)
-    name = _fresh_name(group, "c")
-    value = group.multiply(
-        group.generator_indices[pair[0]], group.generator_indices[pair[1]]
-    )
+    i, j = _first_non_commuting_pair(group)
+    name = _fresh_name(group.alphabet, "c")
+    value = group.multiply(group.generator_indices[i], group.generator_indices[j])
     extended = group.with_extra_generator(name, value)
     r = oracle_for(extended).asymmetric_relation(budget)
     if r is None:
@@ -326,22 +324,48 @@ def _first_non_commuting_pair(group: FiniteGroup) -> tuple[int, int]:
     raise AbelianGroup("generators commute pairwise")
 
 
-def _fresh_name(group: Group, stem: str) -> str:
-    if stem not in group.alphabet:
+def _fresh_name(names, stem: str) -> str:
+    if stem not in names:
         return stem
     k = 2
-    while f"{stem}{k}" in group.alphabet:
+    while f"{stem}{k}" in names:
         k += 1
     return f"{stem}{k}"
 
 
 def _validate_witness(top: Group, witness: RelationWitness) -> None:
-    if witness.group.alphabet != top.alphabet:
-        raise InvalidWitness("witness is for a different generating set")
     if not top.is_identity(top.evaluate(witness.relation)):
         raise InvalidWitness("witness word is not a relation")
     if top.is_identity(top.evaluate(reverse(witness.relation))):
         raise InvalidWitness("witness relation reverses to a relation")
+
+
+def _relation_product(
+    wreath: WreathProduct, witness: Optional[RelationWitness]
+) -> tuple[WreathProduct, RelationWitness]:
+    """The product over the witness's top, and that witness: the search's (exact) one
+    when None, else checked to be a relation of the finite top or of the top extended.
+    An extension whose names meet the base's is made again under names fresh for the
+    product; they come last in both alphabets, so the relation's letters carry over."""
+    top = wreath.top
+    if not isinstance(top, FiniteGroup):
+        raise GroupDefinitionError("finite top required")
+    if witness is None:
+        witness = find_reversal_asymmetric_relation(top)  # checked by the search
+    elif not (isinstance(witness.group, FiniteGroup) and witness.group.extends(top)):
+        raise InvalidWitness("witness is not over the top or the top extended")
+    else:
+        _validate_witness(witness.group, witness)
+    k = len(top.alphabet)
+    if not set(wreath.base.alphabet.names).isdisjoint(witness.group.alphabet.names[k:]):
+        group = top
+        for value in witness.group.generator_indices[k:]:
+            extra = (_fresh_name([*group.alphabet.names, *wreath.base.alphabet.names], "c"), value)
+            group = group.with_extra_generator(*extra)
+        witness = RelationWitness(group, Word(group.alphabet, witness.relation.letters), extra)
+    # an extension shares the top's table and element indices: an element's
+    # value over this product is its value over the widened one as well
+    return (wreath if len(witness.group.alphabet) == k else wreath.widened(witness.group)), witness
 
 
 # ---------------------------------------------------------------------------
@@ -398,22 +422,23 @@ def decompose_derived_wreath(
     witness: RelationWitness,
 ) -> PalindromeFactorization:
     """Whole derived-base part as one palindrome h.reverse(h) (see _carrier),
-    plus at most pw(top) palindromes from the oracle for the top element."""
-    top = wreath.top
+    plus at most pw(top) palindromes from the oracle for the top element; both
+    live over the witness's top (see _relation_product), as does the bound."""
+    wide, witness = _relation_product(wreath, witness)
+    top = wide.top
     bound, formula = derived_bound(top)
     target = commutator_target(wreath, data, top_value)
-    _validate_witness(top, witness)
-    h = _carrier(wreath, data, witness)
-    factors = [relabel(w, wreath.alphabet) for w in oracle_for(top).decompose(top_value)]
+    h = _carrier(wide, data, witness)
+    factors = [relabel(w, wide.alphabet) for w in oracle_for(top).decompose(top_value)]
     if h.letters:
         factors.append(h * reverse(h))
     return _checked(
-        wreath,
+        wide,
         target,
         factors,
         bound,
         formula,
-        meta={"top_width": bound - 1, "carrier": h},
+        meta={"top_width": bound - 1, "carrier": h, "witness": witness},
         carrier=h,
     )
 
@@ -587,28 +612,17 @@ def decompose_full_finite_top(
 
     Splits the element into its abelianized image (cursor walk with power
     deposits) and a derived residual (one palindrome via the asymmetric
-    relation).  The combined alphabet may gain the extra generator c when
-    the relation search demands it; the emitted factors live over the
-    possibly extended alphabet, whose handle (WreathProduct.widened) is
-    recorded in meta.  Only the whole list is certified: it covers both parts.
+    relation).  The combined alphabet may gain the extra generator c, or a
+    name fresh for the product, when the relation search demands it; the
+    emitted factors live over the possibly extended alphabet, whose handle
+    (WreathProduct.widened) is recorded in meta.  Only the whole list is
+    certified: it covers both parts.
     """
-    top = wreath.top
-    base = wreath.base
-    if not isinstance(top, FiniteGroup):
-        raise GroupDefinitionError("finite top required")
-    if not isinstance(base, FreeGroup):
+    if not isinstance(wreath.base, FreeGroup):
         raise GroupDefinitionError("free base required")
-    if witness is None:
-        witness = find_reversal_asymmetric_relation(top)  # checked by the search
-    elif not (isinstance(witness.group, FiniteGroup) and witness.group.extends(top)):
-        raise InvalidWitness("witness is not over the top or the top extended")
-    else:
-        _validate_witness(witness.group, witness)
-    # an extension shares the top's table and element indices: the word's
-    # value here is its value over the widened handle as well
+    wide, witness = _relation_product(wreath, witness)
     target = wreath.evaluate(word)
-    wide = wreath if witness.group.alphabet == top.alphabet else wreath.widened(witness.group)
-    bound, formula = finite_top_bound(wide.top, base)
+    bound, formula = finite_top_bound(wide.top, wide.base)
 
     lamps: list = []
     factors = _cursor_walk(wide, target, lamps)

@@ -254,6 +254,70 @@ def test_decompose_explicit_relation(capsys):
     assert report["relation_used"]["extra_generator"] is None
 
 
+def decompose_and_verify(capsys, tmp_path, *argv) -> dict:
+    """The decompose report of argv, after `verify` has passed it."""
+    code, out = run(capsys, "decompose", *argv)
+    assert code == 0
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    code, verify_report = run_json(capsys, "verify", "--report", str(path))
+    assert code == 0 and verify_report["verified"] is True
+    return json.loads(out)
+
+
+def test_derived_positions_are_read_over_the_named_top(capsys):
+    # c extends S3 for the construction only: it names no position
+    code = main([
+        "decompose", "--top", "S3", "--base", F2_DEF, "--mode", "derived",
+        "--commutators", '[{"position": "c", "pairs": [["y1", "y2"]]}]',
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and "unknown generator 'c'" in captured.err
+
+
+@pytest.mark.parametrize("inputs", [
+    ["--mode", "finite-top", "--word", "s*c*t*y2^-1*s*c^-1*y2"],
+    ["--mode", "derived", "--commutators", '[{"position": "t", "pairs": [["c", "y2"]]}]',
+     "--a-top", "s"],
+], ids=["finite-top", "derived"])
+def test_the_extension_takes_a_name_fresh_for_the_product(capsys, tmp_path, inputs):
+    # the base names c, so S3's extension by s*t is named c2
+    base = '{"kind":"free","names":["c","y2"]}'
+    report = decompose_and_verify(capsys, tmp_path, "--top", "S3", "--base", base, *inputs)
+    assert report["relation_used"] == {
+        "relation": "s*t*c2", "extra_generator": {"name": "c2", "value_word": "s*t"},
+    }
+
+
+def test_a_top_named_c_is_extended_by_c2(capsys, tmp_path):
+    top = '{"kind":"finite","generators":{"c":[2,1,3],"t":[2,3,1]}}'
+    code, report = run_json(capsys, "find-relation", "--group", top)
+    assert code == 0 and report["relation"] == "c*t*c2"
+    assert report["extra_generator"] == {"name": "c2", "value_word": "c*t"}
+    for inputs in (
+        ["--word", "c*y1*t*y2^-1*c*y1^-1*y2"],
+        ["--mode", "derived", "--commutators", '[{"position": "c", "pairs": [["y1", "y2"]]}]'],
+    ):
+        report = decompose_and_verify(capsys, tmp_path, "--top", top, "--base", F2_DEF, *inputs)
+        assert report["relation_used"]["extra_generator"]["name"] == "c2"
+
+
+def test_commutators_from_a_file_are_kept_in_the_report(capsys, tmp_path):
+    # verify reads the data from the report, so the file may change or go
+    data = tmp_path / "commutators.json"
+    data.write_text('[{"position": "t", "pairs": [["y1", "y2"]]}]\n')
+    code, out = run(
+        capsys, "decompose", "--top", "S3", "--base", F2_DEF, "--mode", "derived",
+        "--commutators", f"@{data}",
+    )
+    assert code == 0 and json.loads(out)["inputs"]["commutators"] == data.read_text()
+    data.unlink()
+    report = tmp_path / "report.json"
+    report.write_text(out)
+    code, verify_report = run_json(capsys, "verify", "--report", str(report))
+    assert code == 0 and verify_report["verified"] is True
+
+
 def test_abelian_product_definition(capsys):
     top = (
         '{"kind":"abelian_product","free_rank":1,"free_names":["x"],'

@@ -714,6 +714,67 @@ def test_a_witness_is_checked_where_a_caller_passes_it(monkeypatch):
     assert fact.verified and checked == [derived_witness]
 
 
+def random_non_abelian_s4(rng):
+    while True:
+        group = FiniteGroup.from_permutations([(n, rng.sample(range(1, 5), 4)) for n in "uv"])
+        if not group.is_abelian():
+            return group
+
+
+def test_derived_wreath_takes_the_product_over_the_named_top_or_the_witness_top():
+    # positions and top values are element indices, which an extension shares
+    # with its top, so both products give the same factorization over the witness's top
+    rng = random.Random(25)
+    base = FreeGroup(names=["y1", "y2"])
+    tops = (presets.symmetric_3(), presets.dihedral_4(), presets.get("lamp(2,3)"))
+    for top in tops + (random_non_abelian_s4(rng),):
+        witness = find_reversal_asymmetric_relation(top)
+        named, wide = WreathProduct(top, base), WreathProduct(witness.group, base)
+        for _ in range(8):
+            sites = tuple(
+                CommutatorSite(position, tuple(
+                    (random_word(rng, base.alphabet, 4), random_word(rng, base.alphabet, 4))
+                    for _ in range(rng.randint(1, 2))
+                ))
+                for position in rng.sample(range(top.size), rng.randint(0, 3))
+            )
+            top_value = rng.randrange(top.size)
+            facts = [
+                decompose_derived_wreath(product, CommutatorData(sites), top_value, witness)
+                for product in (named, wide)
+            ]
+            # the named product takes the search's witness, over an extended top or not
+            assert facts[0].verified and facts[0].meta["witness"] is witness
+            first, second = (
+                ([str(w) for w in f.factors], f.bound_claimed, f.bound_formula,
+                 f.certificate.to_dict())
+                for f in facts
+            )
+            assert first == second
+
+
+def test_an_extension_takes_a_name_fresh_for_the_product():
+    # S3 is extended by c = s*t, and here c names a base generator: the
+    # construction extends the top again by c2, with the relation's letters kept
+    wreath = WreathProduct(presets.symmetric_3(), FreeGroup(names=["c", "y2"]))
+    search = find_reversal_asymmetric_relation(wreath.top)
+    assert search.extra_generator[0] == "c"
+    word = Word.parse(wreath.alphabet, "s*c*t*y2^-1*s*c^-1*y2*c^-1*y2^-1*c*y2")
+    f, g = base_words(wreath, "c", "y2")
+    data = CommutatorData((CommutatorSite(2, ((f, g),)),))
+    for fact in (
+        decompose_full_finite_top(wreath, word),
+        decompose_full_finite_top(wreath, word, search),
+        decompose_derived_wreath(wreath, data, 1, search),
+    ):
+        witness = fact.meta["witness"]
+        assert fact.verified and witness.extra_generator == ("c2", search.extra_generator[1])
+        assert str(witness.relation) == "s*t*c2"
+        # the carrier interleaves the relation, so it spells c2
+        assert fact.factors[-1].alphabet.names == ("s", "t", "c2", "c", "y2")
+        assert "c2" in str(fact.factors[-1])
+
+
 def test_full_finite_top_abelian_top_rejected():
     wreath = WreathProduct(presets.klein_four(), FreeGroup(names=["y1", "y2"]))
     with pytest.raises(AbelianGroup):

@@ -2,8 +2,9 @@
 
 Reports are deterministic for identical inputs: JSON goes to
 stdout with sorted keys, timing goes to stderr.  Exit codes: 0 success,
-1 verification or decomposition failure or a stdout closed before the
-report was written, 2 input error.
+1 verification or decomposition failure (a stored relation that is not
+one, too) or a stdout closed before the report was written, 2 input
+error (a relation missing from a report, or on a mode that takes none).
 """
 from __future__ import annotations
 
@@ -103,7 +104,7 @@ def _build(definition: dict) -> Group:
     if "extra_generator" in definition:
         # the inner group is fresh, so no other holder of the extension sees its definition
         inner = group_from_def(_field(definition, "base", dict))
-        return _extend(inner, _field(definition, "extra_generator", dict))[0]
+        return _extend(inner, _field(definition, "extra_generator", dict))
     kind = _field(definition, "kind", str, None)
     if kind == "finite":
         gens = _field(definition, "generators", dict)
@@ -138,12 +139,12 @@ def _names(definition: dict, key: str) -> Optional[list]:
     return None if names is None else _list_of(names, str, key)
 
 
-def _extend(group: Group, extra: dict) -> tuple[FiniteGroup, int]:
-    """The group extended by an `extra_generator` block, and the new generator's value."""
+def _extend(group: Group, extra: dict) -> FiniteGroup:
+    """The group extended by an `extra_generator` block."""
     if not isinstance(group, FiniteGroup):
         raise GroupDefinitionError("extra generators only extend finite groups")
     value = group.evaluate(Word.parse(group.alphabet, _field(extra, "value_word", str)))
-    return group.with_extra_generator(_field(extra, "name", str), value), value
+    return group.with_extra_generator(_field(extra, "name", str), value)
 
 
 def load_group(source: str) -> Group:
@@ -179,14 +180,9 @@ def _witness(definition: Optional[dict], top: Group) -> Optional[RelationWitness
 
     if definition is None:
         return None
-    group = top
-    extra = None
-    extra_def = _field(definition, "extra_generator", dict, None)
-    if extra_def:
-        group, value = _extend(top, extra_def)
-        extra = (extra_def["name"], value)
-    relation = Word.parse(group.alphabet, _field(definition, "relation", str))
-    return RelationWitness(group=group, relation=relation, extra_generator=extra)
+    extra = _field(definition, "extra_generator", dict, None)
+    group = _extend(top, extra) if extra else top
+    return RelationWitness(group, Word.parse(group.alphabet, _field(definition, "relation", str)))
 
 
 # ---------------------------------------------------------------------------
@@ -266,24 +262,26 @@ def _mode_calls(
     top: Group,
     base: Group,
     witness: Optional[RelationWitness],
-) -> tuple[Callable[[], PalindromeFactorization], Callable[[], tuple[WreathElement, int, str]]]:
-    """The construction for one mode, and its claim: target, bound and formula.
+) -> tuple[Callable[[], PalindromeFactorization], Callable[[], tuple]]:
+    """The construction for one mode, and its claim: product, target, bound and formula.
 
     `decompose` runs the first, `verify` checks a report against the
     second, so both read the inputs and compute the target and the bound
-    the same way.  The claim is computed on demand: decompose never needs
-    it, and working it out first would report some bad inputs with the
-    target's error rather than the construction's.
+    the same way.  Only derived and finite-top take a relation, and their
+    product is then the constructions' (_relation_product), which checks
+    it.  The claim is computed on demand: decompose never needs it, and
+    working it out first would report some bad inputs with the target's
+    error rather than the construction's.
     """
     from .decompose import (
-        abelian_top_target, commutator_target, decompose_commutator_abelian_top, derived_bound,
-        decompose_commutator_pair, decompose_derived_wreath, decompose_full_finite_top,
-        decompose_shifted_commutators, finite_top_bound, shifted_bound, unrolled_bound,
+        _relation_product, abelian_top_target, commutator_target, decompose_commutator_abelian_top,
+        decompose_commutator_pair, decompose_derived_wreath, decompose_shifted_commutators,
+        decompose_full_finite_top, derived_bound, finite_top_bound, shifted_bound, unrolled_bound,
     )
     from .wreath import WreathProduct
 
-    if mode in ("derived", "finite-top") and witness is None:
-        raise GroupDefinitionError(f"{mode} mode needs a relation")
+    if (mode in ("derived", "finite-top")) != (witness is not None):
+        raise GroupDefinitionError(f"{mode} mode {'takes no' if witness else 'needs a'} relation")
     wreath = WreathProduct(top, base)
     if mode == "abelian-top":
         exponents = _list_of(_field(inputs, "exps", list), int, "exps")
@@ -319,7 +317,8 @@ def _mode_calls(
         bound = partial(finite_top_bound, witness.group, base)
     else:
         raise GroupDefinitionError(f"unknown mode {mode!r}")
-    return run, lambda: (target(), *bound())
+    product = (lambda: _relation_product(wreath, witness)[0]) if witness else (lambda: wreath)
+    return run, lambda: (product(), target(), *bound())
 
 
 def _factorization_report(fact) -> dict:
@@ -349,7 +348,7 @@ def cmd_pw_exact(args) -> tuple[dict, bool]:
         if not word_text:
             raise GroupDefinitionError("--extend-gens wants name=word")
         extra = {"name": name.strip(), "value_word": word_text.strip()}
-        group = _extend(group, extra)[0]
+        group = _extend(group, extra)
         definition = {"base": definition, "extra_generator": extra}
     report = exact_palindromic_width(group)
     witness_factors = oracle_for(group).decompose(report.witness)
@@ -412,7 +411,6 @@ def cmd_decompose(args) -> tuple[dict, bool]:
 
 def cmd_verify(args) -> tuple[dict, bool]:
     from .oracle import verify_factorization
-    from .wreath import WreathProduct
 
     with open(args.report) as handle:
         stored = json.load(handle)
@@ -422,11 +420,10 @@ def cmd_verify(args) -> tuple[dict, bool]:
     base = group_from_def(_field(stored, "base", dict))
     mode = _field(stored, "mode", str)
     witness = _witness(_field(stored, "relation_used", dict, None), top)
-    wreath = WreathProduct(witness.group if witness else top, base)
     _, claim = _mode_calls(mode, _field(stored, "inputs", dict), top, base, witness)
+    wreath, target, bound, formula = claim()  # the product fixes the factors' alphabet
     texts = _list_of(_field(stored, "factors", list), str, "factors")
     factors = [Word.parse(wreath.alphabet, text) for text in texts]
-    target, bound, formula = claim()
     certificate = verify_factorization(wreath, target, factors)
     if certificate.valid:  # a failing certificate is reported as it is
         count, claimed = _field(stored, "count", int), _field(stored, "bound", int)

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from palinwidth import cli
 from palinwidth.cli import group_from_def, main
+from palinwidth.decompose import find_reversal_asymmetric_relation
 
 F2_DEF = '{"kind":"free","rank":2,"names":["y1","y2"]}'
 
@@ -300,6 +302,87 @@ def test_a_top_named_c_is_extended_by_c2(capsys, tmp_path):
     ):
         report = decompose_and_verify(capsys, tmp_path, "--top", top, "--base", F2_DEF, *inputs)
         assert report["relation_used"]["extra_generator"]["name"] == "c2"
+
+
+def test_verify_refuses_a_relation_on_a_mode_that_takes_none(capsys, tmp_path):
+    # an abelian-top report forged to spell z as a generator c = z of a stored relation
+    code, report = run_json(
+        capsys, "decompose", "--top", "Z/4", "--base", "F1", "--mode", "abelian-top",
+        "--exps", "1", "--word", "x1",
+    )
+    assert code == 0
+    report["relation_used"] = {
+        "relation": "z*c^-1", "extra_generator": {"name": "c", "value_word": "z"},
+    }
+    report["factors"] = [factor.replace("z", "c") for factor in report["factors"]]
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "abelian-top mode takes no relation" in captured.err
+
+
+def test_verify_checks_a_stored_relation_as_a_construction_does(capsys, tmp_path):
+    code, report = run_json(
+        capsys, "decompose", "--top", "S3", "--base", '{"kind":"free","names":["y1","y2"]}',
+        "--word", "s*y1*t*y2^-1*s*y1^-1",
+    )
+    assert code == 0 and report["relation_used"]["relation"] == "s*t*c"
+    report["relation_used"]["relation"] = "s*t"  # not a relation of S3
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(report))
+    code, refusal = run_json(capsys, "verify", "--report", str(path))
+    assert code == 1
+    failure = "InvalidWitness: witness word is not a relation"
+    assert refusal == {"command": "verify", "failure": failure}
+
+
+def test_verify_refuses_a_derived_report_without_its_relation(capsys, tmp_path):
+    argv = _ONE_REPORT_PER_MODE["derived"]
+    code, report = run_json(capsys, "decompose", "--mode", "derived", *argv)
+    assert code == 0
+    del report["relation_used"]
+    path = tmp_path / "stripped.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", "--report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "derived mode needs a relation" in captured.err
+
+
+@pytest.mark.parametrize("names, word, extended", [
+    (["y1", "y2"], "s*y1*t*y2^-1*s*y1^-1", ["s", "t", "c"]),
+    (["c", "y2"], "s*c*t*y2^-1*s*c^-1*y2", ["s", "t", "c2"]),
+], ids=["y1-y2", "c-y2"])
+def test_the_claim_is_over_the_product_the_construction_took(names, word, extended):
+    top, base = cli.load_group("S3"), group_from_def({"kind": "free", "names": names})
+    witness = find_reversal_asymmetric_relation(top)
+    run, claim = cli._mode_calls("finite-top", {"word": word}, top, base, witness)
+    product = claim()[0]
+    assert product is run().meta["wreath"]
+    assert list(product.top.alphabet.names) == extended
+
+
+_BENCH_GROUPS = {
+    "abelian-top": ("Z^2", F2_DEF),
+    "shifted": ('{"kind":"free_abelian","rank":1,"names":["x"]}', "S3"),
+    "derived": ("S3", F2_DEF),
+    "finite-top": ("S3", F2_DEF),
+}
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_seeded_reports_of_every_mode_verify(capsys, tmp_path, mode):
+    # the inputs `bench` draws, written as decompose argv, stored and read back by verify
+    top_text, base_text = _BENCH_GROUPS[mode]
+    top, base = cli.load_group(top_text), cli.load_group(base_text)
+    flags = {"exps": "--exps", "word": "--word", "word_b": "--word-b",
+             "commutators": "--commutators", "a_top": "--a-top"}
+    for seed in range(10):
+        inputs = cli._bench_inputs(mode, random.Random(seed), top, base)
+        argv = ["--top", top_text, "--base", base_text, "--mode", mode]
+        for key, value in inputs.items():  # `--exps=-4,4`: a bare -4,4 reads as an option
+            argv.append(f"{flags[key]}={','.join(map(str, value)) if key == 'exps' else value}")
+        decompose_and_verify(capsys, tmp_path, *argv)
 
 
 def test_commutators_from_a_file_are_kept_in_the_report(capsys, tmp_path):

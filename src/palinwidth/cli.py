@@ -44,6 +44,8 @@ if TYPE_CHECKING:
 
 # the paper's constructions, in the order `bench` runs them
 MODES = ("abelian-top", "shifted", "derived", "finite-top")
+# the modes whose construction takes a relation of the top (and searches for one when given none)
+RELATION_MODES = ("derived", "finite-top")
 
 _INPUT_ERRORS = (GroupDefinitionError, WordSyntaxError, AlphabetMismatch, ValueError)
 
@@ -174,15 +176,21 @@ def _witness_def(witness: RelationWitness, original: Group) -> dict:
     return out
 
 
-def _witness(definition: Optional[dict], top: Group) -> Optional[RelationWitness]:
-    """The witness a `relation_used` block describes, over the top it extends."""
+def _witness(mode: str, relation: Any, top: Group) -> Optional[RelationWitness]:
+    """The witness `--relation` or a `relation_used` block names: None when none is
+    given or `--relation` is 'auto' or '' (the construction searches), else the word
+    over the top, or over the top a block extends.  Only RELATION_MODES take one."""
     from .decompose import RelationWitness
 
-    if definition is None:
+    if relation is not None and mode not in RELATION_MODES:
+        raise GroupDefinitionError(f"{mode} mode takes no relation")
+    if relation in (None, "auto", ""):
         return None
-    extra = _field(definition, "extra_generator", dict, None)
+    if isinstance(relation, str):
+        return RelationWitness(top, Word.parse(top.alphabet, relation))
+    extra = _field(relation, "extra_generator", dict, None)
     group = _extend(top, extra) if extra else top
-    return RelationWitness(group, Word.parse(group.alphabet, _field(definition, "relation", str)))
+    return RelationWitness(group, Word.parse(group.alphabet, _field(relation, "relation", str)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,15 +228,8 @@ def _parse_commutators(text: str, wreath: WreathProduct) -> CommutatorData:
     return CommutatorData(tuple(sites))
 
 
-def _decompose_inputs(args, wreath: WreathProduct) -> tuple[dict, Optional[RelationWitness]]:
-    """argv as the report's `inputs` block, and the relation the construction is given.
-
-    The finite-top and derived modes need a relation over a finite top;
-    with relation=auto it is found here, before the construction runs.
-    """
-    from .decompose import RelationWitness, find_reversal_asymmetric_relation
-
-    top = wreath.top
+def _decompose_inputs(args, wreath: WreathProduct) -> dict:
+    """argv as the report's `inputs` block."""
     if args.mode == "abelian-top":
         if args.exps is None:
             raise GroupDefinitionError("--exps is required for abelian-top mode")
@@ -236,24 +237,14 @@ def _decompose_inputs(args, wreath: WreathProduct) -> tuple[dict, Optional[Relat
         inputs["word"] = str(Word.parse(wreath.alphabet, args.word or "1"))
         if args.word_b is not None:
             inputs["word_b"] = str(Word.parse(wreath.alphabet, args.word_b))
-        return inputs, None
+        return inputs
     if args.mode == "finite-top":
-        inputs = {"word": str(Word.parse(wreath.alphabet, args.word or "1"))}
-    else:
-        text = args.commutators or "[]"
-        if text.startswith("@"):  # the report keeps the data, not the path
-            with open(text[1:]) as handle:
-                text = handle.read()
-        inputs = {"commutators": text, "a_top": args.a_top or "1"}
-        if args.mode != "derived":
-            return inputs, None
-    if not isinstance(top, FiniteGroup):
-        raise GroupDefinitionError(f"{args.mode} mode needs a finite top")
-    if args.mode == "finite-top" and not isinstance(wreath.base, FreeGroup):
-        raise GroupDefinitionError("finite-top mode needs a free base")
-    if args.relation not in ("", "auto"):
-        return inputs, RelationWitness(top, Word.parse(top.alphabet, args.relation))
-    return inputs, find_reversal_asymmetric_relation(top, args.budget)
+        return {"word": str(Word.parse(wreath.alphabet, args.word or "1"))}
+    text = args.commutators or "[]"
+    if text.startswith("@"):  # the report keeps the data, not the path
+        with open(text[1:]) as handle:
+            text = handle.read()
+    return {"commutators": text, "a_top": args.a_top or "1"}
 
 
 def _mode_calls(
@@ -267,11 +258,11 @@ def _mode_calls(
 
     `decompose` runs the first, `verify` checks a report against the
     second, so both read the inputs and compute the target and the bound
-    the same way.  Only derived and finite-top take a relation, and their
-    product is then the constructions' (_relation_product), which checks
-    it.  The claim is computed on demand: decompose never needs it, and
-    working it out first would report some bad inputs with the target's
-    error rather than the construction's.
+    the same way.  A RELATION_MODES construction searches for a relation
+    when given none, and its product (_relation_product) checks a given
+    one and fixes the bound's top.  The claim is computed on demand:
+    decompose never needs it, and working it out first would report some
+    bad inputs with the target's error rather than the construction's.
     """
     from .decompose import (
         _relation_product, abelian_top_target, commutator_target, decompose_commutator_abelian_top,
@@ -280,8 +271,6 @@ def _mode_calls(
     )
     from .wreath import WreathProduct
 
-    if (mode in ("derived", "finite-top")) != (witness is not None):
-        raise GroupDefinitionError(f"{mode} mode {'takes no' if witness else 'needs a'} relation")
     wreath = WreathProduct(top, base)
     if mode == "abelian-top":
         exponents = _list_of(_field(inputs, "exps", list), int, "exps")
@@ -299,26 +288,30 @@ def _mode_calls(
             b_word = Word.parse(wreath.alphabet, b_text)
             run = partial(decompose_commutator_pair, wreath, a_word, b_word, exponents)
         target = partial(abelian_top_target, wreath, a_word, exponents, b_word)
-        bound = partial(unrolled_bound, exponents, b_word is not None)
+        bound = lambda _: unrolled_bound(exponents, b_word is not None)
     elif mode in ("shifted", "derived"):
         data = _parse_commutators(_field(inputs, "commutators", str), wreath)
         a_top = top.evaluate(Word.parse(top.alphabet, _field(inputs, "a_top", str)))
         target = partial(commutator_target, wreath, data, a_top)
         if mode == "shifted":
             run = partial(decompose_shifted_commutators, wreath, data, a_top)
-            bound = partial(shifted_bound, top, data)
+            bound = partial(shifted_bound, data=data)
         else:
             run = partial(decompose_derived_wreath, wreath, data, a_top, witness)
-            bound = partial(derived_bound, witness.group)
+            bound = derived_bound
     elif mode == "finite-top":
         word = Word.parse(wreath.alphabet, _field(inputs, "word", str))
         run = partial(decompose_full_finite_top, wreath, word, witness)
         target = partial(wreath.evaluate, word)
-        bound = partial(finite_top_bound, witness.group, base)
+        bound = partial(finite_top_bound, base=base)
     else:
         raise GroupDefinitionError(f"unknown mode {mode!r}")
-    product = (lambda: _relation_product(wreath, witness)[0]) if witness else (lambda: wreath)
-    return run, lambda: (product(), target(), *bound())
+
+    def claim() -> tuple:
+        product = _relation_product(wreath, witness)[0] if mode in RELATION_MODES else wreath
+        return product, target(), *bound(product.top)
+
+    return run, claim
 
 
 def _factorization_report(fact) -> dict:
@@ -372,12 +365,11 @@ def cmd_find_relation(args) -> tuple[dict, bool]:
     from .decompose import find_reversal_asymmetric_relation
 
     group = load_group(args.group)
-    witness = find_reversal_asymmetric_relation(group, args.budget)
+    witness = find_reversal_asymmetric_relation(group)
     return (
         {
             "command": "find-relation",
             "group": group_def(group),
-            "budget": args.budget,
             "reverse_value": str(witness.group.element_word(witness.reverse_value)),
             **_witness_def(witness, group),
         },
@@ -390,7 +382,8 @@ def cmd_decompose(args) -> tuple[dict, bool]:
 
     top = load_group(args.top)
     base = load_group(args.base)
-    inputs, witness = _decompose_inputs(args, WreathProduct(top, base))
+    inputs = _decompose_inputs(args, WreathProduct(top, base))
+    witness = _witness(args.mode, args.relation, top)
     run, _ = _mode_calls(args.mode, inputs, top, base, witness)
     fact = run()
     report: dict[str, Any] = {
@@ -403,7 +396,7 @@ def cmd_decompose(args) -> tuple[dict, bool]:
     if args.mode == "shifted":
         report["shift_used"] = list(fact.meta["shift"])
         report["retries"] = fact.meta["retries"]
-    elif witness is not None:  # the witness the construction used, perhaps renamed
+    elif args.mode in RELATION_MODES:  # the witness the construction took, perhaps renamed
         report["relation_used"] = _witness_def(fact.meta["witness"], top)
     report.update(_factorization_report(fact))
     return report, fact.verified
@@ -419,7 +412,9 @@ def cmd_verify(args) -> tuple[dict, bool]:
     top = group_from_def(_field(stored, "top", dict))
     base = group_from_def(_field(stored, "base", dict))
     mode = _field(stored, "mode", str)
-    witness = _witness(_field(stored, "relation_used", dict, None), top)
+    witness = _witness(mode, _field(stored, "relation_used", dict, None), top)
+    if witness is None and mode in RELATION_MODES:
+        raise GroupDefinitionError(f"{mode} mode needs a relation")
     _, claim = _mode_calls(mode, _field(stored, "inputs", dict), top, base, witness)
     wreath, target, bound, formula = claim()  # the product fixes the factors' alphabet
     texts = _list_of(_field(stored, "factors", list), str, "factors")
@@ -456,19 +451,16 @@ def _bench_rows(suite: str, samples: int, rng: random.Random) -> list[dict]:
     Each sample is the `inputs` block a decompose report stores, run through
     _mode_calls as decompose and verify run it.
     """
-    from .decompose import find_reversal_asymmetric_relation
-
     f2 = FreeGroup(names=["y1", "y2"])
     if suite == "abelian-top":
-        top, base, witness = FreeAbelianGroup(2), f2, None
+        top, base = FreeAbelianGroup(2), f2
     elif suite == "shifted":
-        top, base, witness = FreeAbelianGroup(1, names=["x"]), presets.symmetric_3(), None
+        top, base = FreeAbelianGroup(1, names=["x"]), presets.symmetric_3()
     else:
         top, base = presets.symmetric_3(), f2
-        witness = find_reversal_asymmetric_relation(top)
     rows = []
     for i in range(samples):
-        run, _ = _mode_calls(suite, _bench_inputs(suite, rng, top, base), top, base, witness)
+        run, _ = _mode_calls(suite, _bench_inputs(suite, rng, top, base), top, base, None)
         fact = run()
         rows.append({
             "suite": suite,
@@ -583,8 +575,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exps", help="comma-separated exponents for the abelian top")
     p.add_argument("--commutators", help="JSON (or @file) commutator data")
     p.add_argument("--a-top", dest="a_top", help="top element as a word")
-    p.add_argument("--relation", default="auto", help="'auto' or an explicit relation word")
-    p.add_argument("--budget", type=_count, default=None)
+    p.add_argument("--relation", help="'auto' (the default) or a relation word of the top;"
+                   f" only for {', '.join(RELATION_MODES)}")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("pw-exact", help="exact palindromic width of a finite group")
@@ -594,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-relation", help="reversal-asymmetric relation search")
     p.add_argument("--group", required=True)
-    p.add_argument("--budget", type=_count, default=None)
     p.set_defaults(func=cmd_find_relation)
 
     p = sub.add_parser("verify", help="re-check a stored decompose report")

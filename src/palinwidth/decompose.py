@@ -24,10 +24,9 @@ The constructions:
   moves and power-word deposits, and the derived residual reuses the
   single-palindrome construction.
 
-relation=auto is resolved once per top handle: the oracle keeps its
-shortest asymmetric relation (checking a budget on every call), the top
-keeps its extension by c, and the wreath product keeps its handle over
-that extension.
+A carrier construction given no witness searches once per top handle:
+the oracle keeps its shortest asymmetric relation, the top its extension
+by c, and the wreath product its handle over that extension.
 """
 from __future__ import annotations
 
@@ -271,16 +270,13 @@ def _unrolled_commutators(
 # reversal-asymmetric relations
 
 
-def find_reversal_asymmetric_relation(
-    group: Group, budget: Optional[int] = None
-) -> RelationWitness:
-    """A relation whose reverse is not a relation.
+def find_reversal_asymmetric_relation(group: Group) -> RelationWitness:
+    """A shortest relation whose reverse is not a relation.
 
     Finite groups are searched exactly through the pair automaton; when the
     given generators admit no witness, the set is extended by c = x.y for
     the first non-commuting generator pair and the search is repeated.
-    The Baumslag-Solitar family returns its defining relator directly,
-    within the same budget on its length.
+    The Baumslag-Solitar family returns its defining relator directly.
     """
     if isinstance(group, BaumslagSolitar):
         if group.is_abelian():
@@ -289,10 +285,7 @@ def find_reversal_asymmetric_relation(
             raise BudgetExhausted(
                 "the defining relator reverses to a relation when |n| = |m|"
             )
-        r = group.relation()
-        if budget is not None and len(r) > budget:
-            raise BudgetExhausted(f"the defining relator has length {len(r)}, over budget {budget}")
-        witness = RelationWitness(group=group, relation=r)
+        witness = RelationWitness(group=group, relation=group.relation())
         if group.is_identity(witness.reverse_value):
             raise InvalidWitness("defining relator unexpectedly reverses to a relation")
         return witness
@@ -302,14 +295,14 @@ def find_reversal_asymmetric_relation(
         )
     if group.is_abelian():
         raise AbelianGroup("every relation of an abelian group reverses to one")
-    r = oracle_for(group).asymmetric_relation(budget)
+    r = oracle_for(group).asymmetric_relation()
     if r is not None:
         return RelationWitness(group=group, relation=r)
     i, j = _first_non_commuting_pair(group)
     name = _fresh_name(group.alphabet, "c")
     value = group.multiply(group.generator_indices[i], group.generator_indices[j])
     extended = group.with_extra_generator(name, value)
-    r = oracle_for(extended).asymmetric_relation(budget)
+    r = oracle_for(extended).asymmetric_relation()
     if r is None:
         raise BudgetExhausted("no asymmetric relation found even after extending by c")
     return RelationWitness(group=extended, relation=r, extra_generator=(name, value))
@@ -419,11 +412,12 @@ def decompose_derived_wreath(
     wreath: WreathProduct,
     data: CommutatorData,
     top_value,
-    witness: RelationWitness,
+    witness: Optional[RelationWitness] = None,
 ) -> PalindromeFactorization:
     """Whole derived-base part as one palindrome h.reverse(h) (see _carrier),
     plus at most pw(top) palindromes from the oracle for the top element; both
-    live over the witness's top (see _relation_product), as does the bound."""
+    live over the witness's top (see _relation_product; the search's when the
+    witness is None), as does the bound."""
     wide, witness = _relation_product(wreath, witness)
     top = wide.top
     bound, formula = derived_bound(top)
@@ -443,10 +437,8 @@ def decompose_derived_wreath(
     )
 
 
-def derived_bound(top: Group) -> tuple[int, str]:
+def derived_bound(top: FiniteGroup) -> tuple[int, str]:
     """Bound and formula of decompose_derived_wreath over a top: pw(top), plus the carrier."""
-    if not isinstance(top, FiniteGroup):
-        raise GroupDefinitionError("the single-palindrome construction needs a finite top")
     return oracle_for(top).width().width + 1, "pw(top)+1"
 
 
@@ -578,11 +570,9 @@ def _cursor_walk_bound(top: FiniteGroup, base_rank: int) -> int:
     return top.max_word_length() * (top.size + 1) + base_rank * top.size
 
 
-def finite_top_bound(top: Group, base: Group) -> tuple[int, str]:
+def finite_top_bound(top: FiniteGroup, base: Group) -> tuple[int, str]:
     """Bound and formula of decompose_full_finite_top over the witness's top: the
     cursor walk's bound plus the one derived palindrome."""
-    if not isinstance(top, FiniteGroup):
-        raise GroupDefinitionError("finite top required")
     if not isinstance(base, FreeGroup):
         raise GroupDefinitionError("free base required")
     return _cursor_walk_bound(top, base.rank) + 1, _CURSOR_WALK_FORMULA + " + 1"

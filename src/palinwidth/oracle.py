@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import chain, groupby
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .errors import BudgetExhausted, NotGenerated
+from .errors import NotGenerated
 from .groups import BreadthFirst, FiniteGroup, Group
 from .words import Letter, Word, letter_name
 
@@ -188,8 +188,8 @@ class PalindromeOracle:
         return [witnesses[move] for move in self._width_bfs.path(a)]
 
     @cached_property
-    def _asymmetric(self) -> Optional[tuple[int, Word]]:
-        """Length and word of the first pair (1, x != 1) in discovery order, if any.
+    def _asymmetric(self) -> Optional[Word]:
+        """Word of the first pair (1, x != 1) in discovery order, if any.
 
         The automaton is expanded up to that pair, and in full only when
         there is none.
@@ -199,21 +199,11 @@ class PalindromeOracle:
             (pair for pair in self.automaton if pair[0] == identity and pair[1] != identity),
             None,
         )
-        return None if best is None else (self.automaton.depths[best], self.automaton.witness(best))
+        return None if best is None else self.automaton.witness(best)
 
-    def asymmetric_relation(self, budget: Optional[int] = None) -> Optional[Word]:
-        """Shortest word r with r = 1 but reverse(r) != 1, if one exists.
-
-        The search runs once per handle; the budget is checked on every call.
-        """
-        if self._asymmetric is None:
-            return None
-        length, word = self._asymmetric
-        if budget is not None and length > budget:
-            raise BudgetExhausted(
-                f"shortest asymmetric relation has length {length}, over budget {budget}"
-            )
-        return word
+    def asymmetric_relation(self) -> Optional[Word]:
+        """Shortest word r with r = 1 but reverse(r) != 1, if any; searched once per handle."""
+        return self._asymmetric
 
 
 def oracle_for(group: FiniteGroup) -> PalindromeOracle:

@@ -52,11 +52,6 @@ def test_find_relation_bs(capsys):
     assert code == 0
     assert report["relation"] == "a^-1*b*a*b^-2"
     assert report["reverse_value"] != "1"
-    code, report = run_json(capsys, "find-relation", "--group", "BS(1,2)", "--budget", "2")
-    assert code == 1
-    assert report["failure"].startswith("BudgetExhausted:")
-    code, report = run_json(capsys, "find-relation", "--group", "BS(1,2)", "--budget", "5")
-    assert code == 0 and report["budget"] == 5
 
 
 def test_find_relation_s3(capsys):
@@ -198,18 +193,6 @@ def test_every_mode_reverifies(capsys, tmp_path, argv):
     assert code == 0 and verify_report["verified"] is True
 
 
-def test_finite_top_honours_budget(capsys):
-    # S3 needs the extra generator c; its shortest asymmetric relation has length 3
-    argv = ["decompose", "--top", "S3", "--base", '{"kind":"free","names":["y1","y2"]}',
-            "--mode", "finite-top", "--word", "y1*s*y2*s*y1^-1*y2^-1"]
-    code, report = run_json(capsys, *argv, "--budget", "1")
-    assert code == 1
-    assert report["failure"].startswith("BudgetExhausted:")
-    code, out = run(capsys, *argv, "--budget", "3")
-    assert code == 0
-    assert out == run(capsys, *argv)[1]
-
-
 def test_extended_group_definition_round_trips(capsys):
     code, first = run_json(capsys, "pw-exact", "--group", "S3", "--extend-gens", "c=s*t")
     assert code == 0
@@ -254,6 +237,42 @@ def test_decompose_explicit_relation(capsys):
     assert report["verified"] is True
     assert report["relation_used"]["relation"] == "s*t*u"
     assert report["relation_used"]["extra_generator"] is None
+
+
+@pytest.mark.parametrize("argv", [
+    ["--top", "Z^2", "--base", "F2", "--mode", "abelian-top", "--exps", "1,0", "--word", "x1",
+     "--relation", "a*b"],
+    ["--top", "Z^2", "--base", "F2", "--mode", "abelian-top", "--exps", "1,0", "--word", "x1",
+     "--relation", ""],
+    ["--top", "Z", "--base", "S3", "--mode", "shifted", "--relation", "auto"],
+], ids=["abelian-top-word", "abelian-top-empty", "shifted-auto"])
+def test_decompose_refuses_a_relation_on_a_mode_that_takes_none(capsys, argv):
+    assert main(["decompose", *argv]) == 2
+    captured = capsys.readouterr()
+    mode = argv[argv.index("--mode") + 1]
+    assert captured.out == "" and captured.err == f"error: {mode} mode takes no relation\n"
+
+
+@pytest.mark.parametrize("relation", ["auto", ""])
+def test_auto_and_empty_relation_ask_the_construction_to_search(capsys, relation):
+    for argv in (
+        ["--mode", "finite-top", "--word", "y1*s*y2*s*y1^-1*y2^-1"],
+        ["--mode", "derived", "--commutators", '[{"position": "t", "pairs": [["y1", "y2"]]}]'],
+    ):
+        argv = ["decompose", "--top", "S3", "--base", F2_DEF, *argv]
+        code, out = run(capsys, *argv, "--relation", relation)
+        assert code == 0 and json.loads(out)["relation_used"]["relation"] == "s*t*c"
+        assert out == run(capsys, *argv)[1]
+
+
+@pytest.mark.parametrize("mode", ["derived", "finite-top"])
+@pytest.mark.parametrize("relation", [[], ["--relation", "t1"]], ids=["auto", "word"])
+def test_a_relation_mode_over_an_infinite_top_exits_2(capsys, mode, relation):
+    assert main(["decompose", "--top", "Z", "--base", "F2", "--mode", mode, *relation]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def decompose_and_verify(capsys, tmp_path, *argv) -> dict:
@@ -431,8 +450,6 @@ def test_input_errors_exit_2(capsys):
     assert main(["decompose", "--top", "Z^2", "--base", F2_DEF,
                  "--mode", "abelian-top", "--word", "y1"]) == 2
     # counts are non-negative integers
-    assert main(["find-relation", "--group", "S3", "--budget", "-1"]) == 2
-    assert main(["decompose", "--top", "S3", "--base", F2_DEF, "--word", "y1", "--budget", "-2"]) == 2
     assert main(["bench", "--samples", "-3"]) == 2
     assert main(["bench", "--samples", "three"]) == 2
     # a word is refused once its letter count passes the parser's limit, before it is built

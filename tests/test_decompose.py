@@ -244,30 +244,6 @@ def test_relation_search_reuses_the_extended_top():
     assert first.group is second.group
 
 
-def test_relation_budget():
-    with pytest.raises(BudgetExhausted):
-        find_reversal_asymmetric_relation(presets.symmetric_3(), budget=1)
-    # the Baumslag-Solitar relator a^-1*b*a*b^-2 has five letters
-    bs = presets.get("BS(1,2)")
-    with pytest.raises(BudgetExhausted):
-        find_reversal_asymmetric_relation(bs, budget=4)
-    assert str(find_reversal_asymmetric_relation(bs, budget=5).relation) == "a^-1*b*a*b^-2"
-
-
-def test_relation_memo_checks_the_budget_on_every_call():
-    # the oracle keeps its shortest relation; each call still compares it with its own budget
-    S3 = presets.symmetric_3()
-    assert str(find_reversal_asymmetric_relation(S3).relation) == "s*t*c"
-    with pytest.raises(BudgetExhausted):
-        find_reversal_asymmetric_relation(S3, budget=1)
-    assert str(find_reversal_asymmetric_relation(S3, budget=3).relation) == "s*t*c"
-    # a refusal remembers nothing that a later call without a budget would trip on
-    fresh = presets.symmetric_3()
-    with pytest.raises(BudgetExhausted):
-        find_reversal_asymmetric_relation(fresh, budget=2)
-    assert str(find_reversal_asymmetric_relation(fresh).relation) == "s*t*c"
-
-
 def test_relation_q8():
     # Q8 is non-abelian; either an immediate witness or one after extension
     witness = find_reversal_asymmetric_relation(presets.quaternion_8())

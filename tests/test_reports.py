@@ -105,13 +105,13 @@ DIGESTS = {
     "decompose-shifted": "0ce1c29c0bd95d667969038570c52e2eb092e3c507469e4b82adeb21c0936d23",
     "decompose-shifted-torsion": "2cf05a7becb8b95b1a9bdb42c139655641f327ce554a4746ca108e3b7c24acbd",
     "decompose-text": "a0b6c3e6b4b2bac31d7df9e9213b15504549c8ea7836ba92b88d9f0bcffef67c",
-    "find-relation-bs": "3fce7a223414eae21a5be1380bc6c96373e31c00acb76371275d90a89a7359b9",
-    "find-relation-bs-2-3": "7950502ebc0621d5e02936fe6f33db09df888d9e3106fbacd17ab675dd17fac2",
-    "find-relation-bs-minus-2-3": "cc07e05a795a76a75fba910e2952a4c5d6f8f969ab3a280aad63f00c15820e39",
-    "find-relation-bs-padded": "3fce7a223414eae21a5be1380bc6c96373e31c00acb76371275d90a89a7359b9",
-    "find-relation-lamp": "77f3d279c59fca09343e10cdf0216ebb23840e5480bc02c5117f3f65ed9f61b1",
-    "find-relation-q8": "001d41bfbab2d06dcd0215df04709c159420caa6cdb84142ef4773962ff63d03",
-    "find-relation-s3": "c79b44c35b01d10b501b105c370e97b6bc88a60e5327932dcde1ccdeab6762bd",
+    "find-relation-bs": "a212d60224c56b683aeef0ad0428daf69b8d80af1c6af002ee47968d2f006dac",
+    "find-relation-bs-2-3": "7aadae23862bd451ea56480d1e65c58d19aaa61401bfbf7fea4f2001cd61a464",
+    "find-relation-bs-minus-2-3": "f7f86d9be37bd83955416bafd76d2e3c7dde0b49efa8c44f3fa671fb84bfbe60",
+    "find-relation-bs-padded": "a212d60224c56b683aeef0ad0428daf69b8d80af1c6af002ee47968d2f006dac",
+    "find-relation-lamp": "9841af647fe280e8fe90e11de1802d86cac71c20397276b0f2801eb8aee2e4c7",
+    "find-relation-q8": "69fcc59dcdafa4cad5923c973314293c50a2e70be558bc31aefae010e3ff9032",
+    "find-relation-s3": "feff5dcdf06d81eaf7df798d6535e74269d8d16fd765fdaf03b49420740feec9",
     "pw-exact": "1b8647cc2cca937e5df4f672cd2dd9414a0fa396f7078a79c295c3b1dc9fb4a8",
     "pw-exact-cyclic-12": "b455fcb35eee417d465c6188089fdd2718d951cc25be802d7935cc9d706625b1",
     "pw-exact-extend-gens": "161f0f094513fd6de708c810d800ccfa30d3d6bbe99098dcb15f56dab156e013",

@@ -21,8 +21,8 @@ The constructions:
   h.reverse(h), because interleaving r makes reverse(h) evaluate to the
   identity;
 * over a finite top the abelianized part is walked with geodesic cursor
-  moves and power-word deposits, and the derived residual reuses the
-  single-palindrome construction.
+  moves and power-word deposits; the derived residual, each lamp with its
+  deposit taken off, goes through the same single-palindrome step.
 
 A carrier construction given no witness searches once per top handle:
 the oracle keeps its shortest asymmetric relation, the top its extension
@@ -286,21 +286,20 @@ def find_reversal_asymmetric_relation(group: Group) -> RelationWitness:
                 "the defining relator reverses to a relation when |n| = |m|"
             )
         witness = RelationWitness(group=group, relation=group.relation())
-        if group.is_identity(witness.reverse_value):
-            raise InvalidWitness("defining relator unexpectedly reverses to a relation")
+        _validate_witness(group, witness)
         return witness
     if not isinstance(group, FiniteGroup):
         raise GroupDefinitionError(
             "relation search needs a finite group or a Baumslag-Solitar handle"
         )
-    if group.is_abelian():
+    pair = _first_non_commuting_pair(group)
+    if pair is None:
         raise AbelianGroup("every relation of an abelian group reverses to one")
     r = oracle_for(group).asymmetric_relation()
     if r is not None:
         return RelationWitness(group=group, relation=r)
-    i, j = _first_non_commuting_pair(group)
     name = _fresh_name(group.alphabet, "c")
-    value = group.multiply(group.generator_indices[i], group.generator_indices[j])
+    value = group.multiply(*pair)
     extended = group.with_extra_generator(name, value)
     r = oracle_for(extended).asymmetric_relation()
     if r is None:
@@ -308,13 +307,14 @@ def find_reversal_asymmetric_relation(group: Group) -> RelationWitness:
     return RelationWitness(group=extended, relation=r, extra_generator=(name, value))
 
 
-def _first_non_commuting_pair(group: FiniteGroup) -> tuple[int, int]:
+def _first_non_commuting_pair(group: FiniteGroup) -> Optional[tuple[int, int]]:
+    """The first two generators, in alphabet order, that do not commute; None when all do."""
     gens = group.generator_indices
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             if group.multiply(gens[i], gens[j]) != group.multiply(gens[j], gens[i]):
-                return (i, j)
-    raise AbelianGroup("generators commute pairwise")
+                return (gens[i], gens[j])
+    return None
 
 
 def _fresh_name(names, stem: str) -> str:
@@ -408,6 +408,19 @@ def _carrier(wreath: WreathProduct, data: CommutatorData, witness: RelationWitne
     return Word._unchecked(wreath.alphabet, letters)
 
 
+def _with_carrier(
+    wide: WreathProduct, target, factors: list, bound, formula, data, witness, meta: dict
+) -> PalindromeFactorization:
+    """factors, then h.reverse(h) for the sites' carrier h (see _carrier) unless h is
+    empty, certified over the witness's product; meta gains the carrier, the witness
+    and the count of derived factors."""
+    h = _carrier(wide, data, witness)
+    if h.letters:
+        factors.append(h * reverse(h))
+    meta.update(carrier=h, witness=witness, derived_factors=int(bool(h.letters)))
+    return _checked(wide, target, factors, bound, formula, meta, carrier=h)
+
+
 def decompose_derived_wreath(
     wreath: WreathProduct,
     data: CommutatorData,
@@ -422,19 +435,9 @@ def decompose_derived_wreath(
     top = wide.top
     bound, formula = derived_bound(top)
     target = commutator_target(wreath, data, top_value)
-    h = _carrier(wide, data, witness)
     factors = [relabel(w, wide.alphabet) for w in oracle_for(top).decompose(top_value)]
-    if h.letters:
-        factors.append(h * reverse(h))
-    return _checked(
-        wide,
-        target,
-        factors,
-        bound,
-        formula,
-        meta={"top_width": bound - 1, "carrier": h, "witness": witness},
-        carrier=h,
-    )
+    meta = {"top_width": bound - 1}
+    return _with_carrier(wide, target, factors, bound, formula, data, witness, meta)
 
 
 def derived_bound(top: FiniteGroup) -> tuple[int, str]:
@@ -523,7 +526,7 @@ def shifted_bound(top: Group, data: CommutatorData) -> tuple[int, str]:
 # finite top
 
 
-def _cursor_walk(wreath: WreathProduct, element: WreathElement, lamps=None) -> list[Word]:
+def _cursor_walk(wreath: WreathProduct, element: WreathElement, residual=None) -> list[Word]:
     """Geodesic cursor moves over the support, with power-word deposits.
 
     Each lamp deposits its exponent sums, the image of its value in the
@@ -531,7 +534,9 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement, lamps=None) -> l
     Every move letter is its own single-letter palindrome; each support
     value costs at most d power words.  Both take their letters from the
     checked words of the top and the base, so neither is checked again.
-    Given a list lamps, each visit appends its deposit y_1^s_1 ... y_d^s_d.
+    Given a dict residual, each lamp at q leaves there, keyed by
+    q.element.top, its base word with its deposit y_1^s_1 ... y_d^s_d taken
+    off: the lamps of w^-1.element for the walk's product w, whose top is 1.
     """
     top, base = wreath.top, wreath.base
     alphabet = wreath.alphabet
@@ -546,18 +551,19 @@ def _cursor_walk(wreath: WreathProduct, element: WreathElement, lamps=None) -> l
         prefix = goal
 
     for position in wreath.support(element):
-        exponents = abelianize(base.element_word(element.base[position]))
-        if not any(exponents):
-            continue
-        move_to(top.inverse(position))
+        word = base.element_word(element.base[position])
+        exponents = abelianize(word)
         deposit: list = []  # the power words' letters over the base's alphabet
-        for index, exponent in enumerate(exponents):
-            if exponent:
-                sign, count = (1 if exponent > 0 else -1), abs(exponent)
-                factors.append(Word._unchecked(alphabet, ((split + index, sign),) * count))
-                deposit += ((index, sign),) * count
-        if lamps is not None:
-            lamps.append((position, base.evaluate_reduced(Word._unchecked(base.alphabet, deposit))))
+        if any(exponents):
+            move_to(top.inverse(position))
+            for index, exponent in enumerate(exponents):
+                if exponent:
+                    sign, count = (1 if exponent > 0 else -1), abs(exponent)
+                    factors.append(Word._unchecked(alphabet, ((split + index, sign),) * count))
+                    deposit += ((index, sign),) * count
+        if residual is not None:
+            taken = invert(Word._unchecked(base.alphabet, deposit)) * word
+            residual[top.multiply(position, element.top)] = taken
     move_to(element.top)
     return factors
 
@@ -614,34 +620,16 @@ def decompose_full_finite_top(
     target = wreath.evaluate(word)
     bound, formula = finite_top_bound(wide.top, wide.base)
 
-    lamps: list = []
-    factors = _cursor_walk(wide, target, lamps)
-    abelian_count = len(factors)
-    residual = wide.multiply(wide.inverse(wide.element(target.top, lamps)), target)
-    if not wide.top.is_identity(residual.top):
-        raise PalinwidthError("internal: residual has a nontrivial top component")
-
-    sites = tuple(
-        CommutatorSite(position, tuple(express_in_derived(residual.base[position])))
-        for position in wide.support(residual)
-    )
-    h = _carrier(wide, CommutatorData(sites), witness)
-    if h.letters:
-        factors.append(h * reverse(h))
-    return _checked(
-        wide,
-        target,
-        factors,
-        bound,
-        formula,
-        meta={
-            "wreath": wide,
-            "witness": witness,
-            "abelian_factors": abelian_count,
-            "derived_factors": len(factors) - abelian_count,
-        },
-        carrier=h,
-    )
+    residual: dict = {}
+    factors = _cursor_walk(wide, target, residual)
+    meta = {"wreath": wide, "abelian_factors": len(factors)}
+    sites = []
+    for position in sorted(residual, key=wide.top.canonical_key):
+        pairs = express_in_derived(residual[position])
+        if pairs:  # a lamp that is its own deposit leaves nothing
+            sites.append(CommutatorSite(position, tuple(pairs)))
+    data = CommutatorData(tuple(sites))
+    return _with_carrier(wide, target, factors, bound, formula, data, witness, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -443,7 +443,7 @@ def test_group_file_loading(capsys, tmp_path):
     assert report["width"] == 2
 
 
-def test_input_errors_exit_2(capsys):
+def test_input_errors_exit_2(capsys, tmp_path):
     assert main(["pw-exact", "--group", "nosuchpreset"]) == 2
     assert main(["decompose", "--top", "Z^2", "--base", F2_DEF,
                  "--mode", "abelian-top", "--word", "y1*$", "--exps", "1,1"]) == 2
@@ -467,6 +467,29 @@ def test_input_errors_exit_2(capsys):
     assert main(["pw-exact", "--group", "[" * 5000 + "]" * 5000]) == 2
     out, err = capsys.readouterr()
     assert out == "" and len(err.strip().splitlines()) == 1 and len(err) < 100
+    # an exponent that is no integer, a top without generators, an extension without a
+    # word, a report verify cannot check, and a finite-top report over a base that is not free
+    pw_report, finite_top_report = tmp_path / "pw.json", tmp_path / "finite-top.json"
+    code, out = run(capsys, "pw-exact", "--group", "S3")
+    assert code == 0
+    pw_report.write_text(out)
+    code, report = run_json(capsys, "decompose", "--top", "S3", "--base", F2_DEF,
+                            "--word", "s*y1*t*y2^-1*s*y1^-1")
+    assert code == 0
+    report["base"] = {"kind": "free_abelian", "names": ["y1", "y2"]}
+    finite_top_report.write_text(json.dumps(report))
+    for argv, message in [
+        (["decompose", "--top", "Z^2", "--base", F2_DEF, "--mode", "abelian-top",
+          "--word", "y1", "--exps", "1,a"], "bad exponent list '1,a'"),
+        (["decompose", "--top", "Z^0", "--base", F2_DEF, "--mode", "abelian-top",
+          "--word", "y1", "--exps", ""], "top group has no generators"),
+        (["pw-exact", "--group", "S3", "--extend-gens", "c"], "--extend-gens wants name=word"),
+        (["verify", "--report", str(pw_report)], "verify wants a decompose report"),
+        (["verify", "--report", str(finite_top_report)], "free base required"),
+    ]:
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.strip().splitlines() == [f"error: {message}"]
 
 
 ABELIAN_TOP = ["--top", "Z^2", "--base", F2_DEF, "--mode", "abelian-top", "--word", "y1"]
@@ -577,6 +600,24 @@ REPORT_WITHOUT_INPUTS = {
           "--mode", "finite-top", "--word", "s*t"], {}),
         (["pw-exact", "--group", '{"kind":"finite","generators":{"g":true},"table":[[0,1],[1,0]]}'],
          {}),
+        (["decompose", "--top", "Z", "--base", F2_DEF, "--mode", "shifted",
+          "--commutators", "[1]"], {}),
+        (["decompose", "--top", "Z", "--base", F2_DEF, "--mode", "shifted",
+          "--commutators", '[{"position": "t1", "pairs": [["y1"]]}]'], {}),
+        (["decompose", "--top", "Z", "--base", F2_DEF, "--mode", "shifted", "--commutators",
+          '[{"position": "t1", "pairs": [["y1", "y2"]]}, {"position": "t1", "pairs": [["y2", "y1"]]}]'],
+         {}),
+        (["decompose", "--top", "S3", "--base", F2_DEF, "--mode", "derived", "--commutators",
+          '[{"position": "t", "pairs": [["y1", "y2"]]}, {"position": "t", "pairs": [["y2", "y1"]]}]'],
+         {}),
+        (["pw-exact", "--group", '{"kind":"abelian_product","free_rank":1,"finite":{"preset":"Z"}}'],
+         {}),
+        (["pw-exact", "--group",
+          '{"kind":"abelian_product","free_rank":2,"free_names":["u"],"finite":{"preset":"Z/2"}}'],
+         {}),
+        (["pw-exact", "--group",
+          '{"base":{"preset":"F2"},"extra_generator":{"name":"c","value_word":"a"}}'], {}),
+        (["pw-exact", "--group", '{"kind":"finite","generators":{},"table":[]}'], {}),
     ],
     ids=[
         "abelian-product-without-parts", "site-without-position", "commutators-not-a-list",
@@ -584,15 +625,18 @@ REPORT_WITHOUT_INPUTS = {
         "rank-not-an-integer", "extra-generator-without-value-word", "report-without-inputs",
         "group-nested-inline", "group-nested-in-file", "extra-generator-chain",
         "top-nested-inline", "commutators-nested", "report-nested", "rank-negative",
-        "rank-a-boolean", "generator-a-boolean",
+        "rank-a-boolean", "generator-a-boolean", "commutators-site-not-an-object",
+        "pair-not-two-words", "shifted-position-twice", "derived-position-twice",
+        "abelian-product-finite-part-infinite", "free-names-short",
+        "extra-generator-over-a-free-group", "finite-table-empty",
     ],
 )
 def test_malformed_json_exits_2(capsys, tmp_path, argv, files):
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     code = main([arg.format(dir=tmp_path) if "{dir}" in arg else arg for arg in argv])
-    err = capsys.readouterr().err
-    assert code == 2
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: ")
 
 
@@ -730,6 +774,16 @@ def test_decomposition_failure_exits_1(capsys):
     )
     assert code == 1
     assert "AbelianGroup" in out
+    # a top the construction cannot use is a failure block as well
+    shifted = ["--mode", "shifted", "--commutators", '[{"position": "1", "pairs": [["y1", "y2"]]}]']
+    for top, args, failure in [
+        ("S3", ["--mode", "abelian-top", "--exps", "1,1", "--word", "y1"], "NotAbelian"),
+        ("S3", shifted, "NotAbelian"),
+        ("Z/4", shifted, "NoInfiniteOrderGenerator"),
+    ]:
+        code, out = run(capsys, "decompose", "--top", top, "--base", F2_DEF, *args)
+        assert code == 1
+        assert json.loads(out)["failure"].startswith(f"{failure}: ")
     # the same abelian top over a base that is not free: an input error,
     # found before the relation search could fail on the top
     code, out = run(

@@ -15,6 +15,7 @@ from palinwidth import (
     RelationWitness,
     Word,
     WreathProduct,
+    abelianize,
     commutator_word,
     decompose_abelian_element,
     decompose_commutator_abelian_top,
@@ -24,6 +25,7 @@ from palinwidth import (
     decompose_full_finite_top,
     decompose_shifted_commutators,
     exact_palindromic_width,
+    express_in_derived,
     find_reversal_asymmetric_relation,
     invert,
     is_palindrome,
@@ -556,6 +558,24 @@ def test_finite_top_abelianized_random():
         assert fact.verified and fact.count <= fact.bound_claimed
 
 
+def test_finite_top_abelianized_refuses_other_factors():
+    infinite_top = WreathProduct(FreeAbelianGroup(1), AbelianizedFreeGroup(names=["y1", "y2"]))
+    with pytest.raises(GroupDefinitionError, match="finite top required"):
+        decompose_finite_top_abelianized(infinite_top, infinite_top.identity())
+    free_base = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+    with pytest.raises(GroupDefinitionError, match="vector-valued base required"):
+        decompose_finite_top_abelianized(free_base, free_base.identity())
+
+
+def test_commutator_target_refuses_a_top_word():
+    wreath = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
+    top_word = Word.parse(wreath.top.alphabet, "s")
+    (base_word,) = base_words(wreath, "y1")
+    data = CommutatorData((CommutatorSite(0, ((top_word, base_word),)),))
+    with pytest.raises(GroupDefinitionError, match="commutator arguments must be base words"):
+        decompose_module.commutator_target(wreath, data, 0)
+
+
 def test_full_finite_top_trivial_cases():
     wreath = WreathProduct(presets.symmetric_3(), FreeGroup(names=["y1", "y2"]))
     empty = decompose_full_finite_top(wreath, Word(wreath.alphabet))
@@ -790,6 +810,41 @@ def test_full_finite_top_bound_is_stated_up_front():
         maxlen = top.geodesics().max_length
         assert fact.bound_claimed == maxlen * (top.size + 1) + 1 * top.size + 1
         assert fact.bound_formula == "maxlen*(|top|+1) + d*|top| + 1"
+
+
+def _residual_sites_by_product(wide: WreathProduct, target) -> tuple:
+    """Reference for the cursor walk's residual: the deposits as a wreath element A,
+    then one site per lamp of A^-1.target, in the top's canonical order."""
+    deposits = []
+    for position, value in target.base.items():
+        exponents = abelianize(wide.base.element_word(value))
+        word = Word.from_blocks(wide.base.alphabet, [(i, e) for i, e in enumerate(exponents) if e])
+        deposits.append((position, wide.base.evaluate(word)))
+    residual = wide.multiply(wide.inverse(wide.element(target.top, deposits)), target)
+    assert wide.top.is_identity(residual.top)
+    return tuple(
+        CommutatorSite(position, tuple(express_in_derived(residual.base[position])))
+        for position in wide.support(residual)
+    )
+
+
+@pytest.mark.parametrize("case", [f"{name}{c}" for c in ("", "+c") for name in ("S3", "D4", "Q8", "lamp(2,3)")])
+def test_full_finite_top_residual_matches_the_product_reference(case):
+    # the walk takes each deposit off its lamp's word; the product A^-1.target gives
+    # the same sites, so the same carrier; y1^2*y2 is its own deposit and leaves no site
+    wreath = WreathProduct(_finite_top(case), FreeGroup(names=["y1", "y2"]))
+    rng = random.Random(24)
+    words = [Word.parse(wreath.alphabet, "y1^2*y2")]
+    words += [random_word(rng, wreath.alphabet, 200, 20) for _ in range(12)]
+    site_counts = []
+    for word in words:
+        fact = decompose_full_finite_top(wreath, word)
+        wide, witness = fact.meta["wreath"], fact.meta["witness"]
+        sites = _residual_sites_by_product(wide, fact.target)
+        assert fact.verified
+        assert fact.meta["carrier"] == decompose_module._carrier(wide, CommutatorData(sites), witness)
+        site_counts.append(len(sites))
+    assert site_counts[0] == 0 and max(site_counts) > 0
 
 
 def _finite_top(case: str) -> FiniteGroup:

@@ -186,6 +186,9 @@ def test_closure_refuses_products_that_are_not_group_products():
         FiniteGroup.from_elements(
             ["s", "t"], (0, 1, 2), _letter_step(_compose, lambda p: p, [(1, 0, 2), (1, 2, 0)])
         )
+    # one product per generator, where the step must give one per signed letter
+    with pytest.raises(GroupDefinitionError, match="step must give one product per signed letter"):
+        FiniteGroup.from_elements(["g"], 0, lambda a: [(a + 1) % 3])
 
 
 def test_finite_from_table_round_trip():

@@ -100,6 +100,8 @@ def test_sandwich():
     assert is_palindrome(sandwich(a, w("1"))) is not None
     with pytest.raises(NotAPalindrome):
         sandwich(w("x1"), w("x1*x2"))
+    with pytest.raises(AlphabetMismatch):
+        sandwich(w("x1"), Word.parse(Alphabet(["y1"]), "y1"))
 
 
 def test_reverse_laws_random():

@@ -8,13 +8,12 @@ from importlib import import_module
 
 _EXPORTS = {  # module -> the names the package exports from it
     "words": (
-        "Alphabet", "PalindromeCertificate", "Word", "invert", "is_palindrome", "reduce_free",
-        "relabel", "reverse", "sandwich",
+        "Alphabet", "Word", "invert", "is_palindrome", "reduce_free", "relabel", "reverse",
+        "sandwich",
     ),
     "groups": (
         "AbelianProductGroup", "AbelianizedFreeGroup", "BaumslagSolitar", "FiniteGroup",
-        "FreeAbelianGroup", "FreeGroup", "GeodesicTable", "Group", "Homomorphism", "abelianize",
-        "quotient_map",
+        "FreeAbelianGroup", "FreeGroup", "Group", "Homomorphism", "abelianize", "quotient_map",
     ),
     "wreath": ("WreathElement", "WreathProduct"),
     "commutators": ("commutator_closure", "commutator_word", "express_in_derived"),

@@ -40,12 +40,15 @@ if TYPE_CHECKING:
     import random
 
     from .decompose import CommutatorData, PalindromeFactorization, RelationWitness
-    from .wreath import WreathElement, WreathProduct
+    from .wreath import WreathProduct
 
 # the paper's constructions, in the order `bench` runs them
 MODES = ("abelian-top", "shifted", "derived", "finite-top")
 # the modes whose construction takes a relation of the top (and searches for one when given none)
 RELATION_MODES = ("derived", "finite-top")
+# the decompose options each mode reads, besides --top, --base and (RELATION_MODES) --relation
+_MODE_OPTIONS = {"abelian-top": ("word", "word_b", "exps"), "shifted": ("commutators", "a_top"),
+                 "derived": ("commutators", "a_top"), "finite-top": ("word",)}
 
 _INPUT_ERRORS = (GroupDefinitionError, WordSyntaxError, AlphabetMismatch, ValueError)
 
@@ -229,7 +232,10 @@ def _parse_commutators(text: str, wreath: WreathProduct) -> CommutatorData:
 
 
 def _decompose_inputs(args, wreath: WreathProduct) -> dict:
-    """argv as the report's `inputs` block."""
+    """argv as the report's `inputs` block; an option the mode does not read is an input error."""
+    for option in ("word", "word_b", "exps", "commutators", "a_top"):
+        if getattr(args, option) is not None and option not in _MODE_OPTIONS[args.mode]:
+            raise GroupDefinitionError(f"{args.mode} mode takes no --{option.replace('_', '-')}")
     if args.mode == "abelian-top":
         if args.exps is None:
             raise GroupDefinitionError("--exps is required for abelian-top mode")
@@ -299,13 +305,11 @@ def _mode_calls(
         else:
             run = partial(decompose_derived_wreath, wreath, data, a_top, witness)
             bound = derived_bound
-    elif mode == "finite-top":
+    else:  # finite-top; decompose, verify and bench take only MODES
         word = Word.parse(wreath.alphabet, _field(inputs, "word", str))
         run = partial(decompose_full_finite_top, wreath, word, witness)
         target = partial(wreath.evaluate, word)
         bound = partial(finite_top_bound, base=base)
-    else:
-        raise GroupDefinitionError(f"unknown mode {mode!r}")
 
     def claim() -> tuple:
         product = _relation_product(wreath, witness)[0] if mode in RELATION_MODES else wreath
@@ -412,6 +416,8 @@ def cmd_verify(args) -> tuple[dict, bool]:
     top = group_from_def(_field(stored, "top", dict))
     base = group_from_def(_field(stored, "base", dict))
     mode = _field(stored, "mode", str)
+    if mode not in MODES:
+        raise GroupDefinitionError(f"unknown mode {mode!r}")
     witness = _witness(mode, _field(stored, "relation_used", dict, None), top)
     if witness is None and mode in RELATION_MODES:
         raise GroupDefinitionError(f"{mode} mode needs a relation")

@@ -292,7 +292,7 @@ def find_reversal_asymmetric_relation(group: Group) -> RelationWitness:
         raise GroupDefinitionError(
             "relation search needs a finite group or a Baumslag-Solitar handle"
         )
-    pair = _first_non_commuting_pair(group)
+    pair = group.non_commuting_pair()
     if pair is None:
         raise AbelianGroup("every relation of an abelian group reverses to one")
     r = oracle_for(group).asymmetric_relation()
@@ -301,20 +301,9 @@ def find_reversal_asymmetric_relation(group: Group) -> RelationWitness:
     name = _fresh_name(group.alphabet, "c")
     value = group.multiply(*pair)
     extended = group.with_extra_generator(name, value)
+    # with c = x.y, x.y.c^-1 is a relation and c^-1.y.x = [y, x] is not: the search finds one
     r = oracle_for(extended).asymmetric_relation()
-    if r is None:
-        raise BudgetExhausted("no asymmetric relation found even after extending by c")
     return RelationWitness(group=extended, relation=r, extra_generator=(name, value))
-
-
-def _first_non_commuting_pair(group: FiniteGroup) -> Optional[tuple[int, int]]:
-    """The first two generators, in alphabet order, that do not commute; None when all do."""
-    gens = group.generator_indices
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if group.multiply(gens[i], gens[j]) != group.multiply(gens[j], gens[i]):
-                return (gens[i], gens[j])
-    return None
 
 
 def _fresh_name(names, stem: str) -> str:

@@ -135,17 +135,6 @@ class Group:
         raise NotImplementedError
 
 
-class GeodesicTable(NamedTuple):
-    """Per element: word length and one shortlex geodesic."""
-
-    lengths: tuple[int, ...]
-    words: tuple[Word, ...]
-
-    @property
-    def max_length(self) -> int:
-        return max(self.lengths)
-
-
 class FiniteGroup(Group):
     """Finite group as an element list (index 0 = identity) plus Cayley table.
 
@@ -410,10 +399,9 @@ class FiniteGroup(Group):
             self._tree = search.run(self.size).order, search.parents
         return self._tree
 
-    def geodesics(self) -> GeodesicTable:
-        """Every element's word (element_word), in element order."""
-        words = tuple(map(self.element_word, self.elements()))
-        return GeodesicTable(tuple(map(len, words)), words)
+    def geodesics(self) -> tuple[Word, ...]:
+        """Every element's shortlex geodesic word (element_word), in element order."""
+        return tuple(map(self.element_word, self.elements()))
 
     def element_word(self, a: int) -> Word:
         """a's shortlex geodesic from the letter search; alphabet order, '+' before '-'.
@@ -448,9 +436,14 @@ class FiniteGroup(Group):
     def canonical_key(self, a: int) -> int:
         return a
 
+    def non_commuting_pair(self) -> Optional[tuple[int, int]]:
+        """The first two generators, in alphabet order, that do not commute; None when all do."""
+        gens, table = self.generator_indices, self._table
+        pairs = ((g, h) for i, g in enumerate(gens) for h in gens[i + 1:])
+        return next(((g, h) for g, h in pairs if table[g][h] != table[h][g]), None)
+
     def is_abelian(self) -> bool:
-        gens = self.generator_indices
-        return all(self._table[g][h] == self._table[h][g] for g in gens for h in gens)
+        return self.non_commuting_pair() is None
 
     def elements(self) -> range:
         return range(self.size)

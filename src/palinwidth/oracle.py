@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import NotGenerated
 from .groups import BreadthFirst, FiniteGroup, Group
-from .words import Letter, Word, letter_name
+from .words import Letter, Word, is_palindrome, letter_name
 
 Pair = tuple[int, int]
 Source = tuple[Pair, Optional[Letter]]  # pair of u and centre of a witness u.c.reverse(u)
@@ -82,9 +82,6 @@ class Witnesses(Mapping):
             core = [centre] if centre is not None else []
             word = self._words[element] = Word(self._automaton.group.alphabet, u + core + u[::-1])
         return word
-
-    def __contains__(self, element: object) -> bool:
-        return element in self._sources
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._sources)
@@ -227,15 +224,10 @@ class FactorizationCertificate(NamedTuple):
     failing_index: Optional[int] = None
     reason: Optional[str] = None
 
-    @property
-    def product_matches(self) -> bool:
-        """Whether the product matched: it is compared only once every factor passed."""
-        return self.valid
-
     def to_dict(self) -> dict:
         return {
             "valid": self.valid,
-            "product_matches": self.product_matches,
+            "product_matches": self.valid,  # the product is compared once every factor passed
             "centers": list(self.centers),
             "failing_index": self.failing_index,
             "reason": self.reason,
@@ -256,10 +248,9 @@ def verify_factorization(group: Group, target, factors: Sequence[Word]) -> Facto
     for i, factor in enumerate(factors):
         if factor.alphabet is not alphabet and factor.alphabet != alphabet:
             return _refused(centers, "AlphabetMismatch", i)
-        # is_palindrome's test and centre, read off the letters without a certificate record
-        letters = factor.letters
-        if letters != letters[::-1]:
+        if not is_palindrome(factor):
             return _refused(centers, "NotPalindrome", i)
+        letters = factor.letters
         centers.append(letter_name(names, letters[len(letters) // 2]) if len(letters) % 2 else None)
     # every factor is over the group's alphabet (checked above)
     letters = chain.from_iterable(factor.letters for factor in factors)

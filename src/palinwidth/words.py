@@ -1,10 +1,10 @@
 """Words over signed generator alphabets.
 
 A word is a flat sequence of signed letters.  Reversal, formal inversion
-and palindrome certification all read the literal letter sequence; free
+and the palindrome test all read the literal letter sequence; free
 reduction is the only operation that rewrites it.  Palindromes are never
 detected "up to reduction": reduction can destroy palindromicity, so the
-certificate always refers to the unreduced word.
+test always reads the unreduced word.
 
 Letters are checked once, where they enter: Word(alphabet, letters),
 Word.parse and Word.from_blocks refuse an index outside the alphabet or
@@ -16,7 +16,7 @@ did not, so it is made by Word._unchecked without a second check.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable
 
 from .errors import AlphabetMismatch, NotAPalindrome, WordSyntaxError
 
@@ -147,12 +147,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __bool__(self) -> bool:
-        return bool(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Word)
@@ -174,25 +168,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self})"
-
-
-class PalindromeCertificate(NamedTuple):
-    """Witness that word = left . center . reverse(left), letter for letter."""
-
-    word: Word
-    center: Optional[Letter]
-
-    @property
-    def left(self) -> Word:
-        """The first half of the word, before the center."""
-        return Word._unchecked(self.word.alphabet, self.word.letters[: len(self.word) // 2])
-
-    def reconstruct(self) -> Word:
-        middle = Word(self.word.alphabet, [self.center] if self.center else [])
-        return self.left * middle * reverse(self.left)
-
-    def center_str(self) -> Optional[str]:
-        return None if self.center is None else letter_name(self.word.alphabet.names, self.center)
 
 
 def letter_name(names: tuple[str, ...], letter: Letter) -> str:
@@ -227,23 +202,20 @@ def reduce_free(w: Word) -> Word:
     return Word._unchecked(w.alphabet, stack)
 
 
-def is_palindrome(w: Word) -> Optional[PalindromeCertificate]:
-    """Certificate iff w equals reverse(w) letter for letter (no reduction).
+def is_palindrome(w: Word) -> bool:
+    """Whether w equals reverse(w) letter for letter (no reduction).
 
-    The empty word is a palindrome with empty left part and no center.
+    The empty word is a palindrome.  A palindrome of odd length has its
+    centre letter at len(w) // 2; verify_factorization names it.
     """
-    letters = w.letters
-    if letters != letters[::-1]:
-        return None
-    center = letters[len(letters) // 2] if len(letters) % 2 else None
-    return PalindromeCertificate(word=w, center=center)
+    return w.letters == w.letters[::-1]
 
 
 def sandwich(u: Word, p: Word) -> Word:
     """u . p . reverse(u); a palindrome whenever p is one (enforced)."""
     if u.alphabet != p.alphabet:
         raise AlphabetMismatch("sandwich parts must share one alphabet")
-    if is_palindrome(p) is None:
+    if not is_palindrome(p):
         raise NotAPalindrome(f"core {p} is not a palindrome")
     return u * p * reverse(u)
 

@@ -253,6 +253,24 @@ def test_decompose_refuses_a_relation_on_a_mode_that_takes_none(capsys, argv):
     assert captured.out == "" and captured.err == f"error: {mode} mode takes no relation\n"
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--top", "Z^2", "--base", "F2", "--mode", "abelian-top", "--exps", "1,0", "--word", "x1",
+      "--commutators", "garbage", "--a-top", "nonsense"], "--commutators"),
+    (["--top", "Z", "--base", "S3", "--mode", "shifted", "--commutators", "[]", "--a-top", "t1",
+      "--word", "s"], "--word"),
+    (["--top", "S3", "--base", F2_DEF, "--mode", "derived", "--commutators", "[]",
+      "--word", "not a word", "--exps", "x,y"], "--word"),
+    (["--top", "S3", "--base", F2_DEF, "--mode", "finite-top", "--word", "s*y1", "--exps", "1,2",
+      "--commutators", "[]", "--a-top", "t", "--word-b", "x2"], "--word-b"),
+    (["--top", "S3", "--base", F2_DEF, "--mode", "finite-top", "--a-top", "t"], "--a-top"),
+], ids=["abelian-top", "shifted", "derived", "finite-top", "finite-top-a-top"])
+def test_decompose_refuses_an_option_its_mode_does_not_read(capsys, argv, option):
+    assert main(["decompose", *argv]) == 2
+    captured = capsys.readouterr()
+    mode = argv[argv.index("--mode") + 1]
+    assert captured.out == "" and captured.err == f"error: {mode} mode takes no {option}\n"
+
+
 @pytest.mark.parametrize("relation", ["auto", ""])
 def test_auto_and_empty_relation_ask_the_construction_to_search(capsys, relation):
     for argv in (
@@ -307,6 +325,16 @@ def test_the_extension_takes_a_name_fresh_for_the_product(capsys, tmp_path, inpu
     report = decompose_and_verify(capsys, tmp_path, "--top", "S3", "--base", base, *inputs)
     assert report["relation_used"] == {
         "relation": "s*t*c2", "extra_generator": {"name": "c2", "value_word": "s*t"},
+    }
+
+
+def test_a_top_named_c_over_a_base_named_c2_is_extended_by_c3(capsys, tmp_path):
+    top = '{"kind":"finite","generators":{"c":[2,1,3],"t":[2,3,1]}}'
+    base = '{"kind":"free","names":["c2","y"]}'
+    report = decompose_and_verify(capsys, tmp_path, "--top", top, "--base", base,
+                                  "--word", "c*c2*t*y")
+    assert report["relation_used"] == {
+        "relation": "c*t*c3", "extra_generator": {"name": "c3", "value_word": "c*t"},
     }
 
 
@@ -443,6 +471,9 @@ def test_group_file_loading(capsys, tmp_path):
     assert report["width"] == 2
 
 
+RELATION_GROUPS = "relation search needs a finite group or a Baumslag-Solitar handle"
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     assert main(["pw-exact", "--group", "nosuchpreset"]) == 2
     assert main(["decompose", "--top", "Z^2", "--base", F2_DEF,
@@ -468,7 +499,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
     out, err = capsys.readouterr()
     assert out == "" and len(err.strip().splitlines()) == 1 and len(err) < 100
     # an exponent that is no integer, a top without generators, an extension without a
-    # word, a report verify cannot check, and a finite-top report over a base that is not free
+    # word, a report verify cannot check, a finite-top report over a base that is not free,
+    # a report of an unknown mode (with a relation_used block and without), and a relation
+    # search over an infinite group that is not Baumslag-Solitar
     pw_report, finite_top_report = tmp_path / "pw.json", tmp_path / "finite-top.json"
     code, out = run(capsys, "pw-exact", "--group", "S3")
     assert code == 0
@@ -476,6 +509,11 @@ def test_input_errors_exit_2(capsys, tmp_path):
     code, report = run_json(capsys, "decompose", "--top", "S3", "--base", F2_DEF,
                             "--word", "s*y1*t*y2^-1*s*y1^-1")
     assert code == 0
+    bogus_report, bogus_bare_report = tmp_path / "bogus.json", tmp_path / "bogus-bare.json"
+    bogus = {**report, "mode": "bogus"}  # with its relation_used block, then without
+    bogus_report.write_text(json.dumps(bogus))
+    del bogus["relation_used"]
+    bogus_bare_report.write_text(json.dumps(bogus))
     report["base"] = {"kind": "free_abelian", "names": ["y1", "y2"]}
     finite_top_report.write_text(json.dumps(report))
     for argv, message in [
@@ -486,6 +524,10 @@ def test_input_errors_exit_2(capsys, tmp_path):
         (["pw-exact", "--group", "S3", "--extend-gens", "c"], "--extend-gens wants name=word"),
         (["verify", "--report", str(pw_report)], "verify wants a decompose report"),
         (["verify", "--report", str(finite_top_report)], "free base required"),
+        (["verify", "--report", str(bogus_report)], "unknown mode 'bogus'"),
+        (["verify", "--report", str(bogus_bare_report)], "unknown mode 'bogus'"),
+        (["find-relation", "--group", "Z"], RELATION_GROUPS),
+        (["find-relation", "--group", "F2"], RELATION_GROUPS),
     ]:
         assert main(argv) == 2
         out, err = capsys.readouterr()

@@ -254,6 +254,21 @@ def test_relation_q8():
     assert not group.is_identity(group.evaluate(reverse(witness.relation)))
 
 
+@pytest.mark.parametrize(
+    "name", ["S3", "D4", "Q8", "lamp(2,2)", "lamp(2,3)", "lamp(3,2)", "lamp(3,3)", "lamp(2,5)"]
+)
+def test_the_extension_by_c_has_a_relation_of_at_most_3_letters(name):
+    # with c = x*y for the first non-commuting generators x, y, x*y*c^-1 is a
+    # relation and c^-1*y*x = [y, x] is not, so the exact search always finds one
+    group = presets.get(name)
+    x, y = group.non_commuting_pair()
+    extended = group.with_extra_generator("c", group.multiply(x, y))
+    relation = oracle_for(extended).asymmetric_relation()
+    assert relation is not None and len(relation) <= 3
+    assert extended.is_identity(extended.evaluate(relation))
+    assert not extended.is_identity(extended.evaluate(reverse(relation)))
+
+
 # ---------------------------------------------------------------------------
 # derived wreath (single-palindrome construction)
 
@@ -277,7 +292,7 @@ def test_derived_wreath_single_commutator():
     fact = decompose_derived_wreath(wreath, data, wreath.top.identity(), witness)
     assert fact.count == 1 and fact.verified
     carrier = fact.factors[0]
-    assert is_palindrome(carrier) is not None
+    assert is_palindrome(carrier)
     value = wreath.evaluate(carrier)
     expected = wreath.base.evaluate(commutator_word(f, g))
     assert wreath.top.is_identity(value.top)
@@ -779,7 +794,7 @@ def test_full_finite_top_abelian_top_rejected():
 
 def test_full_finite_top_over_dihedral():
     wreath = WreathProduct(presets.dihedral_4(), FreeGroup(names=["y1", "y2"]))
-    maxlen = presets.dihedral_4().geodesics().max_length
+    maxlen = presets.dihedral_4().max_word_length()
     rng = random.Random(20)
     for _ in range(10):
         word = random_word(rng, wreath.alphabet, 24)
@@ -807,7 +822,7 @@ def test_full_finite_top_bound_is_stated_up_front():
     for text in ("1", "y1", "s*y1*t*y1^-1*s^-1*y1^2*t"):
         fact = decompose_full_finite_top(wreath, Word.parse(wreath.alphabet, text))
         top = fact.meta["wreath"].top
-        maxlen = top.geodesics().max_length
+        maxlen = top.max_word_length()
         assert fact.bound_claimed == maxlen * (top.size + 1) + 1 * top.size + 1
         assert fact.bound_formula == "maxlen*(|top|+1) + d*|top| + 1"
 
@@ -877,7 +892,7 @@ _FINITE_PRESETS = ["S3", "D4", "Q8", "Z2xZ2", "Z/5", "Z/12", "lamp(2,2)", "lamp(
 def test_cursor_walk_bound_reads_the_longest_geodesic(case):
     # the last element the breadth-first search finds is a deepest one
     top = _finite_top(case)
-    maxlen = top.geodesics().max_length
+    maxlen = top.max_word_length()
     assert top.max_word_length() == maxlen
     for rank in (1, 2, 3):
         bound = decompose_module._cursor_walk_bound(top, rank)
@@ -899,7 +914,7 @@ def test_full_finite_top_degenerate_bound_fallback():
             ("p23", [1, 3, 2]),
         ]
     )
-    assert s3_all.geodesics().max_length == 1
+    assert s3_all.max_word_length() == 1
     wreath = WreathProduct(s3_all, FreeGroup(names=["y1"]))
     y = wreath.base.evaluate(Word.parse(wreath.base.alphabet, "y1"))
     element = wreath.element(3, [(p, y) for p in range(6)])

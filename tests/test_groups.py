@@ -51,6 +51,8 @@ def test_free_abelian_evaluate():
     assert Z2.evaluate(Word.parse(Z2.alphabet, "t1*t2*t1")) == (2, 1)
     assert Z2.multiply((1, 0), (0, 1)) == (1, 1)
     assert Z2.inverse(Z2.identity()) == Z2.identity()
+    with pytest.raises(AlphabetMismatch):
+        Z2.evaluate(Word.parse(FreeAbelianGroup(2, names=["x", "y"]).alphabet, "x"))
 
 
 def test_finite_s3_squares():
@@ -93,21 +95,21 @@ def test_abelianize():
 
 def test_geodesics_identity_and_z2():
     Z2 = presets.cyclic(2, "a")
-    table = Z2.geodesics()
-    assert table.lengths[Z2.identity()] == 0
-    assert table.lengths[1] == 1
-    assert Z2.evaluate(table.words[1]) == 1
+    words = Z2.geodesics()
+    assert len(words[Z2.identity()]) == 0
+    assert len(words[1]) == 1
+    assert Z2.evaluate(words[1]) == 1
 
 
 def test_geodesics_s3_bfs():
     # by hand: e, s, t, t^2 have lengths 0,1,1,1; st and ts need 2 letters
     S3 = presets.symmetric_3()
-    table = S3.geodesics()
-    assert sorted(table.lengths) == [0, 1, 1, 1, 2, 2]
-    assert table.max_length == 2
+    words = S3.geodesics()
+    assert sorted(map(len, words)) == [0, 1, 1, 1, 2, 2]
+    assert S3.max_word_length() == 2
     for element in S3.elements():
-        assert S3.evaluate(table.words[element]) == element
-        assert len(table.words[element]) == table.lengths[element]
+        assert S3.evaluate(words[element]) == element
+        assert len(S3.element_word(element)) == len(words[element])
 
 
 def test_geodesic_lengths_match_brute_force():
@@ -116,11 +118,11 @@ def test_geodesic_lengths_match_brute_force():
     letters = [(i, s) for i in range(2) for s in (1, -1)]
     shortest = {S3.identity(): 0}
     level = [Word(S3.alphabet)]
-    for length in range(1, S3.geodesics().max_length + 1):
+    for length in range(1, S3.max_word_length() + 1):
         level = [w * Word(S3.alphabet, [l]) for w in level for l in letters]
         for word in level:
             shortest.setdefault(S3.evaluate(word), length)
-    assert [shortest[e] for e in S3.elements()] == list(S3.geodesics().lengths)
+    assert [shortest[e] for e in S3.elements()] == list(map(len, S3.geodesics()))
 
 
 def test_finite_table_validation():
@@ -197,7 +199,7 @@ def test_finite_from_table_round_trip():
         list(S3.alphabet.names), S3._table, list(S3.generator_indices)
     )
     assert again.size == 6
-    assert again.geodesics().max_length == 2
+    assert again.max_word_length() == 2
 
 
 def test_with_extra_generator():
@@ -206,7 +208,7 @@ def test_with_extra_generator():
     bigger = S3.with_extra_generator("c", st)
     assert bigger.alphabet.names == ("s", "t", "c")
     assert bigger.evaluate(Word.parse(bigger.alphabet, "c")) == st
-    assert bigger.geodesics().max_length <= S3.geodesics().max_length
+    assert bigger.max_word_length() <= S3.max_word_length()
 
 
 def test_extra_generator_shares_the_checked_table():
@@ -307,7 +309,7 @@ def test_trivial_and_degree_one_groups_build(name, order):
     # payload is (0,); lamp(1,3) and lamp(3,1) have a trivial factor
     group = presets.get(name)
     assert group.size == order
-    assert [group.element_word(x) for x in group.elements()] == list(group.geodesics().words)
+    assert [group.element_word(x) for x in group.elements()] == list(group.geodesics())
 
 
 @pytest.mark.parametrize(
@@ -344,7 +346,7 @@ def test_element_word_is_the_geodesic(name):
 
     group = build()
     before = [group.element_word(x) for x in group.elements()]
-    words = group.geodesics().words
+    words = group.geodesics()
     assert before == list(words)
     assert [group.element_word(x) for x in group.elements()] == list(words)
 
@@ -439,7 +441,7 @@ def test_shuffled_table_keeps_its_indices(name, seed):
     assert again_width.width == width.width
     for x in group.elements():
         assert again.inverse(perm[x]) == perm[group.inverse(x)]
-        assert again_geodesics.words[perm[x]] == geodesics.words[x]
+        assert again_geodesics[perm[x]] == geodesics[x]
         assert again_width.distances[perm[x]] == width.distances[x]
 
 
@@ -482,6 +484,31 @@ def test_abelian_product():
         AbelianProductGroup(1, presets.symmetric_3())
 
 
+@pytest.mark.parametrize(
+    "name", ["S3", "D4", "Q8", "Z2xZ2", "Z/1", "Z/5", "lamp(2,3)", "lamp(3,1)", "S3+c", "table"]
+)
+def test_non_commuting_pair_is_the_first_in_alphabet_order(name):
+    if name == "S3+c":
+        s3 = presets.get("S3")
+        group = s3.with_extra_generator("c", s3.evaluate(Word.parse(s3.alphabet, "t^2")))
+    elif name == "table":
+        q8 = presets.get("Q8")
+        group = FiniteGroup.from_table(list(q8.alphabet.names), q8._table, q8.generator_indices)
+    else:
+        group = presets.get(name)
+    commute = lambda a, b: group.multiply(a, b) == group.multiply(b, a)
+    pair = group.non_commuting_pair()
+    # abelian exactly when every two elements commute, generators or not
+    assert group.is_abelian() == (pair is None)
+    elements = group.elements()
+    assert group.is_abelian() == all(commute(a, b) for a in elements for b in elements)
+    if pair is not None:
+        gens = list(group.generator_indices)
+        assert not commute(*pair) and gens.index(pair[0]) < gens.index(pair[1])
+        earlier = [(g, h) for i, g in enumerate(gens) for h in gens[i + 1:]]
+        assert all(commute(g, h) for g, h in earlier[: earlier.index(pair)])
+
+
 def test_quotient_map_basics():
     F = FreeGroup(2)
     K4 = presets.klein_four()
@@ -490,7 +517,9 @@ def test_quotient_map_basics():
     pal = Word.parse(F.alphabet, "x1*x2*x1")
     pushed = hom.push_word(pal)
     assert str(pushed) == "a*b*a"
-    assert is_palindrome(pushed) is not None
+    assert is_palindrome(pushed)
+    with pytest.raises(AlphabetMismatch):
+        hom.push_word(pushed)  # a word over the target, not the source
     commutator = Word.parse(F.alphabet, "x1^-1*x2^-1*x1*x2")
     assert hom.image_of_word(commutator) == K4.identity()
 

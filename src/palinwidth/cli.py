@@ -233,7 +233,7 @@ def _parse_commutators(text: str, wreath: WreathProduct) -> CommutatorData:
 
 def _decompose_inputs(args, wreath: WreathProduct) -> dict:
     """argv as the report's `inputs` block; an option the mode does not read is an input error."""
-    for option in ("word", "word_b", "exps", "commutators", "a_top"):
+    for option in dict.fromkeys(o for options in _MODE_OPTIONS.values() for o in options):
         if getattr(args, option) is not None and option not in _MODE_OPTIONS[args.mode]:
             raise GroupDefinitionError(f"{args.mode} mode takes no --{option.replace('_', '-')}")
     if args.mode == "abelian-top":
@@ -494,14 +494,12 @@ def _bench_inputs(suite: str, rng: random.Random, top: Group, base: Group) -> di
         pairs = [pair()]
         sites = [{"position": f"x^{rng.randint(-3, 3)}", "pairs": pairs}]
         a_top = f"x^{rng.randint(-2, 2)}"
-    elif suite == "derived":
+    else:  # derived; bench takes only MODES
         sites = []
         for position in rng.sample(range(top.size), rng.randint(0, 3)):
             pairs = [pair() for _ in range(rng.randint(1, 2))]
             sites.append({"position": str(top.element_word(position)), "pairs": pairs})
         a_top = str(top.element_word(rng.randrange(top.size)))
-    else:
-        raise GroupDefinitionError(f"unknown suite {suite!r}")
     return {"commutators": json.dumps(sites), "a_top": a_top}
 
 

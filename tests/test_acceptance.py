@@ -224,7 +224,7 @@ def test_criterion_09_full_finite_top():
     rng = random.Random(109)
     s3 = presets.symmetric_3()
     wreath = WreathProduct(s3, FreeGroup(names=["y1", "y2"]))
-    maxlen = s3.max_word_length()
+    maxlen = max(map(len, s3.geodesics()))
     bound = maxlen * (2 * 6 + 1) + 1
     for _ in range(50):
         word = random_word(rng, wreath.alphabet, 30)

@@ -794,7 +794,7 @@ def test_full_finite_top_abelian_top_rejected():
 
 def test_full_finite_top_over_dihedral():
     wreath = WreathProduct(presets.dihedral_4(), FreeGroup(names=["y1", "y2"]))
-    maxlen = presets.dihedral_4().max_word_length()
+    maxlen = max(map(len, presets.dihedral_4().geodesics()))
     rng = random.Random(20)
     for _ in range(10):
         word = random_word(rng, wreath.alphabet, 24)
@@ -822,7 +822,7 @@ def test_full_finite_top_bound_is_stated_up_front():
     for text in ("1", "y1", "s*y1*t*y1^-1*s^-1*y1^2*t"):
         fact = decompose_full_finite_top(wreath, Word.parse(wreath.alphabet, text))
         top = fact.meta["wreath"].top
-        maxlen = top.max_word_length()
+        maxlen = max(map(len, top.geodesics()))
         assert fact.bound_claimed == maxlen * (top.size + 1) + 1 * top.size + 1
         assert fact.bound_formula == "maxlen*(|top|+1) + d*|top| + 1"
 
@@ -892,7 +892,7 @@ _FINITE_PRESETS = ["S3", "D4", "Q8", "Z2xZ2", "Z/5", "Z/12", "lamp(2,2)", "lamp(
 def test_cursor_walk_bound_reads_the_longest_geodesic(case):
     # the last element the breadth-first search finds is a deepest one
     top = _finite_top(case)
-    maxlen = top.max_word_length()
+    maxlen = max(map(len, top.geodesics()))
     assert top.max_word_length() == maxlen
     for rank in (1, 2, 3):
         bound = decompose_module._cursor_walk_bound(top, rank)
@@ -914,7 +914,7 @@ def test_full_finite_top_degenerate_bound_fallback():
             ("p23", [1, 3, 2]),
         ]
     )
-    assert s3_all.max_word_length() == 1
+    assert max(map(len, s3_all.geodesics())) == 1
     wreath = WreathProduct(s3_all, FreeGroup(names=["y1"]))
     y = wreath.base.evaluate(Word.parse(wreath.base.alphabet, "y1"))
     element = wreath.element(3, [(p, y) for p in range(6)])

@@ -257,7 +257,7 @@ def test_witness_words_are_built_only_when_read(name):
 def test_width_bounded_by_max_geodesic_length():
     for name in SMALL_PRESETS:
         group = presets.get(name)
-        assert exact_palindromic_width(group).width <= group.max_word_length()
+        assert exact_palindromic_width(group).width <= max(map(len, group.geodesics()))
 
 
 def test_s3_has_no_asymmetric_relation_over_two_generators():

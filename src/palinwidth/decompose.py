@@ -36,7 +36,6 @@ from typing import Any, NamedTuple, Optional, Sequence
 from .commutators import commutator_word, express_in_derived
 from .errors import (
     AbelianGroup,
-    BudgetExhausted,
     GroupDefinitionError,
     InvalidWitness,
     NoInfiniteOrderGenerator,
@@ -282,9 +281,7 @@ def find_reversal_asymmetric_relation(group: Group) -> RelationWitness:
         if group.is_abelian():
             raise AbelianGroup("every relation of an abelian group reverses to one")
         if abs(group.n) == abs(group.m):
-            raise BudgetExhausted(
-                "the defining relator reverses to a relation when |n| = |m|"
-            )
+            raise InvalidWitness("the defining relator reverses to a relation when |n| = |m|")
         witness = RelationWitness(group=group, relation=group.relation())
         _validate_witness(group, witness)
         return witness
@@ -459,7 +456,7 @@ def decompose_shifted_commutators(
     if not top.is_abelian():
         raise NotAbelian("shifted commutators need an abelian top")
     target = commutator_target(wreath, data, top_value)
-    index = getattr(top, "infinite_order_generator_index", lambda: None)()
+    index = top.infinite_order_generator_index()
     if index is None:
         raise NoInfiniteOrderGenerator("top has no infinite-order generator")
 

@@ -38,10 +38,6 @@ class AbelianGroup(PalinwidthError):
     """No reversal-asymmetric relation can exist."""
 
 
-class BudgetExhausted(PalinwidthError):
-    pass
-
-
 class InvalidWitness(PalinwidthError):
     pass
 

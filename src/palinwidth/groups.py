@@ -110,10 +110,15 @@ class Group:
         }
 
     def evaluate(self, word: Word):
+        """The element a word spells; a word over another alphabet is refused."""
         if word.alphabet != self.alphabet:
             raise AlphabetMismatch(
                 f"word over {word.alphabet!r} fed to group over {self.alphabet!r}"
             )
+        return self._evaluate(word)
+
+    def _evaluate(self, word: Word):
+        """evaluate's arithmetic, for a word over this group's alphabet."""
         value = self.identity()
         for index, sign in word.letters:
             value = self.multiply(value, self.letter_value(index, sign))
@@ -133,6 +138,10 @@ class Group:
 
     def is_abelian(self) -> bool:
         raise NotImplementedError
+
+    def infinite_order_generator_index(self) -> Optional[int]:
+        """The index of a generator of infinite order, or None when none is known."""
+        return None
 
 
 class FiniteGroup(Group):
@@ -171,7 +180,11 @@ class FiniteGroup(Group):
         # (order, parents) of a search over signed letter numbers, built once (see _search_tree)
         self._tree: Optional[tuple[Sequence[int], Any]] = None
         self._words: dict[int, Word] = {}  # element -> its geodesic, built on first read
-        self._columns: Optional[dict[Letter, tuple[int, ...]]] = None  # see letter_columns
+        # per signed letter x, in letter_values order, its right action g -> g.x as a
+        # table column: the one table that every letter step of this handle reads
+        self.letter_columns: dict[Letter, tuple[int, ...]] = {
+            x: tuple(map(itemgetter(v), self._table)) for x, v in self.letter_values().items()
+        }
         self._extensions: dict[tuple[str, int], FiniteGroup] = {}
 
     @classmethod
@@ -198,13 +211,16 @@ class FiniteGroup(Group):
         Certificate, O(|G|·k²) for k generators:
           (a) each action[m] is a permutation, and action[m⁻¹] sends e_m
               to 0;
-          (b) each left[m] commutes with each action[m'];
-          (c) row b sends 0 to b, so the identity's orbit under the
-              left[m] is every element.
-        Proof: an s in the group generated by the actions that fixes 0 and
-        commutes with a map φ also fixes φ(0).  By (b) and (c) the
-        stabiliser of 0 is trivial, so the action is regular and the table
-        is a group's Cayley table.
+          (b) each left[m] commutes with each action[m'].
+        Proof: (c) row b sends 0 to b, so the identity's orbit under the
+        left[m] is every element.  For the link b = x·m, row b is row x
+        after left[m].  Row x is a composition of left maps, so by (b) it
+        commutes with action[m], and row_x(0) = x by induction from row 0,
+        the identity; hence row_b(0) = row_x(e_m) = action[m](row_x(0)) =
+        action[m](x) = b.  An s in the group generated by the actions that
+        fixes 0 and commutes with a map φ also fixes φ(0).  By (b) and (c)
+        the stabiliser of 0 is trivial, so the action is regular and the
+        table is a group's Cayley table.
         """
         index = {identity: 0}
         items = [identity]
@@ -255,10 +271,6 @@ class FiniteGroup(Group):
         for x, m in links:
             rows.append(after_left[m](rows[x]))
             inverses.append(left[m ^ 1][inverses[x]])
-        if tuple(row[0] for row in rows) != rows[0]:
-            raise GroupDefinitionError(
-                "not a group product: left multiplications do not reach every element"
-            )
         group = cls(Alphabet(names), rows, inverses, elements[::2], items)
         group._tree = (range(size), [None, *links])
         return group
@@ -363,20 +375,6 @@ class FiniteGroup(Group):
         g = self.generator_indices[index]
         return g if sign > 0 else self._inv[g]
 
-    @property
-    def letter_columns(self) -> dict[Letter, tuple[int, ...]]:
-        """Per signed letter x, its right action g -> g.x as a table column.
-
-        Built on first read, once per handle, in letter_values order; the
-        pair automaton, the palindrome set and wreath evaluation all read
-        this one table.
-        """
-        if self._columns is None:
-            table = self._table
-            values = self.letter_values().items()
-            self._columns = {x: tuple(map(itemgetter(v), table)) for x, v in values}
-        return self._columns
-
     def extends(self, other: "FiniteGroup") -> bool:
         """Whether this is other's table with other's generators, names and elements, first."""
         k = len(other.alphabet)
@@ -393,9 +391,8 @@ class FiniteGroup(Group):
         whose alphabet is new, searches again, stopped at |G|.
         """
         if self._tree is None:
-            values = list(self.letter_values().values())
-            table = self._table
-            search = BreadthFirst(0, range(len(values)), lambda x, m: table[x][values[m]])
+            columns = list(self.letter_columns.values())
+            search = BreadthFirst(0, range(len(columns)), lambda x, m: columns[m][x])
             self._tree = search.run(self.size).order, search.parents
         return self._tree
 
@@ -471,9 +468,7 @@ class _ReducedWords(Group):
     def letter_value(self, index: int, sign: int) -> Word:
         return Word(self.alphabet, [(index, sign)])
 
-    def evaluate(self, word: Word) -> Word:
-        if word.alphabet != self.alphabet:
-            raise AlphabetMismatch("word over a different alphabet")
+    def _evaluate(self, word: Word) -> Word:
         return reduce_free(word)
 
     def element_word(self, a: Word) -> Word:
@@ -515,6 +510,9 @@ class FreeGroup(_ReducedWords):
     def is_abelian(self) -> bool:
         return self.rank <= 1
 
+    def infinite_order_generator_index(self) -> Optional[int]:
+        return 0 if self.rank else None
+
     def __repr__(self) -> str:
         return f"FreeGroup({list(self.alphabet.names)})"
 
@@ -542,9 +540,7 @@ class FreeAbelianGroup(Group):
     def letter_value(self, index: int, sign: int) -> tuple[int, ...]:
         return tuple(sign if i == index else 0 for i in range(self.rank))
 
-    def evaluate(self, word: Word) -> tuple[int, ...]:
-        if word.alphabet != self.alphabet:
-            raise AlphabetMismatch("word over a different alphabet")
+    def _evaluate(self, word: Word) -> tuple[int, ...]:
         return abelianize(word)
 
     def element_word(self, a) -> Word:

@@ -12,10 +12,10 @@ product law is
 Evaluation collects each position's base letters in word order, cancelling
 inverse neighbours as they are deposited, and has the base group evaluate
 each position's reduced word once (evaluate_reduced); identity lamps are
-dropped.  A finite top steps through its letter columns, the table shared
-by every reader of the handle, and any other top multiplies by its signed
-letter values, looked up once per handle; a run of base letters computes
-its position once.
+dropped.  A finite top steps through its letter columns, the one table its
+handle built, and any other top multiplies by its signed letter values; the
+wreath handle reads both, and maps its base letters, when it is built.  A
+run of base letters computes its position once.
 
 A wreath product meets the same Group contract as its factors, so anything
 that takes a group (certificates, homomorphisms, push-forwards) takes one
@@ -28,7 +28,6 @@ faithful right action (p, x).(phi, a) = (p*a, x*phi(p)) on top x base.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import AlphabetMismatch, GroupDefinitionError
@@ -70,7 +69,14 @@ class WreathProduct(Group):
         self.base = base
         self.alphabet = Alphabet(top.alphabet.names + base.alphabet.names)
         self._split = len(top.alphabet)
-        self._top_values = top.letter_values()  # looked up once for evaluate
+        # what evaluate reads per letter: a finite top's letter columns (None for any other
+        # top, which steps through multiply); each base letter and its inverse over the base's
+        self._top_values = top.letter_values()
+        self._top_columns = top.letter_columns if isinstance(top, FiniteGroup) else None
+        self._base_letters = {
+            (self._split + i, sign): ((i, sign), (i, -sign))
+            for i in range(len(base.alphabet)) for sign in (1, -1)
+        }
         self._widened: dict[FiniteGroup, WreathProduct] = {}
 
     # element arithmetic
@@ -121,21 +127,6 @@ class WreathProduct(Group):
     def is_identity(self, g: WreathElement) -> bool:
         return not g.base and self.top.is_identity(g.top)
 
-    @cached_property
-    def _letter_steps(self) -> tuple[Optional[dict], dict]:
-        """What evaluate reads per letter, built on this handle's first evaluation.
-
-        A finite top's letter columns (None for any other top, which steps
-        through multiply), and per base letter of the combined alphabet,
-        that letter and its inverse over the base's alphabet.
-        """
-        columns = self.top.letter_columns if isinstance(self.top, FiniteGroup) else None
-        split = self._split
-        return columns, {
-            (split + i, sign): ((i, sign), (i, -sign))
-            for i in range(len(self.base.alphabet)) for sign in (1, -1)
-        }
-
     def evaluate(self, word: Word) -> WreathElement:
         """The element a word over the combined alphabet spells, read left to right.
 
@@ -150,7 +141,7 @@ class WreathProduct(Group):
                 f"word over {word.alphabet!r} fed to wreath product over {self.alphabet!r}"
             )
         top, split, top_values = self.top, self._split, self._top_values
-        columns, base_letters = self._letter_steps
+        columns, base_letters = self._top_columns, self._base_letters
         multiply = top.multiply
         inverse = top.inverse if columns is None else top._inv.__getitem__
         prefix = top.identity()

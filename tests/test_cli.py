@@ -85,6 +85,24 @@ def test_decompose_shifted(capsys):
     assert report["count"] <= 8
 
 
+def test_decompose_shifted_over_a_rank_one_free_top_and_verify(capsys, tmp_path):
+    # F1 is the infinite cyclic top written as a free group: its generator x1 has infinite order
+    code, out = run(
+        capsys,
+        "decompose", "--top", "F1", "--base", '{"kind":"free","names":["y1","y2"]}',
+        "--mode", "shifted", "--commutators", '[{"position":"x1^2","pairs":[["y1","y2"]]}]',
+        "--a-top", "x1",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["verified"] is True
+    assert (report["count"], report["bound"], report["bound_formula"]) == (8, 8, "r+7n")
+    report_path = tmp_path / "report.json"
+    report_path.write_text(out)
+    code, verify_report = run_json(capsys, "verify", "--report", str(report_path))
+    assert code == 0 and verify_report["verified"] is True
+
+
 def test_decompose_finite_top_and_verify_round_trip(capsys, tmp_path):
     code, out = run(
         capsys,

@@ -40,7 +40,6 @@ from palinwidth import (
 from palinwidth import presets
 from palinwidth.errors import (
     AbelianGroup,
-    BudgetExhausted,
     GroupDefinitionError,
     InvalidWitness,
     NoInfiniteOrderGenerator,
@@ -218,8 +217,10 @@ def test_relation_abelian_refused():
 
 
 def test_relation_bs_equal_exponents_refused():
-    with pytest.raises(BudgetExhausted):
-        find_reversal_asymmetric_relation(presets.get("BS(2,2)"))
+    # the defining relator, the search's only candidate, reverses to a relation
+    for name in ["BS(2,2)", "BS(2,-2)", "BS(1,-1)", "BS(-1,1)"]:
+        with pytest.raises(InvalidWitness, match=r"reverses to a relation when \|n\| = \|m\|"):
+            find_reversal_asymmetric_relation(presets.get(name))
 
 
 def test_relation_s3_requires_extension():
@@ -522,6 +523,9 @@ def test_shifted_needs_infinite_order_generator():
     finite_top = WreathProduct(presets.cyclic(3, "z"), presets.symmetric_3())
     with pytest.raises(NoInfiniteOrderGenerator):
         decompose_shifted_commutators(finite_top, CommutatorData(()), finite_top.top.identity())
+    trivial_top = WreathProduct(FreeGroup(0), presets.symmetric_3())
+    with pytest.raises(NoInfiniteOrderGenerator):
+        decompose_shifted_commutators(trivial_top, CommutatorData(()), trivial_top.top.identity())
 
 
 def test_shifted_abelian_product_top():

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -191,6 +192,83 @@ def test_closure_refuses_products_that_are_not_group_products():
     # one product per generator, where the step must give one per signed letter
     with pytest.raises(GroupDefinitionError, match="step must give one product per signed letter"):
         FiniteGroup.from_elements(["g"], 0, lambda a: [(a + 1) % 3])
+
+
+def _normalized_latin_square(n: int, rng: random.Random) -> list[list[int]]:
+    """A random n x n Latin square whose row 0 and column 0 are 0..n-1, by backtracking."""
+    square = [[i if j == 0 else j if i == 0 else None for j in range(n)] for i in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k: int) -> bool:
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        used = set(square[i][:j]) | {square[r][j] for r in range(i)}
+        options = [v for v in range(n) if v not in used]
+        rng.shuffle(options)
+        for square[i][j] in options:
+            if fill(k + 1):
+                return True
+        square[i][j] = None
+        return False
+
+    fill(0)
+    return square
+
+
+# every refusal that the closure's certificate and from_table's comparison can give
+_CERTIFICATE_REFUSALS = (
+    "does not act as a permutation",
+    r"inv\(.\) does not invert it",
+    "not a group product: left multiplication by .* does not commute with the generator action",
+    "generators do not generate the group",
+    "the table is not the product its generators act by",
+)
+
+
+def _is_associative_table(table) -> bool:
+    elements = range(len(table))
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]] for a in elements for b in elements for c in elements
+    )
+
+
+def test_random_latin_squares_are_accepted_exactly_when_they_are_groups():
+    # a normalized Latin square has identity 0 and each row and column a
+    # permutation, so associativity and generation alone make it a group
+    # table; whatever either constructor accepts is one, with b·0 = b
+    rng = random.Random(3)
+    accepted = refused = 0
+    for n in [4, 5, 6, 7] * 110:
+        square = _normalized_latin_square(n, rng)
+        generators = rng.sample(range(1, n), 2)
+        reached, frontier = {0}, [0]
+        while frontier:
+            row = square[frontier.pop()]
+            for y in (row[g] for g in generators):
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        letters = [h for g in generators for h in (g, square[g].index(0))]
+        groups = []
+        for build in (
+            lambda: FiniteGroup.from_table(["a", "b"], square, generators),
+            lambda: FiniteGroup.from_elements(["a", "b"], 0, lambda a: [square[a][h] for h in letters]),
+        ):
+            try:
+                groups.append(build())
+            except GroupDefinitionError as refusal:
+                assert any(re.fullmatch(pattern, str(refusal)) for pattern in _CERTIFICATE_REFUSALS)
+                groups.append(None)
+        for group in filter(None, groups):
+            table = [[group.multiply(a, b) for b in group.elements()] for a in group.elements()]
+            assert _is_associative_table(table)
+            assert all(group.multiply(b, 0) == b for b in group.elements())
+        table_accepted = groups[0] is not None
+        assert table_accepted == (_is_associative_table(square) and len(reached) == n)
+        accepted += table_accepted
+        refused += not table_accepted
+    assert accepted > 20 and refused > 20
 
 
 def test_finite_from_table_round_trip():
@@ -587,6 +665,20 @@ def test_alphabet_mismatch_raises():
         F.evaluate(Word.parse(Z.alphabet, "t1"))
     with pytest.raises(AlphabetMismatch):
         quotient_map(F, Z, ["t1", Word.parse(F.alphabet, "x1")])
+
+
+@pytest.mark.parametrize(
+    "name", ["S3", "F2", "Z^2", "abelianized", "abelian product", "BS(1,2)", "wreath"]
+)
+def test_every_backend_refuses_a_word_over_another_alphabet(name):
+    group = {
+        "abelianized": lambda: AbelianizedFreeGroup(2),
+        "abelian product": lambda: AbelianProductGroup(1, presets.cyclic(4, "u"), ["x"]),
+        "wreath": lambda: WreathProduct(presets.symmetric_3(), FreeGroup(names=["y"])),
+    }.get(name, lambda: presets.get(name))()
+    other = FreeGroup(names=["q"]).alphabet
+    with pytest.raises(AlphabetMismatch, match=f"fed to .* over {re.escape(repr(group.alphabet))}"):
+        group.evaluate(Word.parse(other, "q"))
 
 
 # Baumslag-Solitar: pinch reduction cross-checked against the faithful

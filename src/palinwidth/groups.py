@@ -6,8 +6,9 @@ free abelian groups, abelianized free groups, a free-abelian x finite-abelian
 product for infinite abelian groups with torsion, and the Baumslag-Solitar
 one-relator family for relation experiments.  Every finite group's table,
 explicit or built by closure, is certified from its generator action, which
-the closure reads one element at a time: a permutation product in C for
-permutation groups, wreath products included, a row lookup for tables.
+the closure reads one element at a time (a permutation product in C for
+permutation groups, a row lookup for tables) and keeps as its letter table;
+an explicit table reads its letter columns off its rows, an extension two.
 """
 from __future__ import annotations
 
@@ -155,11 +156,11 @@ class FiniteGroup(Group):
     and a group has at most MAX_GROUP_SIZE elements.  A group synthesised
     from generators (from_elements) takes breadth-first discovery order:
     generators in alphabet order, positive sign before negative.  Its table
-    is filled from the generator action recorded by that search.  An
-    explicit table (from_table) keeps its given order: the closure runs
-    over its own indices with its rows as the product, and the table must
-    then equal the certified product entry for entry.  The constructor
-    itself takes a table one of these has certified.
+    is filled from the generator action recorded by that search, which is
+    also its letter_columns.  An explicit table (from_table) keeps its given
+    order: the closure runs over its own indices with its rows as the
+    product, and the table must then equal the certified product entry for
+    entry.  The constructor takes a table and columns one of these certified.
     """
 
     def __init__(
@@ -169,8 +170,9 @@ class FiniteGroup(Group):
         inverses: Sequence[int],
         generator_indices: Sequence[int],
         payloads: Optional[Sequence[Any]],
+        columns: Sequence[tuple[int, ...]],
     ):
-        """Take on a table that from_elements or from_table has certified."""
+        """Take on a certified table and its letter columns g -> g.x, in letter_values order."""
         self.alphabet = alphabet
         self.size = len(rows)
         self._table = tuple(rows)
@@ -180,11 +182,7 @@ class FiniteGroup(Group):
         # (order, parents) of a search over signed letter numbers, built once (see _search_tree)
         self._tree: Optional[tuple[Sequence[int], Any]] = None
         self._words: dict[int, Word] = {}  # element -> its geodesic, built on first read
-        # per signed letter x, in letter_values order, its right action g -> g.x as a
-        # table column: the one table that every letter step of this handle reads
-        self.letter_columns: dict[Letter, tuple[int, ...]] = {
-            x: tuple(map(itemgetter(v), self._table)) for x, v in self.letter_values().items()
-        }
+        self.letter_columns: dict[Letter, tuple] = dict(zip(self.letter_values(), columns))
         self._extensions: dict[tuple[str, int], FiniteGroup] = {}
 
     @classmethod
@@ -241,7 +239,7 @@ class FiniteGroup(Group):
                     raise GroupDefinitionError(f"closure exceeded {MAX_GROUP_SIZE} elements")
             successors.append(row)
         size = len(items)
-        action = [list(column) for column in zip(*successors)]
+        action = list(zip(*successors))  # the letter columns the group is built with
         signed = [f"{name}{sign}" for name in names for sign in ("", "^-1")]
         elements = successors[0]
         if len(elements) != 2 * len(names):
@@ -271,7 +269,7 @@ class FiniteGroup(Group):
         for x, m in links:
             rows.append(after_left[m](rows[x]))
             inverses.append(left[m ^ 1][inverses[x]])
-        group = cls(Alphabet(names), rows, inverses, elements[::2], items)
+        group = cls(Alphabet(names), rows, inverses, elements[::2], items, action)
         group._tree = (range(size), [None, *links])
         return group
 
@@ -340,25 +338,26 @@ class FiniteGroup(Group):
         inverses = [0] * size
         for x, inverse in zip(items, closure._inv):
             inverses[x] = items[inverse]
-        return cls(alphabet, rows, inverses, generator_indices, None)
+        columns = [tuple(map(itemgetter(v), rows)) for v in letters]  # in the given order
+        return cls(alphabet, rows, inverses, generator_indices, None, columns)
 
     def with_extra_generator(self, name: str, element_index: int) -> "FiniteGroup":
         """Same group, generating set extended by one named element.
 
         One handle per extension, so its cached oracle is built once.  It
-        shares this group's checked table, and the old generators still
-        generate, so neither check runs again.
+        shares this group's checked table and letter columns and reads the
+        new letter's two; the old generators still generate, so no check runs.
         """
         if not 0 <= element_index < self.size:
             raise GroupDefinitionError(f"element index {element_index} out of range")
         key = (name, element_index)
         if key not in self._extensions:
+            table, inverses = self._table, self._inv
+            new = (element_index, inverses[element_index])
             self._extensions[key] = FiniteGroup(
-                self.alphabet.extend([name]),
-                self._table,
-                self._inv,
-                self.generator_indices + (element_index,),
-                self.payloads,
+                self.alphabet.extend([name]), table, inverses,
+                self.generator_indices + (element_index,), self.payloads,
+                [*self.letter_columns.values(), *(tuple(map(itemgetter(v), table)) for v in new)],
             )
         return self._extensions[key]
 

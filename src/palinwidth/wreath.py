@@ -14,8 +14,8 @@ inverse neighbours as they are deposited, and has the base group evaluate
 each position's reduced word once (evaluate_reduced); identity lamps are
 dropped.  A finite top steps through its letter columns, the one table its
 handle built, and any other top multiplies by its signed letter values; the
-wreath handle reads both, and maps its base letters, when it is built.  A
-run of base letters computes its position once.
+wreath handle reads whichever its top steps by, and maps its base letters,
+when it is built.  A run of base letters computes its position once.
 
 A wreath product meets the same Group contract as its factors, so anything
 that takes a group (certificates, homomorphisms, push-forwards) takes one
@@ -69,10 +69,10 @@ class WreathProduct(Group):
         self.base = base
         self.alphabet = Alphabet(top.alphabet.names + base.alphabet.names)
         self._split = len(top.alphabet)
-        # what evaluate reads per letter: a finite top's letter columns (None for any other
-        # top, which steps through multiply); each base letter and its inverse over the base's
-        self._top_values = top.letter_values()
+        # what evaluate reads per letter: a finite top's letter columns, or any other top's
+        # letter values; each base letter and its inverse over the base's
         self._top_columns = top.letter_columns if isinstance(top, FiniteGroup) else None
+        self._top_values = top.letter_values() if self._top_columns is None else None
         self._base_letters = {
             (self._split + i, sign): ((i, sign), (i, -sign))
             for i in range(len(base.alphabet)) for sign in (1, -1)

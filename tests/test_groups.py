@@ -296,6 +296,10 @@ def test_extra_generator_shares_the_checked_table():
     assert bigger._inv is S3._inv
     assert bigger.payloads is S3.payloads
     assert S3.with_extra_generator("c", 5) is bigger
+    # the parent's letter columns are shared, not read off the table again
+    shared = list(bigger.letter_columns.values())[: 2 * len(S3.alphabet)]
+    assert all(mine is theirs for mine, theirs in zip(shared, S3.letter_columns.values()))
+    _assert_columns_read_off_the_table(bigger)
     with pytest.raises(GroupDefinitionError):
         S3.with_extra_generator("c", 6)
 
@@ -494,6 +498,9 @@ def test_closure_and_table_constructors_agree(name, extended):
         value = group.evaluate(Word.parse(group.alphabet, f"{first}*{last}"))
         group = group.with_extra_generator("c", value)
     again = FiniteGroup.from_table(list(group.alphabet.names), group._table, group.generator_indices)
+    for handle in (group, again):
+        _assert_columns_read_off_the_table(handle)
+    assert again.letter_columns == group.letter_columns
     assert again._table == group._table
     assert again._inv == group._inv
     assert again.geodesics() == group.geodesics()
@@ -514,6 +521,7 @@ def test_shuffled_table_keeps_its_indices(name, seed):
     names = list(group.alphabet.names)
     again = FiniteGroup.from_table(names, table, [perm[g] for g in group.generator_indices])
     assert [[again.multiply(a, b) for b in again.elements()] for a in again.elements()] == table
+    _assert_columns_read_off_the_table(again)  # in the given order, not the closure's
     geodesics, again_geodesics = group.geodesics(), again.geodesics()
     width, again_width = exact_palindromic_width(group), exact_palindromic_width(again)
     assert again_width.width == width.width
@@ -533,6 +541,14 @@ def test_table_wrong_off_the_generator_columns_is_refused():
     table[3][first], table[3][second] = table[3][second], table[3][first]
     with pytest.raises(GroupDefinitionError, match="not the product its generators act by"):
         FiniteGroup.from_table(list(S3.alphabet.names), table, S3.generator_indices)
+
+
+def _assert_columns_read_off_the_table(group):
+    """Each signed letter's column is g -> g.x read off the handle's own table."""
+    assert list(group.letter_columns) == [(i, s) for i in range(len(group.alphabet)) for s in (1, -1)]
+    for (index, sign), column in group.letter_columns.items():
+        x = group.letter_value(index, sign)
+        assert column == tuple(row[x] for row in group._table)
 
 
 def _compose(p: tuple, q: tuple) -> tuple:

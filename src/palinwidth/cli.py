@@ -161,13 +161,6 @@ def load_group(source: str) -> Group:
     return presets.get(source)
 
 
-def group_def(group: Group) -> dict:
-    """The definition the group was loaded from; group_from_def and presets.get record it."""
-    if group.source_def is None:
-        raise GroupDefinitionError(f"cannot serialise group {group!r}")
-    return group.source_def
-
-
 def _witness_def(witness: RelationWitness, original: Group) -> dict:
     out: dict[str, Any] = {"relation": str(witness.relation), "extra_generator": None}
     if witness.extra_generator is not None:
@@ -339,7 +332,7 @@ def cmd_pw_exact(args) -> tuple[dict, bool]:
     group = load_group(args.group)
     if not isinstance(group, FiniteGroup):
         raise GroupDefinitionError("pw-exact needs a finite group")
-    definition = group_def(group)
+    definition = group.source_def
     if args.extend_gens:
         name, _, word_text = args.extend_gens.partition("=")
         if not word_text:
@@ -373,7 +366,7 @@ def cmd_find_relation(args) -> tuple[dict, bool]:
     return (
         {
             "command": "find-relation",
-            "group": group_def(group),
+            "group": group.source_def,
             "reverse_value": str(witness.group.element_word(witness.reverse_value)),
             **_witness_def(witness, group),
         },
@@ -393,8 +386,8 @@ def cmd_decompose(args) -> tuple[dict, bool]:
     report: dict[str, Any] = {
         "command": "decompose",
         "mode": args.mode,
-        "top": group_def(top),
-        "base": group_def(base),
+        "top": top.source_def,
+        "base": base.source_def,
         "inputs": inputs,
     }
     if args.mode == "shifted":

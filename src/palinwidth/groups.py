@@ -5,10 +5,11 @@ finite groups (Cayley table or permutation generators), free groups,
 free abelian groups, abelianized free groups, a free-abelian x finite-abelian
 product for infinite abelian groups with torsion, and the Baumslag-Solitar
 one-relator family for relation experiments.  Every finite group's table,
-explicit or built by closure, is certified from its generator action, which
-the closure reads one element at a time (a permutation product in C for
-permutation groups, a row lookup for tables) and keeps as its letter table;
-an explicit table reads its letter columns off its rows, an extension two.
+explicit or built by closure, is certified from its generator action by one
+function, _certified_table.  A closure reads that action one element at a
+time (a permutation product in C for permutation groups) and keeps it as its
+letter columns; an explicit table reads its letter columns off its rows and
+is certified in its own indices; an extension reads its new letter's two.
 """
 from __future__ import annotations
 
@@ -152,15 +153,13 @@ class FiniteGroup(Group):
     (with_extra_generator); CPython's collector stops tracking such tuples
     after one pass, so a full collection does not walk its |G|² entries.
 
-    Every table is certified from its generator action (see from_elements),
+    Every table is certified from its generator action by _certified_table,
     and a group has at most MAX_GROUP_SIZE elements.  A group synthesised
     from generators (from_elements) takes breadth-first discovery order:
-    generators in alphabet order, positive sign before negative.  Its table
-    is filled from the generator action recorded by that search, which is
-    also its letter_columns.  An explicit table (from_table) keeps its given
-    order: the closure runs over its own indices with its rows as the
-    product, and the table must then equal the certified product entry for
-    entry.  The constructor takes a table and columns one of these certified.
+    generators in alphabet order, positive sign before negative.  An
+    explicit table (from_table) keeps its given order.  Either way the
+    letter columns are the certified action, and the search that reached
+    every element is kept as the geodesic tree.
     """
 
     def __init__(
@@ -196,29 +195,9 @@ class FiniteGroup(Group):
         search asks for all 2k successors of an element at once, and looks
         them up in one pass.  It records that action as indices,
         action[m][x] = index of items[x] times letter m, and the link
-        (x, m) that first reached each element: a shortlex geodesic tree.
-        The closure stays a loop of its own so that it stops at
-        MAX_GROUP_SIZE before any table.
-
-        With e_m = action[m][0], the index of letter m, left[m] (c -> e_m·c)
-        follows the tree: left[m][x·m'] = action[m'][left[m][x]].  Row b of
-        the table, for b = x·m, is row x after left[m], and b's inverse is
-        left[m⁻¹][x⁻¹].  That is |G|² integer lookups and no further
-        payload products.
-
-        Certificate, O(|G|·k²) for k generators:
-          (a) each action[m] is a permutation, and action[m⁻¹] sends e_m
-              to 0;
-          (b) each left[m] commutes with each action[m'].
-        Proof: (c) row b sends 0 to b, so the identity's orbit under the
-        left[m] is every element.  For the link b = x·m, row b is row x
-        after left[m].  Row x is a composition of left maps, so by (b) it
-        commutes with action[m], and row_x(0) = x by induction from row 0,
-        the identity; hence row_b(0) = row_x(e_m) = action[m](row_x(0)) =
-        action[m](x) = b.  An s in the group generated by the actions that
-        fixes 0 and commutes with a map φ also fixes φ(0).  By (b) and (c)
-        the stabiliser of 0 is trivial, so the action is regular and the
-        table is a group's Cayley table.
+        (x, m) that first reached each element: a shortlex geodesic tree,
+        from which _certified_table fills the table.  The closure stays a
+        loop of its own so that it stops at MAX_GROUP_SIZE before any table.
         """
         index = {identity: 0}
         items = [identity]
@@ -238,39 +217,13 @@ class FiniteGroup(Group):
                 if len(items) > MAX_GROUP_SIZE:
                     raise GroupDefinitionError(f"closure exceeded {MAX_GROUP_SIZE} elements")
             successors.append(row)
-        size = len(items)
         action = list(zip(*successors))  # the letter columns the group is built with
-        signed = [f"{name}{sign}" for name in names for sign in ("", "^-1")]
-        elements = successors[0]
-        if len(elements) != 2 * len(names):
+        if len(successors[0]) != 2 * len(names):
             raise GroupDefinitionError("step must give one product per signed letter")
-        for m, moved in enumerate(action):
-            if len(set(moved)) != size:
-                raise GroupDefinitionError(f"{signed[m]} does not act as a permutation")
-            if action[m ^ 1][moved[0]] != 0:
-                raise GroupDefinitionError(f"inv({names[m // 2]}) does not invert it")
-        # itemgetter(*f)(g) is g after f, as a tuple: composition at C speed
-        after_action = [itemgetter(*moved) for moved in action]
-        left, after_left = [], []
-        for m, e in enumerate(elements):
-            row = [e]
-            for x, n in links:
-                row.append(action[n][row[x]])
-            after_row = itemgetter(*row)
-            if any(after_action[n](row) != after_row(action[n]) for n in range(len(action))):
-                raise GroupDefinitionError(
-                    f"not a group product: left multiplication by {signed[m]}"
-                    " does not commute with the generator action"
-                )
-            left.append(row)
-            after_left.append(after_row)
-        rows = [tuple(range(size))]
-        inverses = [0]
-        for x, m in links:
-            rows.append(after_left[m](rows[x]))
-            inverses.append(left[m ^ 1][inverses[x]])
-        group = cls(Alphabet(names), rows, inverses, elements[::2], items, action)
-        group._tree = (range(size), [None, *links])
+        tree = (range(len(items)), [None, *links])
+        rows, inverses = _certified_table(names, action, *tree)
+        group = cls(Alphabet(names), rows, inverses, successors[0][::2], items, action)
+        group._tree = tree
         return group
 
     @classmethod
@@ -305,41 +258,36 @@ class FiniteGroup(Group):
         table: Sequence[Sequence[int]],
         generator_indices: Sequence[int],
     ) -> "FiniteGroup":
-        """Certify an explicit table through the closure, O(|G|²) lookups.
+        """Certify an explicit table in its own indices, O(|G|²) lookups.
 
-        The closure reads only the generators' columns, so each given row
-        is then compared with the certified product under the closure's
-        index map: one C-speed tuple comparison per row.
+        One letter search over its letter columns checks generation and is
+        kept as the geodesic tree; each given row must equal its certified row.
         """
         alphabet = Alphabet(names)
         size = len(table)
-        if size == 0:
-            raise GroupDefinitionError("empty element list")
-        rows = tuple(map(tuple, table))
-        # the closure indexes rows directly, where a -1 would wrap around
-        if any(len(row) != size for row in rows) or not (
-            0 <= min(map(min, rows)) and max(map(max, rows)) < size
+        if not 0 < size <= MAX_GROUP_SIZE:
+            raise GroupDefinitionError(f"a table has 1 to {MAX_GROUP_SIZE} rows, not {size}")
+        # the letter search indexes columns directly, where a -1 would wrap around
+        if any(len(row) != size for row in table) or not (
+            0 <= min(map(min, table)) and max(map(max, table)) < size
         ):
             raise GroupDefinitionError(
                 f"the table must be {size} rows of {size} entries in 0..{size - 1}"
             )
-        if any(not 0 <= g < size or 0 not in rows[g] for g in generator_indices):
+        if any(not 0 <= g < size or 0 not in table[g] for g in generator_indices):
             raise GroupDefinitionError("each generator must be an element whose row holds 0")
-        letters = [h for g in generator_indices for h in (g, rows[g].index(0))]
-        closure = cls.from_elements(
-            alphabet.names, 0, lambda a: map(rows[a].__getitem__, letters)
-        )
-        items = closure.payloads  # closure index -> given index
-        if len(items) != size:
+        letters = [h for g in generator_indices for h in (g, table[g].index(0))]
+        action = [tuple(map(itemgetter(v), table)) for v in letters]
+        search = BreadthFirst(0, range(len(action)), lambda x, m: action[m][x]).run(size)
+        if len(search.order) != size:
             raise GroupDefinitionError("generators do not generate the group")
-        given = itemgetter(*items)  # a given row, read in closure order
-        if any(given(rows[x]) != itemgetter(*row)(items) for x, row in zip(items, closure._table)):
+        tree = (search.order, search.parents)
+        rows, inverses = _certified_table(alphabet.names, action, *tree)
+        if any(tuple(given) != row for given, row in zip(table, rows)):
             raise GroupDefinitionError("the table is not the product its generators act by")
-        inverses = [0] * size
-        for x, inverse in zip(items, closure._inv):
-            inverses[x] = items[inverse]
-        columns = [tuple(map(itemgetter(v), rows)) for v in letters]  # in the given order
-        return cls(alphabet, rows, inverses, generator_indices, None, columns)
+        group = cls(alphabet, rows, inverses, generator_indices, None, action)
+        group._tree = tree
+        return group
 
     def with_extra_generator(self, name: str, element_index: int) -> "FiniteGroup":
         """Same group, generating set extended by one named element.
@@ -386,8 +334,8 @@ class FiniteGroup(Group):
     def _search_tree(self) -> tuple[Sequence[int], Any]:
         """(order, parents) of the letter search from 0, parents[y] = (x, letter number).
 
-        A closure keeps its own search's tree; a table or an extension,
-        whose alphabet is new, searches again, stopped at |G|.
+        A closure or a table keeps the search its certificate read; an
+        extension, whose alphabet is new, searches again, stopped at |G|.
         """
         if self._tree is None:
             columns = list(self.letter_columns.values())
@@ -446,6 +394,66 @@ class FiniteGroup(Group):
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.size}, gens={list(self.alphabet.names)})"
+
+
+def _certified_table(names: Sequence[str], action: Sequence[tuple], order, parents) -> tuple:
+    """(rows, inverses): the Cayley table of a generator action, certified.
+
+    action[m][x] is the index of element x times signed letter m, in
+    letter_values order, with 0 the identity.  (order, parents) is the
+    tree of a letter search from 0 that reached every index: order lists
+    them as discovered, and parents[b] = (x, m) links b = x·m to the
+    element x it was first reached from.  A closure's indices are its
+    discovery order; an explicit table keeps its own.
+
+    With e_m = action[m][0], the index of letter m, left[m] (c -> e_m·c)
+    follows the tree: left[m][x·m'] = action[m'][left[m][x]].  Row b of
+    the table, for b = x·m, is row x after left[m], and b's inverse is
+    left[m⁻¹][x⁻¹].  That is |G|² integer lookups and no payload products.
+
+    Certificate, O(|G|·k²) for k generators:
+      (a) each action[m] is a permutation, and action[m⁻¹] sends e_m
+          to 0;
+      (b) each left[m] commutes with each action[m'].
+    Proof: (c) row b sends 0 to b, so the identity's orbit under the
+    left[m] is every element.  For the link b = x·m, row b is row x
+    after left[m].  Row x is a composition of left maps, so by (b) it
+    commutes with action[m], and row_x(0) = x by induction from row 0,
+    the identity; hence row_b(0) = row_x(e_m) = action[m](row_x(0)) =
+    action[m](x) = b.  An s in the group generated by the actions that
+    fixes 0 and commutes with a map φ also fixes φ(0).  By (b) and (c)
+    the stabiliser of 0 is trivial, so the action is regular and the
+    table is a group's Cayley table.
+    """
+    size = len(order)
+    signed = [f"{name}{sign}" for name in names for sign in ("", "^-1")]
+    for m, moved in enumerate(action):
+        if len(set(moved)) != size:
+            raise GroupDefinitionError(f"{signed[m]} does not act as a permutation")
+        if action[m ^ 1][moved[0]] != 0:
+            raise GroupDefinitionError(f"inv({names[m // 2]}) does not invert it")
+    steps = [(b, *parents[b]) for b in order[1:]]  # (b, x, m) with b = x·m
+    # itemgetter(*f)(g) is g after f, as a tuple: composition at C speed
+    after_action = [itemgetter(*moved) for moved in action]
+    left, after_left = [], []
+    for m, moved in enumerate(action):
+        row = [moved[0]] * size
+        for b, x, n in steps:
+            row[b] = action[n][row[x]]
+        after_row = itemgetter(*row)
+        if any(after_action[n](row) != after_row(action[n]) for n in range(len(action))):
+            raise GroupDefinitionError(
+                f"not a group product: left multiplication by {signed[m]}"
+                " does not commute with the generator action"
+            )
+        left.append(row)
+        after_left.append(after_row)
+    rows = [tuple(range(size))] * size  # row 0, the identity's, until the tree reaches b
+    inverses = [0] * size
+    for b, x, m in steps:
+        rows[b] = after_left[m](rows[x])
+        inverses[b] = left[m ^ 1][inverses[x]]
+    return rows, inverses
 
 
 class _ReducedWords(Group):

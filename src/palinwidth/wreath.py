@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Sequence
 
-from .errors import AlphabetMismatch, GroupDefinitionError
+from .errors import GroupDefinitionError
 from .groups import MAX_GROUP_SIZE, BaumslagSolitar, FiniteGroup, Group
 from .words import Alphabet, Letter, Word, relabel
 
@@ -127,7 +127,9 @@ class WreathProduct(Group):
     def is_identity(self, g: WreathElement) -> bool:
         return not g.base and self.top.is_identity(g.top)
 
-    def evaluate(self, word: Word) -> WreathElement:
+    evaluate = Group.evaluate  # on the class, so perfbench's tracer times the product's own
+
+    def _evaluate(self, word: Word) -> WreathElement:
         """The element a word over the combined alphabet spells, read left to right.
 
         Top letters step the running prefix u; each run of base letters
@@ -136,10 +138,6 @@ class WreathProduct(Group):
         two are inverses, as in any group; the base group evaluates each freely
         reduced position word through evaluate_reduced; identity lamps drop.
         """
-        if word.alphabet != self.alphabet:
-            raise AlphabetMismatch(
-                f"word over {word.alphabet!r} fed to wreath product over {self.alphabet!r}"
-            )
         top, split, top_values = self.top, self._split, self._top_values
         columns, base_letters = self._top_columns, self._base_letters
         multiply = top.multiply

@@ -540,6 +540,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
         (["decompose", "--top", "Z^0", "--base", F2_DEF, "--mode", "abelian-top",
           "--word", "y1", "--exps", ""], "top group has no generators"),
         (["pw-exact", "--group", "S3", "--extend-gens", "c"], "--extend-gens wants name=word"),
+        (["pw-exact", "--group", "F2"], "pw-exact needs a finite group"),
+        (["pw-exact", "--group", '{"kind":"finite","generators":{}}'],
+         "at least one permutation generator required"),
         (["verify", "--report", str(pw_report)], "verify wants a decompose report"),
         (["verify", "--report", str(finite_top_report)], "free base required"),
         (["verify", "--report", str(bogus_report)], "unknown mode 'bogus'"),

@@ -145,6 +145,10 @@ def test_finite_table_validation():
     # the closure certificate refuses it, as it does the loop as a payload product
     with pytest.raises(GroupDefinitionError, match=r"inv\(a\) does not invert it"):
         FiniteGroup.from_table(["a", "b"], LOOP, [1, 3])
+    # a table over the size limit, or an empty one, is refused before any row is read
+    for table in ([[]] * (MAX_GROUP_SIZE + 1), []):
+        with pytest.raises(GroupDefinitionError, match=f"^a table has 1 to {MAX_GROUP_SIZE} rows"):
+            FiniteGroup.from_table(["g"], table, [1])
     # a -1 entry would index the last column; it is refused before any lookup
     with pytest.raises(GroupDefinitionError, match=r"2 rows of 2 entries in 0\.\.1"):
         FiniteGroup.from_table(["g"], [[0, 1], [1, -1]], [1])
@@ -507,19 +511,35 @@ def test_closure_and_table_constructors_agree(name, extended):
     assert exact_palindromic_width(again) == exact_palindromic_width(group)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "lamp(2,3)", "S4"])
-def test_shuffled_table_keeps_its_indices(name, seed):
-    # the same group with its elements renumbered, 0 kept fixed: the table
-    # keeps the given numbering, and inverses, geodesics and width move with it
-    group = _closure_built(name)
+def _shuffled_table(group: FiniteGroup, seed: int) -> tuple[list, list]:
+    """The group's table with its elements renumbered by a seeded perm fixing 0; (table, perm)."""
     perm = [0] + random.Random(seed).sample(range(1, group.size), group.size - 1)
     table = [[0] * group.size for _ in range(group.size)]
     for a in group.elements():
         for b in group.elements():
             table[perm[a]][perm[b]] = perm[group.multiply(a, b)]
+    return table, perm
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "lamp(2,3)", "S4"])
+def test_shuffled_table_keeps_its_indices(name, seed, monkeypatch):
+    # the same group with its elements renumbered, 0 kept fixed: the table
+    # keeps the given numbering, and inverses, geodesics and width move with it
+    group = _closure_built(name)
+    table, perm = _shuffled_table(group, seed)
     names = list(group.alphabet.names)
+    builds, init = [], FiniteGroup.__init__
+
+    def counted_init(handle, *args):
+        builds.append(handle)
+        init(handle, *args)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counted_init)
     again = FiniteGroup.from_table(names, table, [perm[g] for g in group.generator_indices])
+    monkeypatch.undo()
+    # one handle, certified in the given indices, keeps the letter search it ran
+    assert builds == [again] and again._tree is not None
     assert [[again.multiply(a, b) for b in again.elements()] for a in again.elements()] == table
     _assert_columns_read_off_the_table(again)  # in the given order, not the closure's
     geodesics, again_geodesics = group.geodesics(), again.geodesics()
@@ -531,9 +551,24 @@ def test_shuffled_table_keeps_its_indices(name, seed):
         assert again_width.distances[perm[x]] == width.distances[x]
 
 
+def test_explicit_table_build_peaks_near_what_it_keeps():
+    # the certificate runs in the table's own indices: no second table is held
+    s5 = _closure_built("S5")
+    table, perm = _shuffled_table(s5, 1)
+    generators = [perm[g] for g in s5.generator_indices]
+    tracemalloc.start()
+    try:
+        group = FiniteGroup.from_table(["s", "t"], table, generators)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.size == 120
+    assert peak <= 1.25 * kept
+
+
 def test_table_wrong_off_the_generator_columns_is_refused():
     # two entries of row 3 swapped where no signed letter's column is: the
-    # closure reads only those columns, so only the full comparison sees it
+    # certificate reads only those columns, so only the full comparison sees it
     S3 = presets.symmetric_3()
     columns = [c for c in S3.elements() if c not in S3.letter_values().values()]
     first, second = columns[:2]

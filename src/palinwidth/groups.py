@@ -10,6 +10,7 @@ function, _certified_table.  A closure reads that action one element at a
 time (a permutation product in C for permutation groups) and keeps it as its
 letter columns; an explicit table reads its letter columns off its rows and
 is certified in its own indices; an extension reads its new letter's two.
+A finite wreath product (from_wreath) is a closure over integer codes.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from operator import itemgetter
 from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import AlphabetMismatch, GroupDefinitionError
-from .words import Alphabet, Letter, Word, invert, reduce_free, relabel
+from .words import Alphabet, Letter, Word, invert, letter_name, reduce_free, relabel
 
 MAX_GROUP_SIZE = 20000  # default limit on a finite group's elements and on a free rank
 
@@ -252,6 +253,37 @@ class FiniteGroup(Group):
         return cls.from_elements([name for name, _ in items], tuple(range(degree)), step)
 
     @classmethod
+    def from_wreath(
+        cls, names: Sequence[str], top_columns: Sequence[Sequence[int]],
+        top_inverses: Sequence[int], base_columns: Sequence[Sequence[int]],
+    ) -> "FiniteGroup":
+        """base wr top over the top's letters, then the base's, from each factor's letter columns.
+
+        A factor is in its own indices, 0 its identity, and has no letters
+        only when trivial.  For a top of order k and a base of order m, an
+        element is the integer t + k·Σ lamp_p·m^p over top indices p: a top
+        letter steps the cursor t through its column, and a base letter steps
+        the lamp at t⁻¹, where the wreath convention deposits it, through its
+        own.  An order m^k·k over MAX_GROUP_SIZE is refused before the closure.
+        """
+        k, m = len(top_inverses), len(base_columns[0]) if base_columns else 1
+        if m**k * k > MAX_GROUP_SIZE:
+            raise GroupDefinitionError(
+                f"wreath product order {m}^{k}*{k} exceeds {MAX_GROUP_SIZE} elements"
+            )
+        base_moves = [[column[x] - x for column in base_columns] for x in range(m)]
+        moves = []  # per cursor t: (place value of the lamp at t⁻¹, code change per lamp value)
+        for t, place in enumerate(k * m**p for p in top_inverses):
+            top_moves = [column[t] - t for column in top_columns]
+            moves.append((place, [top_moves + [d * place for d in bm] for bm in base_moves]))
+
+        def step(code: int) -> list[int]:  # every signed letter's product: one lookup, one pass
+            place, by_lamp = moves[code % k]
+            return [code + d for d in by_lamp[code // place % m]]
+
+        return cls.from_elements(names, 0, step)
+
+    @classmethod
     def from_table(
         cls,
         names: Sequence[str],
@@ -426,7 +458,7 @@ def _certified_table(names: Sequence[str], action: Sequence[tuple], order, paren
     table is a group's Cayley table.
     """
     size = len(order)
-    signed = [f"{name}{sign}" for name in names for sign in ("", "^-1")]
+    signed = [letter_name(names, (i, sign)) for i in range(len(names)) for sign in (1, -1)]
     for m, moved in enumerate(action):
         if len(set(moved)) != size:
             raise GroupDefinitionError(f"{signed[m]} does not act as a permutation")

@@ -42,39 +42,19 @@ def cyclic(order: int, name: str = "z") -> FiniteGroup:
 def lamplighter(base_order: int, top_order: int) -> FiniteGroup:
     """Finite truncation Z/m wr Z/k of a lamplighter-style wreath product, over z (top), y (base).
 
-    An element is one integer t + k*L: the cursor t in Z/k and the lamps
-    L = sum of lamp_p * m^p, each lamp_p in 0..m-1.  z^±1 moves the cursor
-    by ±1; y^±1 adds ±1 mod m to the lamp at -t, where the wreath convention
-    deposits a base letter read after the top prefix t.  Discovery order
-    depends only on the labelled Cayley graph, so the table, inverses and
-    geodesics are those of WreathProduct(cyclic(k, "z"), cyclic(m, "y"))
-    .as_finite_group(), built without its permutations of m*k points.
-
-    Its order m^k*k is known before anything is built, so an order over
-    MAX_GROUP_SIZE is refused at once.  A factor over the limit is refused
-    as cyclic refuses it, which keeps the power small.
+    A factor is refused as cyclic refuses it, the top first.  FiniteGroup
+    .from_wreath then builds it from both factors' residue columns, and no
+    factor's table, so lamp(1,k) costs what Z/k costs.  An element is the
+    integer t + k*L, the cursor t and the lamps L = sum of lamp_p * m^p over
+    residues p; the table, inverses and geodesics are those of
+    WreathProduct(cyclic(k, "z"), cyclic(m, "y")).as_finite_group().
     """
     m, k = base_order, top_order
-    if max(m, k) <= MAX_GROUP_SIZE < m**k * k:
-        raise GroupDefinitionError(
-            f"lamplighter order {m}^{k}*{k} exceeds {MAX_GROUP_SIZE} elements"
-        )
     for order in (k, m):  # the top's order first, then the base's
         _check_cyclic_order(order)
-    # per cursor t: the moves to t+1 and t-1, and the place value of the lamp at -t, times k
-    shifts = [((t + 1) % k - t, (t - 1) % k - t, k * m ** (-t % k)) for t in range(k)]
-
-    def step(code: int) -> tuple[int, int, int, int]:
-        forward, back, place = shifts[code % k]
-        lamp = code // place % m
-        return (
-            code + forward,
-            code + back,
-            code + place if lamp < m - 1 else code - lamp * place,  # m-1 wraps to 0
-            code - place if lamp else code + (m - 1) * place,  # 0 wraps to m-1
-        )
-
-    return FiniteGroup.from_elements(["z", "y"], 0, step)
+    # each factor's letter columns: the residue a steps to a+1 and to a-1; a's inverse is -a
+    top, base = ([[*range(1, n), 0], [n - 1, *range(n - 1)]] for n in (k, m))
+    return FiniteGroup.from_wreath(["z", "y"], top, [0, *range(k - 1, 0, -1)], base)
 
 
 def baumslag_solitar(n: int, m: int) -> BaumslagSolitar:

@@ -23,15 +23,15 @@ too.  placed(p, w) writes the conjugation p^-1 . w . p that puts a base
 word's value at position p; the element word and every construction place
 their lamps through it.  The element word is the top's word followed by
 each lamp's base word, placed, positions in the top's canonical order.
-Over finite factors, as_finite_group builds the permutation group of the
-faithful right action (p, x).(phi, a) = (p*a, x*phi(p)) on top x base.
+Over finite factors, as_finite_group builds the whole product by
+FiniteGroup.from_wreath, from the factors' letter columns.
 """
 from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import GroupDefinitionError
-from .groups import MAX_GROUP_SIZE, BaumslagSolitar, FiniteGroup, Group
+from .groups import BaumslagSolitar, FiniteGroup, Group
 from .words import Alphabet, Letter, Word, relabel
 
 
@@ -220,32 +220,17 @@ class WreathProduct(Group):
     # finite materialisation
 
     def as_finite_group(self) -> FiniteGroup:
-        """The whole wreath product as a permutation group, built by from_permutations.
+        """The whole wreath product as a finite group, built by FiniteGroup.from_wreath.
 
-        (phi, a) moves the point (p, x) of top x base to (p*a, x*phi(p)), a
-        faithful right action; the point (p, x) is number p*|base| + x, so a
-        payload lists those numbers' images.  Discovery order depends only
-        on the labelled Cayley graph, not on how elements are written.
+        With k = |top| and m = |base|, the payload t + k·Σ v_p·m^p codes the
+        element with top t and lamp values v_p at p, all as element indices.
         """
         top, base = self.top, self.base
         if not isinstance(top, FiniteGroup) or not isinstance(base, FiniteGroup):
             raise GroupDefinitionError("finite materialisation needs finite top and base")
-        if base.size**top.size * top.size > MAX_GROUP_SIZE:  # refused before any point is listed
-            raise GroupDefinitionError(
-                f"wreath product order {base.size}^{top.size}*{top.size}"
-                f" exceeds {MAX_GROUP_SIZE} elements"
-            )
-        points = [(p, x) for p in top.elements() for x in base.elements()]
-
-        def images(g: WreathElement) -> list[int]:
-            lamp = g.base.get
-            return [
-                top.multiply(p, g.top) * base.size + base.multiply(x, lamp(p, 0)) + 1
-                for p, x in points
-            ]
-
-        return FiniteGroup.from_permutations(
-            (name, images(self.letter_value(i, 1))) for i, name in enumerate(self.alphabet.names)
+        return FiniteGroup.from_wreath(
+            self.alphabet.names, list(top.letter_columns.values()), top._inv,
+            list(base.letter_columns.values()),
         )
 
     def __repr__(self) -> str:

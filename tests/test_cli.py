@@ -543,6 +543,8 @@ def test_input_errors_exit_2(capsys, tmp_path):
         (["pw-exact", "--group", "F2"], "pw-exact needs a finite group"),
         (["pw-exact", "--group", '{"kind":"finite","generators":{}}'],
          "at least one permutation generator required"),
+        (["pw-exact", "--group", '{"kind":"finite","generators":{"a":[2,1],"b":[1,2,3]}}'],
+         "generator 'b' is not a permutation of 1..2"),
         (["verify", "--report", str(pw_report)], "verify wants a decompose report"),
         (["verify", "--report", str(finite_top_report)], "free base required"),
         (["verify", "--report", str(bogus_report)], "unknown mode 'bogus'"),

@@ -171,6 +171,8 @@ def test_alphabet_validation():
         Alphabet(["a", "a"])
     with pytest.raises(ValueError):
         Alphabet(["2bad"])
+    with pytest.raises(AlphabetMismatch, match="^unknown generator 'q'$"):
+        Word.from_blocks(Alphabet(["a"]), [("q", 1)])
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from palinwidth import (
 )
 from palinwidth.errors import AlphabetMismatch, GroupDefinitionError
 from palinwidth.groups import Group
+from palinwidth.oracle import exact_palindromic_width
 from helpers import random_word
 
 
@@ -240,15 +241,65 @@ def test_wreath_evaluation_matches_finite_materialisation():
         for _ in range(200):
             word = random_word(rng, wreath.alphabet, 16)
             symbolic = wreath.evaluate(word)
-            # a payload is the permutation (p, x) -> (p·a, x·phi(p)) of the
-            # points numbered p·|base| + x, 0-based
-            permutation = tuple(
-                top.multiply(p, symbolic.top) * base.size
-                + base.multiply(x, symbolic.base.get(p, base.identity()))
-                for p in top.elements()
-                for x in base.elements()
+            # a payload is the integer t + k·Σ value·m^p over the lamps,
+            # with k = |top|, m = |base| and all as element indices
+            code = symbolic.top + top.size * sum(
+                value * base.size**p for p, value in symbolic.base.items()
             )
-            assert finite.payloads[finite.evaluate(word)] == permutation
+            assert finite.payloads[finite.evaluate(word)] == code
+
+
+def _action_permutations(wreath: WreathProduct) -> list:
+    """Each generator's permutation of the points (p, x) of top x base, 1-based.
+
+    (phi, a) moves (p, x) to (p·a, x·phi(p)), a faithful right action; the
+    point (p, x) is number p·|base| + x + 1.
+    """
+    top, base = wreath.top, wreath.base
+    generators = []
+    for i, name in enumerate(wreath.alphabet.names):
+        g = wreath.letter_value(i, 1)
+        generators.append((name, [
+            top.multiply(p, g.top) * base.size + base.multiply(x, g.base.get(p, 0)) + 1
+            for p in top.elements() for x in base.elements()
+        ]))
+    return generators
+
+
+@pytest.mark.parametrize(
+    "top, base",
+    [(presets.symmetric_3(), presets.cyclic(2, "y")),
+     (presets.cyclic(2, "z"), presets.symmetric_3()),
+     (presets.cyclic(3, "z"), presets.cyclic(3, "y"))],
+    ids=["Z2-wr-S3", "S3-wr-Z2", "Z3-wr-Z3"],
+)
+def test_materialisation_matches_the_permutation_group_of_its_action(top, base):
+    # an independent build: the permutation group of the action on top x base,
+    # closed by from_permutations, has the same table, inverses and geodesics
+    wreath = WreathProduct(top, base)
+    finite = wreath.as_finite_group()
+    reference = FiniteGroup.from_permutations(_action_permutations(wreath))
+    assert finite._table == reference._table
+    assert finite._inv == reference._inv
+    assert finite.geodesics() == reference.geodesics()
+
+
+@pytest.mark.parametrize(
+    "top, m, order, width",
+    [("S3", 2, 384, 3), ("S3", 3, 4374, 4), ("D4", 2, 2048, 3), ("Q8", 2, 2048, 3)],
+)
+def test_exact_widths_of_small_finite_wreath_products(top, m, order, width):
+    finite = WreathProduct(presets.get(top), presets.cyclic(m, "y")).as_finite_group()
+    assert finite.size == order
+    assert exact_palindromic_width(finite).width == width
+
+
+def test_an_order_one_wreath_product_materialises():
+    trivial = FiniteGroup.from_table([], [[0]], [])
+    finite = WreathProduct(trivial, trivial).as_finite_group()
+    assert finite.size == 1 and finite.alphabet.names == ()
+    assert finite._table == ((0,),) and finite._inv == (0,)
+    assert finite.geodesics() == (Word(finite.alphabet),)
 
 
 # base over top: a free base (evaluate_reduced returns the reduced word) and

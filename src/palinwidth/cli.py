@@ -32,7 +32,7 @@ from .groups import (
     FreeGroup,
     Group,
 )
-from .words import MAX_PARSED_LETTERS, Word
+from .words import Word, within_limit
 
 # The oracle and the constructions are imported by the commands that run them,
 # so a process compiles only the modules its subcommand needs.
@@ -209,17 +209,18 @@ def _parse_commutators(text: str, wreath: WreathProduct) -> CommutatorData:
     raw = json.loads(text)
     if not isinstance(raw, list):
         raise GroupDefinitionError("commutator data is a JSON list of sites")
-    sites = []
+    sites, letters = [], 0  # one count over the whole block
     for entry in raw:
         position_word = Word.parse(wreath.top.alphabet, _field(entry, "position", str))
+        letters = within_limit(letters + len(position_word))
         pairs = []
         for pair in _field(entry, "pairs", list):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise GroupDefinitionError("each commutator pair is a list [f, g]")
-            first, second = _list_of(pair, str, "a commutator pair")
-            pairs.append(
-                (Word.parse(wreath.base.alphabet, first), Word.parse(wreath.base.alphabet, second))
-            )
+            first, second = (Word.parse(wreath.base.alphabet, side)
+                             for side in _list_of(pair, str, "a commutator pair"))
+            letters = within_limit(letters + len(first) + len(second))
+            pairs.append((first, second))
         sites.append(CommutatorSite(wreath.top.evaluate(position_word), tuple(pairs)))
     return CommutatorData(tuple(sites))
 
@@ -275,12 +276,6 @@ def _mode_calls(
         exponents = _list_of(_field(inputs, "exps", list), int, "exps")
         a_word = Word.parse(wreath.alphabet, _field(inputs, "word", str))
         b_text = _field(inputs, "word_b", str, None)
-        # the power words spell t, and t^2 as well when word_b is given
-        letters = sum(map(abs, exponents)) * (1 if b_text is None else 2)
-        if letters > MAX_PARSED_LETTERS:
-            raise GroupDefinitionError(
-                f"exponents spell {letters} top letters, over the {MAX_PARSED_LETTERS} limit"
-            )
         if b_text is None:
             b_word, run = None, partial(decompose_commutator_abelian_top, wreath, a_word, exponents)
         else:
@@ -383,6 +378,7 @@ def cmd_decompose(args) -> tuple[dict, bool]:
     witness = _witness(args.mode, args.relation, top)
     run, _ = _mode_calls(args.mode, inputs, top, base, witness)
     fact = run()
+    within_limit(sum(map(len, fact.factors)))  # so that verify reads every report written
     report: dict[str, Any] = {
         "command": "decompose",
         "mode": args.mode,
@@ -416,8 +412,10 @@ def cmd_verify(args) -> tuple[dict, bool]:
         raise GroupDefinitionError(f"{mode} mode needs a relation")
     _, claim = _mode_calls(mode, _field(stored, "inputs", dict), top, base, witness)
     wreath, target, bound, formula = claim()  # the product fixes the factors' alphabet
-    texts = _list_of(_field(stored, "factors", list), str, "factors")
-    factors = [Word.parse(wreath.alphabet, text) for text in texts]
+    factors, letters = [], 0  # one count over all factors, checked as each is read
+    for text in _list_of(_field(stored, "factors", list), str, "factors"):
+        factors.append(Word.parse(wreath.alphabet, text))
+        letters = within_limit(letters + len(factors[-1]))
     certificate = verify_factorization(wreath, target, factors)
     if certificate.valid:  # a failing certificate is reported as it is
         count, claimed = _field(stored, "count", int), _field(stored, "bound", int)

@@ -58,7 +58,7 @@ from .oracle import (
     oracle_for,
     verify_factorization,
 )
-from .words import Word, invert, relabel, reverse, sandwich
+from .words import Word, invert, relabel, reverse, sandwich, within_limit
 from .wreath import WreathElement, WreathProduct
 
 
@@ -183,7 +183,9 @@ def abelian_top_target(
 ) -> WreathElement:
     """[a, t] with t = t1^i1 ... tn^in, times [b, t^2] when b is given.
 
-    a and b must evaluate into the base group.
+    a and b must evaluate into the base group.  Inputs are refused before any
+    word is built when the unrolled factors, whose sandwiches hold each word
+    twice, would pass the letter limit: decompose and verify refuse them alike.
     """
     top = wreath.top
     if not top.is_abelian():
@@ -194,10 +196,10 @@ def abelian_top_target(
     exponents = list(exponents)
     if len(exponents) != n:
         raise GroupDefinitionError(f"expected {n} exponents, got {len(exponents)}")
+    words = [(k, w) for k, w in ((1, first_word), (2, second_word)) if w is not None]
+    within_limit(sum(2 * len(w) * (n + n % 2) + 2 * k * sum(map(abs, exponents)) for k, w in words))
     target = wreath.identity()
-    for word, scale in ((first_word, 1), (second_word, 2)):
-        if word is None:
-            continue
+    for scale, word in words:
         a = relabel(word, wreath.alphabet)
         if not top.is_identity(wreath.evaluate(a).top):
             raise GroupDefinitionError(f"word {word} does not evaluate into the base group")

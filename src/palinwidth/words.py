@@ -12,6 +12,8 @@ a sign other than +1 or -1.  A word built from the letters of checked
 words over the same alphabet (products, powers, reversal, inversion,
 free reduction, slices, relabelling by name) can hold no letter they
 did not, so it is made by Word._unchecked without a second check.
+Word.from_blocks, which Word.parse goes through, is the one place a power
+becomes letters: it refuses a word before it grows past MAX_PARSED_LETTERS.
 """
 from __future__ import annotations
 
@@ -103,13 +105,12 @@ class Word:
 
     @classmethod
     def from_blocks(cls, alphabet: Alphabet, blocks: Iterable[tuple[str | int, int]]) -> "Word":
+        """The word of power blocks (generator, exponent), refused before it passes the limit."""
         letters: list[Letter] = []
         for gen, exponent in blocks:
             index = alphabet.index(gen) if isinstance(gen, str) else gen
-            if exponent == 0:
-                continue
-            sign = 1 if exponent > 0 else -1
-            letters.extend([(index, sign)] * abs(exponent))
+            within_limit(len(letters) + abs(exponent))
+            letters.extend([(index, 1 if exponent > 0 else -1)] * abs(exponent))
         return cls(alphabet, letters)
 
     @classmethod
@@ -241,7 +242,15 @@ def relabel(w: Word, alphabet: Alphabet) -> Word:
         raise AlphabetMismatch(f"unknown generator {source.names[missing.args[0][0]]!r}") from None
 
 
-MAX_PARSED_LETTERS = 1_000_000  # a parsed word is refused before it grows past this
+MAX_PARSED_LETTERS = 1_000_000  # no word, nor list of words read or written together, holds more
+
+
+def within_limit(letters: int) -> int:
+    """A letter count, refused past MAX_PARSED_LETTERS: take it before building the letters."""
+    if letters > MAX_PARSED_LETTERS:
+        raise WordSyntaxError(f"{letters} letters pass the limit of {MAX_PARSED_LETTERS}")
+    return letters
+
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<star>\*)|(?P<one>1)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\^(?P<exp>-?\d+))?)"
@@ -250,27 +259,18 @@ _TOKEN = re.compile(
 
 def _parse(alphabet: Alphabet, text: str) -> Word:
     """Parse `x^-2 * y * x` style syntax; `*` and whitespace both separate."""
-    letters: list[Letter] = []
+    blocks: list[tuple[int, int]] = []
     text = text.rstrip()
     pos = 0
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if match is None or match.end() == match.start():
             raise WordSyntaxError(f"unexpected character {text[pos]!r}", column=pos + 1)
-        if match.group("name") is not None:
-            name = match.group("name")
+        name = match.group("name")
+        if name is not None:
             if name not in alphabet:
-                raise WordSyntaxError(
-                    f"unknown generator {name!r}", column=match.start("name") + 1
-                )
-            exponent = int(match.group("exp")) if match.group("exp") else 1
-            if len(letters) + abs(exponent) > MAX_PARSED_LETTERS:
-                raise WordSyntaxError(
-                    f"word longer than {MAX_PARSED_LETTERS} letters", column=match.start("name") + 1
-                )
-            index = alphabet.index(name)
-            if exponent:
-                sign = 1 if exponent > 0 else -1
-                letters.extend([(index, sign)] * abs(exponent))
+                column = match.start("name") + 1
+                raise WordSyntaxError(f"unknown generator {name!r}", column=column)
+            blocks.append((alphabet.index(name), int(match.group("exp") or 1)))
         pos = match.end()
-    return Word(alphabet, letters)
+    return Word.from_blocks(alphabet, blocks)

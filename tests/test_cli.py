@@ -532,8 +532,12 @@ def test_input_errors_exit_2(capsys, tmp_path):
     bogus_report.write_text(json.dumps(bogus))
     del bogus["relation_used"]
     bogus_bare_report.write_text(json.dumps(bogus))
+    # factors that each pass the letter limit's check, and together pass the limit
+    long_factors_report = tmp_path / "long-factors.json"
+    long_factors_report.write_text(json.dumps({**report, "factors": ["y1^600000"] * 2}))
     report["base"] = {"kind": "free_abelian", "names": ["y1", "y2"]}
     finite_top_report.write_text(json.dumps(report))
+    long_pair = ["y1^300000", "y2^-300000"]
     for argv, message in [
         (["decompose", "--top", "Z^2", "--base", F2_DEF, "--mode", "abelian-top",
           "--word", "y1", "--exps", "1,a"], "bad exponent list '1,a'"),
@@ -551,6 +555,18 @@ def test_input_errors_exit_2(capsys, tmp_path):
         (["verify", "--report", str(bogus_bare_report)], "unknown mode 'bogus'"),
         (["find-relation", "--group", "Z"], RELATION_GROUPS),
         (["find-relation", "--group", "F2"], RELATION_GROUPS),
+        # the letter limit: a relator, a report's factors together, a commutator block
+        # together, and abelian-top's factors (each sandwich holds its word twice)
+        (["find-relation", "--group", "BS(1,1000001)"], "1000004 letters pass the limit of 1000000"),
+        (["verify", "--report", str(long_factors_report)],
+         "1200000 letters pass the limit of 1000000"),
+        (["decompose", "--top", "F1", "--base", F2_DEF, "--mode", "shifted", "--commutators",
+          json.dumps([{"position": "1", "pairs": [long_pair, long_pair]}])],
+         "1200000 letters pass the limit of 1000000"),
+        (["decompose", "--top", "Z^3", "--base", F2_DEF, "--mode", "abelian-top",
+          "--word", "y1^200000", "--exps", "1,1,1"], "1600006 letters pass the limit of 1000000"),
+        (["decompose", *ABELIAN_TOP, "--exps", "1000000,0"],
+         "2000004 letters pass the limit of 1000000"),
     ]:
         assert main(argv) == 2
         out, err = capsys.readouterr()
@@ -592,6 +608,20 @@ def test_abelian_top_exponents_at_the_letter_limit_are_taken():
     ):
         run, target = cli._mode_calls("abelian-top", inputs, top, base, None)
         assert callable(run) and callable(target)
+
+
+def test_decompose_refuses_factors_past_the_letter_limit(capsys, monkeypatch):
+    # its 7 input letters are within the limit and its 80 factor letters are not:
+    # decompose writes nothing, so verify can read every report decompose writes
+    argv = ["decompose", "--top", "F1", "--base", F2_DEF, "--mode", "shifted",
+            "--commutators", '[{"position": "x1", "pairs": [["y1^3", "y2^3"]]}]']
+    monkeypatch.setattr("palinwidth.words.MAX_PARSED_LETTERS", 80)
+    code, report = run_json(capsys, *argv)
+    assert code == 0 and report["count"] == 7
+    monkeypatch.setattr("palinwidth.words.MAX_PARSED_LETTERS", 79)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.strip().splitlines() == ["error: 80 letters pass the limit of 79"]
 
 
 def test_cyclic_preset_over_the_size_limit_exits_2_at_once(capsys):

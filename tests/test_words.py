@@ -173,6 +173,11 @@ def test_alphabet_validation():
         Alphabet(["2bad"])
     with pytest.raises(AlphabetMismatch, match="^unknown generator 'q'$"):
         Word.from_blocks(Alphabet(["a"]), [("q", 1)])
+    # a power word past the letter limit is refused before it is built, however it is made
+    with pytest.raises(WordSyntaxError, match="^1000001 letters pass the limit of 1000000$"):
+        Word.letter(AB, 0, 1_000_001)
+    with pytest.raises(WordSyntaxError, match="^1200000 letters pass the limit of 1000000$"):
+        Word.from_blocks(AB, [(0, 600_000), (1, -600_000)])
 
 
 @pytest.mark.parametrize(
